@@ -7,8 +7,9 @@ Four commands over a line-oriented key = value configuration:
     track     solve the tracking problem -> track.csv, report.txt, plot.gp
     check     run the invariant suite    -> pass/fail table on stdout
 
-Exit codes: 0 success, 1 config error, 2 track non-convergence,
-3 internal/domain error (including a failed check).
+Exit codes: 0 success, 1 config error, 2 track non-convergence (report.txt
+still written; track.csv and plot.gp only when the flow at the last iterate
+is finite), 3 internal/domain error (including a failed check).
 """
 
 from __future__ import annotations
@@ -450,15 +451,6 @@ def cmd_track(cfg: ExperimentConfig) -> int:
     newton = NewtonConfig(tol_residual=cfg.newton_tol, max_iters=cfg.newton_max_iters)
     report = solve_tracking(prob, cfg=newton)
     out_dir = Path(cfg.output_dir)
-    ref = sample_reference(prob.ref, report.trajectory.times)
-    csv_path = out_dir / "track.csv"
-    write_csv(report.trajectory, report.controls, ref, csv_path)
-    write_plot_script(out_dir / "plot.gp", "track.csv")
-
-    zT = report.trajectory.final_state()
-    q_rT, v_rT = prob.ref.sample(prob.T)
-    terminal = np.concatenate([zT[:3] - q_rT, zT[3:5] - v_rT])
-    baseline = uncontrolled_cost(prob)
     lines = [
         "tracking report",
         "===============",
@@ -469,17 +461,30 @@ def cmd_track(cfg: ExperimentConfig) -> int:
         f"iterations: {report.iterations}",
         f"residual norms: {', '.join('%.6e' % v for v in report.residual_norms)}",
         f"alpha*: {' '.join(repr(float(v)) for v in report.alpha_star)}",
-        f"cost J: {report.cost!r}",
-        f"cost of u=0 rollout: {baseline!r}",
-        "terminal errors (x, y, z, v1, v2): "
-        + " ".join("%.6e" % abs(v) for v in terminal),
     ]
+    written = []
+    if report.trajectory is not None:
+        ref = sample_reference(prob.ref, report.trajectory.times)
+        written = [out_dir / "track.csv", out_dir / "plot.gp"]
+        write_csv(report.trajectory, report.controls, ref, written[0])
+        write_plot_script(written[1], "track.csv")
+        zT = report.trajectory.final_state()
+        q_rT, v_rT = prob.ref.sample(prob.T)
+        terminal = np.concatenate([zT[:3] - q_rT, zT[3:5] - v_rT])
+        lines += [
+            f"cost J: {report.cost!r}",
+            f"cost of u=0 rollout: {uncontrolled_cost(prob)!r}",
+            "terminal errors (x, y, z, v1, v2): "
+            + " ".join("%.6e" % abs(v) for v in terminal),
+        ]
+    else:
+        lines.append("no trajectory: the flow at alpha* leaves the finite domain")
     if report.message:
         lines.append(f"note: {report.message}")
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
-    print(f"wrote {out_dir / 'report.txt'}")
-    print(f"wrote {out_dir / 'plot.gp'}")
+    written.append(out_dir / "report.txt")
+    written[-1].write_text("\n".join(lines) + "\n")
+    for path in written:
+        print(f"wrote {path}")
     if not report.converged:
         print(f"track did not converge: {report.message}", file=sys.stderr)
         return 2

@@ -1,237 +1,113 @@
-"""Compiled inner loops for the particle flows.
+"""Fixed-step RK4 rollouts for the particle flows.
 
-Shooting evaluates thousands of full state-costate integrations (every
-finite-difference Jacobian column is one), so these fixed-step loops are
-written in scalar form and jitted with numba. Setting the environment
-variable NHTRACK_PURE_NUMPY=1 (or running without numba installed) keeps
-the exact same source executing as plain Python over numpy arrays, which
-is handy for debugging and for benchmarking the compiled speedup.
+Shooting evaluates hundreds of full state-costate integrations (every
+finite-difference Jacobian column is two), so the inner loop matters. One
+RK4 driver steps the state as plain Python floats, whose arithmetic is IEEE
+double like numpy's float64 scalars but without the cost of creating numpy
+scalars; each system supplies one right-hand side over such a sequence.
 
 State layouts (matching the CSV column order):
     reduced   [x, y, z, v1, v2]
     unreduced [x, y, z, vx, vy, vz]
     coupled   [x, y, z, v1, v2, l1, l2, l3, m1, m2]
 
-The coupled loop takes reference samples tabulated on the half grid
-t0 + j*(h/2), j = 0..2N, so the stage times of step i hit indices 2i,
-2i+1, 2i+2 exactly.
+The right-hand sides take the state and the half-grid index j of the stage
+time t0 + j*(h/2), so the stages of step i sit at j = 2i, 2i+1, 2i+2. The
+coupled flow reads its reference samples from a table on that half grid.
 """
 
 from __future__ import annotations
 
-import os
+from math import isfinite
 
 import numpy as np
 
 from .errors import DomainError
 
-PURE_NUMPY = os.environ.get("NHTRACK_PURE_NUMPY", "").strip() not in ("", "0", "false")
-
-if not PURE_NUMPY:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-    def _jit(fn):
-        return njit(cache=True)(fn)
-else:
-    def _jit(fn):
-        return fn
-
 
 def backend() -> str:
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel backend, echoed in reports and benchmark output."""
+    return "python"
 
 
-def _reduced_rhs(x, out):
-    y = x[1]
-    v1 = x[3]
-    v2 = x[4]
-    out[0] = -y * v2
-    out[1] = v1
-    out[2] = v2
-    out[3] = 0.0
-    out[4] = -(y / (1.0 + y * y)) * v1 * v2
+def _rk4(rhs, x0, h: float, n_steps: int, label: str) -> np.ndarray:
+    """Integrate rhs(x, j) -> tuple from x0; returns (n_steps+1, len(x0)).
 
-
-def _unreduced_rhs(x, out):
-    y = x[1]
-    vx = x[3]
-    vy = x[4]
-    vz = x[5]
-    lam = -vz * vy / (1.0 + y * y)
-    out[0] = vx
-    out[1] = vy
-    out[2] = vz
-    out[3] = lam
-    out[4] = 0.0
-    out[5] = y * lam
-
-
-def _coupled_rhs(x, ref, eps, literal, out):
-    y = x[1]
-    v1 = x[3]
-    v2 = x[4]
-    l1 = x[5]
-    l2 = x[6]
-    l3 = x[7]
-    m1 = x[8]
-    m2 = x[9]
-    w = 1.0 + y * y
-    f = y / w
-    # state rows, with the stationary control u = -mu/eps substituted
-    out[0] = -y * v2
-    out[1] = v1
-    out[2] = v2
-    out[3] = -m1 / eps
-    out[4] = -m2 / eps - f * v1 * v2
-    # costate rows
-    ex = x[0] - ref[0]
-    ey = y - ref[1]
-    ez = x[2] - ref[2]
-    e1 = v1 - ref[3]
-    e2 = v2 - ref[4]
-    out[5] = -ex
-    out[7] = -ez
-    if literal:
-        out[6] = l1 * v2 - ey + eps * v1 * v2 * m2 * (y * y - 1.0) / (w * w)
-        out[8] = -l2 - e1 - m2 * f * v2
-        out[9] = -l3 + l1 * y - e2 - m2 * f * v1
-    else:
-        out[6] = l1 * v2 - ey + m2 * v1 * v2 * (1.0 - y * y) / (w * w)
-        out[8] = -l2 - e1 + m2 * f * v2
-        out[9] = l1 * y - l3 - e2 + m2 * f * v1
-
-
-_reduced_rhs_c = _jit(_reduced_rhs)
-_unreduced_rhs_c = _jit(_unreduced_rhs)
-_coupled_rhs_c = _jit(_coupled_rhs)
-
-
-# The loop bodies are spelled out per system (instead of taking the rhs as
-# a closure variable) so numba can cache the compiled code on disk.
-
-
-def _reduced_loop_impl(states, h, n_steps):
-    k1 = np.empty(5)
-    k2 = np.empty(5)
-    k3 = np.empty(5)
-    k4 = np.empty(5)
-    xs = np.empty(5)
+    Raises DomainError at the first step whose result is not finite. The
+    update keeps the grouping x + h*((k1 + 2k2 + 2k3 + k4)/6) of
+    integrators.rk4_step, so constant fields advance by exactly h per step.
+    """
+    states = np.empty((n_steps + 1, len(x0)))
+    states[0] = x0
+    x = states[0].tolist()
+    h = float(h)
+    hh = 0.5 * h
     for i in range(n_steps):
-        x = states[i]
-        _reduced_rhs_c(x, k1)
-        for j in range(5):
-            xs[j] = x[j] + 0.5 * h * k1[j]
-        _reduced_rhs_c(xs, k2)
-        for j in range(5):
-            xs[j] = x[j] + 0.5 * h * k2[j]
-        _reduced_rhs_c(xs, k3)
-        for j in range(5):
-            xs[j] = x[j] + h * k3[j]
-        _reduced_rhs_c(xs, k4)
-        ok = True
-        for j in range(5):
-            nxt = x[j] + h * ((k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0)
-            states[i + 1, j] = nxt
-            ok = ok and np.isfinite(nxt)
-        if not ok:
-            return i
-    return -1
-
-
-def _unreduced_loop_impl(states, h, n_steps):
-    k1 = np.empty(6)
-    k2 = np.empty(6)
-    k3 = np.empty(6)
-    k4 = np.empty(6)
-    xs = np.empty(6)
-    for i in range(n_steps):
-        x = states[i]
-        _unreduced_rhs_c(x, k1)
-        for j in range(6):
-            xs[j] = x[j] + 0.5 * h * k1[j]
-        _unreduced_rhs_c(xs, k2)
-        for j in range(6):
-            xs[j] = x[j] + 0.5 * h * k2[j]
-        _unreduced_rhs_c(xs, k3)
-        for j in range(6):
-            xs[j] = x[j] + h * k3[j]
-        _unreduced_rhs_c(xs, k4)
-        ok = True
-        for j in range(6):
-            nxt = x[j] + h * ((k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0)
-            states[i + 1, j] = nxt
-            ok = ok and np.isfinite(nxt)
-        if not ok:
-            return i
-    return -1
-
-
-_reduced_loop = _jit(_reduced_loop_impl)
-_unreduced_loop = _jit(_unreduced_loop_impl)
-
-
-def _coupled_loop_impl(states, ref_half, h, n_steps, eps, literal):
-    k1 = np.empty(10)
-    k2 = np.empty(10)
-    k3 = np.empty(10)
-    k4 = np.empty(10)
-    xs = np.empty(10)
-    for i in range(n_steps):
-        x = states[i]
-        _coupled_rhs_c(x, ref_half[2 * i], eps, literal, k1)
-        for j in range(10):
-            xs[j] = x[j] + 0.5 * h * k1[j]
-        _coupled_rhs_c(xs, ref_half[2 * i + 1], eps, literal, k2)
-        for j in range(10):
-            xs[j] = x[j] + 0.5 * h * k2[j]
-        _coupled_rhs_c(xs, ref_half[2 * i + 1], eps, literal, k3)
-        for j in range(10):
-            xs[j] = x[j] + h * k3[j]
-        _coupled_rhs_c(xs, ref_half[2 * i + 2], eps, literal, k4)
-        ok = True
-        for j in range(10):
-            nxt = x[j] + h * ((k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0)
-            states[i + 1, j] = nxt
-            ok = ok and np.isfinite(nxt)
-        if not ok:
-            return i
-    return -1
-
-
-_coupled_loop = _jit(_coupled_loop_impl)
-
-
-def _run(loop_args, states, label):
-    bad = loop_args()
-    if bad >= 0:
-        raise DomainError(
-            f"{label} rollout left the finite domain at step {bad}",
-            x=states[bad],
-        )
+        j = 2 * i
+        k1 = rhs(x, j)
+        k2 = rhs([a + hh * b for a, b in zip(x, k1)], j + 1)
+        k3 = rhs([a + hh * b for a, b in zip(x, k2)], j + 1)
+        k4 = rhs([a + h * b for a, b in zip(x, k3)], j + 2)
+        x = [
+            a + h * ((b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+        states[i + 1] = x
+        if not all(map(isfinite, x)):
+            raise DomainError(
+                f"{label} rollout left the finite domain at step {i}", x=states[i]
+            )
     return states
+
+
+def _reduced_rhs(s, j):
+    _, y, _, v1, v2 = s
+    return (-y * v2, v1, v2, 0.0, -(y / (1.0 + y * y)) * v1 * v2)
+
+
+def _unreduced_rhs(s, j):
+    _, y, _, vx, vy, vz = s
+    lam = -vz * vy / (1.0 + y * y)
+    return (vx, vy, vz, lam, 0.0, y * lam)
+
+
+def _coupled_rhs(ref_half: np.ndarray, eps: float, literal: bool):
+    """State-costate rhs with u = -mu/eps, reading the reference at index j."""
+    # a flat view: three rows per step are read as floats, none is copied
+    ref = memoryview(np.ascontiguousarray(ref_half, dtype=float).ravel())
+    eps = float(eps)
+
+    def rhs(s, j):
+        x, y, z, v1, v2, l1, l2, l3, m1, m2 = s
+        r = 5 * j
+        w = 1.0 + y * y
+        f = y / w
+        ex = x - ref[r]
+        ey = y - ref[r + 1]
+        ez = z - ref[r + 2]
+        e1 = v1 - ref[r + 3]
+        e2 = v2 - ref[r + 4]
+        if literal:
+            dl2 = l1 * v2 - ey + eps * v1 * v2 * m2 * (y * y - 1.0) / (w * w)
+            dm1 = -l2 - e1 - m2 * f * v2
+            dm2 = -l3 + l1 * y - e2 - m2 * f * v1
+        else:
+            dl2 = l1 * v2 - ey + m2 * v1 * v2 * (1.0 - y * y) / (w * w)
+            dm1 = -l2 - e1 + m2 * f * v2
+            dm2 = l1 * y - l3 - e2 + m2 * f * v1
+        return (-y * v2, v1, v2, -m1 / eps, -m2 / eps - f * v1 * v2, -ex, dl2, -ez, dm1, dm2)
+
+    return rhs
 
 
 def rollout_reduced(x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """Integrate the uncontrolled reduced flow; returns (n_steps+1, 5)."""
-    states = np.empty((n_steps + 1, 5))
-    states[0] = x0
-    return _run(lambda: _reduced_loop(states, h, n_steps), states, "reduced")
+    return _rk4(_reduced_rhs, x0, h, n_steps, "reduced")
 
 
 def rollout_unreduced(x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """Integrate the ambient multiplier flow; returns (n_steps+1, 6)."""
-    states = np.empty((n_steps + 1, 6))
-    states[0] = x0
-    return _run(lambda: _unreduced_loop(states, h, n_steps), states, "unreduced")
+    return _rk4(_unreduced_rhs, x0, h, n_steps, "unreduced")
 
 
 def rollout_coupled(
@@ -245,14 +121,9 @@ def rollout_coupled(
     """Integrate the state-costate flow; returns (n_steps+1, 10).
 
     ref_half must hold reference samples (x_r, y_r, z_r, v1_r, v2_r) on the
-    half grid, shape (2*n_steps + 1, 5).
+    half grid, shape (2*n_steps + 1, 5). literal selects the paper-literal
+    adjoint instead of the derived one.
     """
     if ref_half.shape != (2 * n_steps + 1, 5):
         raise ValueError("reference table does not cover the half grid")
-    states = np.empty((n_steps + 1, 10))
-    states[0] = z0
-    return _run(
-        lambda: _coupled_loop(states, ref_half, h, n_steps, eps, literal),
-        states,
-        "coupled",
-    )
+    return _rk4(_coupled_rhs(ref_half, eps, literal), z0, h, n_steps, "coupled")

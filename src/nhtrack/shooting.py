@@ -57,9 +57,11 @@ class ShootingReport:
     """Outcome of a shooting solve.
 
     residual_norms[i] is the max-norm after i accepted steps (entry 0 is
-    the starting residual). trajectory/controls/cost are attached by
-    solve_tracking (also on non-convergence, for reporting); bare
-    newton_solve leaves them None.
+    the starting residual; the list is empty when the flow at the starting
+    guess already left the finite domain). trajectory/controls/cost are
+    attached by solve_tracking (also on non-convergence, for reporting)
+    whenever the flow at alpha_star is finite; bare newton_solve leaves
+    them None.
     """
 
     alpha_star: Array
@@ -136,10 +138,21 @@ def newton_solve(
 
     Always returns a report; convergence is flagged, never raised. A step
     is accepted only when it strictly reduces the residual max-norm, so
-    the recorded norm history is monotone.
+    the recorded norm history is monotone. A DomainError at the starting
+    guess or in a Jacobian probe ends the iteration with a non-converged
+    report whose message gives the reason.
     """
     alpha = np.asarray(alpha0, dtype=float).copy()
-    r = np.asarray(res(alpha), dtype=float)
+    try:
+        r = np.asarray(res(alpha), dtype=float)
+    except DomainError as err:
+        return ShootingReport(
+            alpha_star=alpha,
+            iterations=0,
+            residual_norms=[],
+            converged=False,
+            message=f"residual at the starting guess left the domain: {err}",
+        )
     norm = float(np.max(np.abs(r)))
     norms = [norm]
     message = ""
@@ -148,6 +161,10 @@ def newton_solve(
     while not converged and iterations < cfg.max_iters:
         try:
             J = fd_jacobian(res, alpha, cfg.fd_step)
+        except DomainError as err:
+            message = f"Jacobian left the domain: {err}"
+            break
+        try:
             delta = solve_pivoted(J, -r)
         except SingularJacobianError as err:
             err.alpha = alpha.copy()
@@ -195,7 +212,8 @@ def solve_tracking(
     Starts from alpha0 (default: zeros). After the iteration the coupled
     flow is integrated once more at the final iterate to attach the
     trajectory, the control samples, and the achieved cost to the report
-    (also when not converged, so a failed run can still be inspected).
+    (also when not converged, so a failed run can still be inspected). When
+    that flow leaves the finite domain too, the report carries no trajectory.
     """
     d = prob.sys.n + prob.sys.k
     if alpha0 is None:
@@ -205,7 +223,10 @@ def solve_tracking(
         return residual_from_trajectory(integrate_coupled(prob, alpha), prob)
 
     report = newton_solve(res, alpha0, cfg)
-    traj = integrate_coupled(prob, report.alpha_star)
+    try:
+        traj = integrate_coupled(prob, report.alpha_star)
+    except DomainError:
+        return report
     report.trajectory = traj
     report.controls = controls_along(traj, prob)
     report.cost = total_cost(traj, prob)

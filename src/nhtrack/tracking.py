@@ -399,7 +399,7 @@ def coupled_field(t: float, z: Array, prob: TrackingProblem) -> Array:
 def integrate_coupled(prob: TrackingProblem, alpha: Array) -> Trajectory:
     """Flow of the coupled system from (s0, alpha) over [0, T].
 
-    Dispatches to the compiled particle kernel when possible, otherwise
+    Dispatches to the particle's RK4 kernel when possible, otherwise
     to the generic integrator over `coupled_field`.
     """
     alpha = np.asarray(alpha, dtype=float)
@@ -458,18 +458,33 @@ def controls_along(traj: Trajectory, prob: TrackingProblem) -> Array:
     return -mu / prob.epsilon
 
 
+def _cost(prob: TrackingProblem, times: Array, body: Array, u: Array) -> float:
+    """Composite-trapezoid running cost of the rows body = [q, v] with
+    controls u on the problem grid, plus the omega-weighted terminal cost.
+
+    Row for row the same arithmetic as running_cost, so the result is
+    bit-identical to summing running_cost over the grid. The reference is
+    read from the half-grid table, whose even rows are the grid times.
+    """
+    n = prob.sys.n
+    if not np.array_equal(times, prob.h * np.arange(prob.N + 1)):
+        raise ContractError("cost is evaluated on the problem's time grid only")
+    err = body - prob._ref_table[::2]
+    values = 0.5 * (
+        np.sum(err[:, :n] ** 2, axis=1)
+        + np.sum(err[:, n:] ** 2, axis=1)
+        + prob.epsilon * np.sum(u**2, axis=1)
+    )
+    integral = float(np.trapezoid(values, times))
+    sT = AdaptedState(q=body[-1, :n], v=body[-1, n:])
+    return integral + prob.omega * terminal_cost(sT, prob.ref.sample(prob.T))
+
+
 def total_cost(traj: Trajectory, prob: TrackingProblem) -> float:
     """Composite-trapezoid running cost along a coupled trajectory plus
     the omega-weighted terminal cost."""
     n, k = prob.sys.n, prob.sys.k
-    u = controls_along(traj, prob)
-    values = np.empty(traj.times.shape[0])
-    for i, t in enumerate(traj.times):
-        s = AdaptedState(q=traj.states[i, :n], v=traj.states[i, n : n + k])
-        values[i] = running_cost(s, prob.ref.sample(float(t)), u[i], prob.epsilon)
-    integral = float(np.trapezoid(values, traj.times))
-    sT = AdaptedState(q=traj.states[-1, :n], v=traj.states[-1, n : n + k])
-    return integral + prob.omega * terminal_cost(sT, prob.ref.sample(prob.T))
+    return _cost(prob, traj.times, traj.states[:, : n + k], controls_along(traj, prob))
 
 
 def uncontrolled_trajectory(prob: TrackingProblem) -> Trajectory:
@@ -495,15 +510,7 @@ def uncontrolled_trajectory(prob: TrackingProblem) -> Trajectory:
 def uncontrolled_cost(prob: TrackingProblem) -> float:
     """Cost of simply letting the system drift (u = 0) from s0."""
     traj = uncontrolled_trajectory(prob)
-    n, k = prob.sys.n, prob.sys.k
-    zero_u = np.zeros(k)
-    values = np.empty(traj.times.shape[0])
-    for i, t in enumerate(traj.times):
-        s = AdaptedState(q=traj.states[i, :n], v=traj.states[i, n:])
-        values[i] = running_cost(s, prob.ref.sample(float(t)), zero_u, prob.epsilon)
-    integral = float(np.trapezoid(values, traj.times))
-    sT = AdaptedState(q=traj.states[-1, :n], v=traj.states[-1, n:])
-    return integral + prob.omega * terminal_cost(sT, prob.ref.sample(prob.T))
+    return _cost(prob, traj.times, traj.states, np.zeros((prob.N + 1, prob.sys.k)))
 
 
 def benchmark_problem(

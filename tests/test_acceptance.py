@@ -69,7 +69,7 @@ def _oracle():
 def test_criterion_1_analytic_oracle_agreement():
     """Fixed-step integration reproduces the closed form at fourth order."""
     oracle = _oracle()
-    kernels.rollout_reduced(X0, 1e-3, 1)  # warm the jit cache
+    kernels.rollout_reduced(X0, 1e-3, 1)  # warm-up call, outside the timed region
     start = time.perf_counter()
     states = kernels.rollout_reduced(X0, 1e-3, 4000)
     exact = np.array([oracle(1e-3 * i) for i in range(4001)])

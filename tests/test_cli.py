@@ -166,6 +166,18 @@ class TestCommands:
         assert (tmp_path / "report.txt").exists()
         assert "converged: False" in (tmp_path / "report.txt").read_text()
 
+    def test_blowup_exits_two_with_report_and_no_csv(self, tmp_path, capsys):
+        """The flow at the starting guess leaves the finite domain: the
+        report says why, and there is no trajectory to write."""
+        rc = main(["track", "--out", str(tmp_path), "--epsilon", "0.1", "--steps", "1000"])
+        assert rc == 2
+        report = (tmp_path / "report.txt").read_text()
+        assert "converged: False" in report
+        assert "note: residual at the starting guess left the domain" in report
+        assert not (tmp_path / "track.csv").exists()
+        assert not (tmp_path / "plot.gp").exists()
+        assert "did not converge" in capsys.readouterr().err
+
     def test_config_error_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("epsilon = 0\n")

@@ -101,7 +101,7 @@ class TestAnalyticFlow:
             np.testing.assert_allclose(flat(s), [1.0, 0.0, 1.0 + t, 0.0, 1.0], atol=1e-15)
 
     def test_against_fine_step_integration(self):
-        """Closed form vs compiled RK4 at h=1e-5 over T=4."""
+        """Closed form vs the RK4 kernel at h=1e-5 over T=4."""
         p = analytic_constants(S0)
         n = 400000
         states = kernels.rollout_reduced(flat(S0), 4.0 / n, n)

@@ -118,6 +118,29 @@ class TestNewtonSolve:
         assert not report.converged
         assert report.message
 
+    def test_domain_error_at_start_reported_not_raised(self):
+        def res(x):
+            raise DomainError("flow blew up")
+
+        report = newton_solve(res, np.array([1.0, 2.0]), NewtonConfig())
+        assert not report.converged
+        assert report.iterations == 0
+        assert report.residual_norms == []
+        assert "starting guess" in report.message and "flow blew up" in report.message
+        np.testing.assert_array_equal(report.alpha_star, [1.0, 2.0])
+
+    def test_domain_error_in_jacobian_probe_reported_not_raised(self):
+        def res(x):
+            if x[1] > 0.5:
+                raise DomainError("flow blew up")
+            return x - 0.25
+
+        report = newton_solve(res, np.array([0.0, 0.5]), NewtonConfig(fd_step=1e-2))
+        assert not report.converged
+        assert report.iterations == 0
+        assert len(report.residual_norms) == 1
+        assert "Jacobian" in report.message and "column 1" in report.message
+
     def test_singular_jacobian_diagnostic_carries_iterate(self):
         def res(x):
             return np.array([x[0] + x[1] - 1.0, 2.0 * (x[0] + x[1]) - 2.0])
@@ -176,6 +199,13 @@ class TestSolveTracking:
         assert report.converged
         assert np.max(np.abs(report.alpha_star)) <= 1e-8
         assert np.max(np.abs(report.controls)) <= 1e-6
+
+    def test_blowup_at_start_gives_report_without_trajectory(self):
+        """epsilon = 0.1: the flow at alpha0 = 0 already leaves double range."""
+        report = solve_tracking(benchmark_problem(epsilon=0.1, N=1000))
+        assert not report.converged
+        assert "left the domain" in report.message
+        assert report.trajectory is None and report.cost is None
 
     def test_report_contains_trajectory_and_cost(self):
         prob = benchmark_problem(N=500)

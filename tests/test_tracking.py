@@ -37,7 +37,7 @@ SYS = particle_system()
 S0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
 
 # shooting residual at alpha = 0 for the benchmark problem, frozen after
-# cross-checking the compiled rollout against the generic integrator
+# cross-checking the kernel rollout against the generic integrator
 RESIDUAL_AT_ZERO = {
     True: np.array([
         2.653577580219845, -10.043675425351053, 15.907057752942933,
@@ -329,7 +329,7 @@ class TestCoupledField:
             assert np.max(np.abs(res)) <= 1e-12
 
     def test_kernel_matches_generic_integrator(self):
-        """Compiled rollout vs callback integrator, both adjoint modes."""
+        """Kernel rollout vs callback integrator, both adjoint modes."""
         for mode in ("derived", "paper-literal"):
             prob = benchmark_problem(N=400, adjoint_mode=mode)
             alpha = np.array([0.2, -0.4, 0.1, 0.3, -0.2])
@@ -509,6 +509,46 @@ class TestTotalCost:
         e_v = traj.states[-1, 3:5] - v_rT
         expected = np.trapezoid(vals, traj.times) + prob.omega * (e_q @ e_q + e_v @ e_v)
         np.testing.assert_allclose(got, expected, rtol=1e-14)
+
+    @staticmethod
+    def _loop_cost(prob, times, states, u):
+        """Reference: running_cost summed row by row, as a Python loop."""
+        values = [
+            running_cost(
+                AdaptedState(q=states[i, :3], v=states[i, 3:5]),
+                prob.ref.sample(float(t)),
+                u[i],
+                prob.epsilon,
+            )
+            for i, t in enumerate(times)
+        ]
+        sT = AdaptedState(q=states[-1, :3], v=states[-1, 3:5])
+        return float(np.trapezoid(values, times)) + prob.omega * terminal_cost(
+            sT, prob.ref.sample(prob.T)
+        )
+
+    @pytest.mark.parametrize("N", [400, 4000])
+    def test_vectorized_costs_bit_identical_to_loop(self, N):
+        """total_cost and uncontrolled_cost equal the row-by-row loop exactly."""
+        from nhtrack.tracking import uncontrolled_trajectory
+
+        prob = benchmark_problem(N=N)
+        alpha = np.array([-3.3738608687695786, 6.1259424253410195, -2.471449523238801,
+                          7.8655863520497284, -4.077189439249371])
+        traj = integrate_coupled(prob, alpha)
+        u = -traj.states[:, 8:] / prob.epsilon
+        assert total_cost(traj, prob) == self._loop_cost(prob, traj.times, traj.states, u)
+        drift = uncontrolled_trajectory(prob)
+        assert uncontrolled_cost(prob) == self._loop_cost(
+            prob, drift.times, drift.states, np.zeros((N + 1, 2))
+        )
+
+    def test_off_grid_trajectory_rejected(self):
+        """The cost reads the reference on the problem grid only."""
+        prob = benchmark_problem(N=16)
+        traj = integrate_coupled(prob, np.zeros(5))
+        with pytest.raises(ContractError):
+            total_cost(Trajectory(times=0.5 * traj.times, states=traj.states), prob)
 
     def test_solved_problem_beats_drifting(self):
         """The converged tracking cost is below the u = 0 rollout cost."""
