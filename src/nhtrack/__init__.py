@@ -6,6 +6,7 @@ from .errors import (
     ContractError,
     DegenerateFitError,
     DomainError,
+    KernelBuildError,
     NhtrackError,
     SingularJacobianError,
     SingularProblemError,

@@ -1,0 +1,134 @@
+/* Fixed-step RK4 over the particle flows; loaded by nhtrack.kernels.
+ *
+ * Each right-hand side is written term for term like the Python expression
+ * it reproduces, in the same evaluation order, so that IEEE double results
+ * match bit for bit. Build with -ffp-contract=off and without -ffast-math:
+ * a fused multiply-add or a reassociation changes the last bits.
+ *
+ * State layouts (matching the CSV column order):
+ *   reduced   [x, y, z, v1, v2]
+ *   unreduced [x, y, z, vx, vy, vz]
+ *   coupled   [x, y, z, v1, v2, l1, l2, l3, m1, m2]
+ *
+ * A right-hand side receives the half-grid index j of the stage time
+ * t0 + j*(h/2), so the stages of step i sit at j = 2i, 2i+1, 2i+2. The
+ * coupled flow reads its reference (x_r, y_r, z_r, v1_r, v2_r) from row j
+ * of a (2n+1, 5) table on that half grid.
+ */
+
+#include <math.h>
+
+#define MAX_DIM 10
+
+typedef struct {
+    const double *ref; /* coupled only: the half-grid reference table */
+    double eps;        /* coupled only: control-effort weight */
+    int literal;       /* coupled only: paper-literal instead of derived adjoint */
+} params;
+
+typedef void (*rhs_fn)(const double *s, long j, const params *p, double *out);
+
+static void reduced_rhs(const double *s, long j, const params *p, double *out)
+{
+    double y = s[1], v1 = s[3], v2 = s[4];
+    (void)j;
+    (void)p;
+    out[0] = -y * v2;
+    out[1] = v1;
+    out[2] = v2;
+    out[3] = 0.0;
+    out[4] = -(y / (1.0 + y * y)) * v1 * v2;
+}
+
+static void unreduced_rhs(const double *s, long j, const params *p, double *out)
+{
+    double y = s[1], vx = s[3], vy = s[4], vz = s[5];
+    double lam = -vz * vy / (1.0 + y * y);
+    (void)j;
+    (void)p;
+    out[0] = vx;
+    out[1] = vy;
+    out[2] = vz;
+    out[3] = lam;
+    out[4] = 0.0;
+    out[5] = y * lam;
+}
+
+/* State-costate flow with the control u = -mu/eps. */
+static void coupled_rhs(const double *s, long j, const params *p, double *out)
+{
+    double x = s[0], y = s[1], z = s[2], v1 = s[3], v2 = s[4];
+    double l1 = s[5], l2 = s[6], l3 = s[7], m1 = s[8], m2 = s[9];
+    const double *r = p->ref + 5 * j;
+    double eps = p->eps;
+    double w = 1.0 + y * y;
+    double f = y / w;
+    double ex = x - r[0];
+    double ey = y - r[1];
+    double ez = z - r[2];
+    double e1 = v1 - r[3];
+    double e2 = v2 - r[4];
+    double dl2, dm1, dm2;
+    if (p->literal) {
+        dl2 = l1 * v2 - ey + eps * v1 * v2 * m2 * (y * y - 1.0) / (w * w);
+        dm1 = -l2 - e1 - m2 * f * v2;
+        dm2 = -l3 + l1 * y - e2 - m2 * f * v1;
+    } else {
+        dl2 = l1 * v2 - ey + m2 * v1 * v2 * (1.0 - y * y) / (w * w);
+        dm1 = -l2 - e1 + m2 * f * v2;
+        dm2 = l1 * y - l3 - e2 + m2 * f * v1;
+    }
+    out[0] = -y * v2;
+    out[1] = v1;
+    out[2] = v2;
+    out[3] = -m1 / eps;
+    out[4] = -m2 / eps - f * v1 * v2;
+    out[5] = -ex;
+    out[6] = dl2;
+    out[7] = -ez;
+    out[8] = dm1;
+    out[9] = dm2;
+}
+
+static const struct {
+    rhs_fn rhs;
+    int dim;
+} systems[] = {{reduced_rhs, 5}, {unreduced_rhs, 6}, {coupled_rhs, 10}};
+
+/* Integrate system `kind` (0 reduced, 1 unreduced, 2 coupled) from row 0 of
+ * states, shape (n_steps+1, dim), writing every step into the next row.
+ * Returns -1, or the index i of the first step whose result row i+1 has a
+ * non-finite entry; the rows after it are left unwritten. The update keeps
+ * the grouping x + h*((k1 + 2k2 + 2k3 + k4)/6). */
+long nh_rk4(int kind, double *states, long n_steps, double h,
+            const double *ref, double eps, int literal)
+{
+    rhs_fn rhs = systems[kind].rhs;
+    int d = systems[kind].dim;
+    params p = {ref, eps, literal};
+    double hh = 0.5 * h;
+    double k1[MAX_DIM], k2[MAX_DIM], k3[MAX_DIM], k4[MAX_DIM], t[MAX_DIM];
+    for (long i = 0; i < n_steps; i++) {
+        const double *x = states + i * d;
+        double *next = states + (i + 1) * d;
+        long j = 2 * i;
+        int finite = 1;
+        rhs(x, j, &p, k1);
+        for (int c = 0; c < d; c++)
+            t[c] = x[c] + hh * k1[c];
+        rhs(t, j + 1, &p, k2);
+        for (int c = 0; c < d; c++)
+            t[c] = x[c] + hh * k2[c];
+        rhs(t, j + 1, &p, k3);
+        for (int c = 0; c < d; c++)
+            t[c] = x[c] + h * k3[c];
+        rhs(t, j + 2, &p, k4);
+        for (int c = 0; c < d; c++) {
+            next[c] = x[c] + h * ((k1[c] + 2.0 * k2[c] + 2.0 * k3[c] + k4[c]) / 6.0);
+            finite &= isfinite(next[c]) != 0;
+        }
+        if (!finite)
+            return i;
+    }
+    return -1;
+}

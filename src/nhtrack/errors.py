@@ -31,11 +31,13 @@ class SingularProblemError(NhtrackError):
 
 
 class SingularJacobianError(NhtrackError):
-    """Elimination hit a negligible pivot. Carries the failing iterate."""
+    """Elimination hit a negligible pivot."""
 
-    def __init__(self, message, alpha=None):
-        super().__init__(message)
-        self.alpha = alpha
+
+class KernelBuildError(NhtrackError):
+    """The C compiler could not run or failed to build the RK4 kernel.
+
+    The message names the compiler and carries its error output."""
 
 
 class DegenerateFitError(NhtrackError):

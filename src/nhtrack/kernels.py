@@ -1,113 +1,141 @@
 """Fixed-step RK4 rollouts for the particle flows.
 
 Shooting evaluates hundreds of full state-costate integrations (every
-finite-difference Jacobian column is two), so the inner loop matters. One
-RK4 driver steps the state as plain Python floats, whose arithmetic is IEEE
-double like numpy's float64 scalars but without the cost of creating numpy
-scalars; each system supplies one right-hand side over such a sequence.
+finite-difference Jacobian column is two), so the inner loop matters. The
+RK4 loop and the three right-hand sides (reduced, unreduced, and coupled
+with the derived or paper-literal adjoint) live in the C file `_rk4.c`
+next to this module. Each rhs is transcribed term for term from the Python
+expressions it replaced, in the same evaluation order, and the file is
+compiled without floating-point contraction, so its IEEE double outputs are
+bit-identical to those of a Python-float loop.
+
+The library is compiled with the system C compiler `cc` on first use and
+cached as `__pycache__/_rk4-<CRC-32 of source and flags>.so` beside this
+module (in a private temporary directory when `__pycache__` is not
+writable). This module allocates every array, checks its shape and passes
+it to the library through ctypes.
 
 State layouts (matching the CSV column order):
     reduced   [x, y, z, v1, v2]
     unreduced [x, y, z, vx, vy, vz]
     coupled   [x, y, z, v1, v2, l1, l2, l3, m1, m2]
-
-The right-hand sides take the state and the half-grid index j of the stage
-time t0 + j*(h/2), so the stages of step i sit at j = 2i, 2i+1, 2i+2. The
-coupled flow reads its reference samples from a table on that half grid.
 """
 
 from __future__ import annotations
 
-from math import isfinite
+import ctypes
+import functools
+import os
+import tempfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, KernelBuildError
+
+_SOURCE = Path(__file__).with_name("_rk4.c")
+# no -ffast-math or -march=native: both may reorder or fuse the arithmetic
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+# the system index and state dimension of each flow in _rk4.c
+_REDUCED, _UNREDUCED, _COUPLED = (0, 5), (1, 6), (2, 10)
 
 
 def backend() -> str:
     """Name of the kernel backend, echoed in reports and benchmark output."""
-    return "python"
+    return "c"
 
 
-def _rk4(rhs, x0, h: float, n_steps: int, label: str) -> np.ndarray:
-    """Integrate rhs(x, j) -> tuple from x0; returns (n_steps+1, len(x0)).
+def _build(out_dir: Path, compiler: str = "cc") -> ctypes.CDLL:
+    """Load the kernel library cached in out_dir, compiling it there if absent.
 
-    Raises DomainError at the first step whose result is not finite. The
-    update keeps the grouping x + h*((k1 + 2k2 + 2k3 + k4)/6) of
-    integrators.rk4_step, so constant fields advance by exactly h per step.
+    The file name carries a CRC-32 of the source and the flags, so an
+    edited source is compiled afresh. (Not a SHA-256: importing hashlib
+    loads OpenSSL, which adds about 4 MB to the peak RSS of every process.)
+    The compiler writes to a temporary name that is then moved into place,
+    so a concurrent load never sees a partial file. Raises KernelBuildError
+    when the compiler cannot run or fails.
     """
-    states = np.empty((n_steps + 1, len(x0)))
+    digest = zlib.crc32(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode())
+    path = Path(out_dir) / f"_rk4-{digest:08x}.so"
+    if not path.exists():
+        import subprocess  # only a cold cache needs it; it costs every import 6 ms
+
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=out_dir)
+        os.close(fd)
+        try:
+            cmd = [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)]
+            try:
+                proc = subprocess.run(cmd, capture_output=True, text=True)
+            except OSError as err:
+                raise KernelBuildError(
+                    f"cannot run the C compiler '{compiler}' to build {_SOURCE.name}: {err}"
+                ) from err
+            if proc.returncode != 0:
+                raise KernelBuildError(
+                    f"the C compiler '{compiler}' failed to build {_SOURCE.name}"
+                    f" (exit {proc.returncode}):\n{proc.stderr}"
+                )
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(path))
+    lib.nh_rk4.argtypes = [
+        ctypes.c_int,  # system index
+        ctypes.c_void_p,  # states, (n_steps+1, dim) C-contiguous float64
+        ctypes.c_long,  # n_steps
+        ctypes.c_double,  # h
+        ctypes.c_void_p,  # half-grid reference table, (2*n_steps+1, 5), or NULL
+        ctypes.c_double,  # eps
+        ctypes.c_int,  # literal
+    ]
+    lib.nh_rk4.restype = ctypes.c_long
+    return lib
+
+
+@functools.cache
+def _library() -> ctypes.CDLL:
+    cache = _SOURCE.with_name("__pycache__")
+    try:
+        cache.mkdir(exist_ok=True)
+    except OSError:
+        pass
+    if not os.access(cache, os.W_OK):
+        cache = Path(tempfile.mkdtemp(prefix="nhtrack-"))
+    return _build(cache)
+
+
+def _rk4(system, x0, h: float, n_steps: int, label: str, ref=None, eps=0.0, literal=False):
+    """Integrate one flow from x0; returns (n_steps+1, dim).
+
+    Raises DomainError at the first step whose result is not finite, with
+    the last finite state as payload.
+    """
+    kind, dim = system
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (dim,):
+        raise ValueError(f"{label} initial state must have length {dim}")
+    states = np.empty((n_steps + 1, dim))
     states[0] = x0
-    x = states[0].tolist()
-    h = float(h)
-    hh = 0.5 * h
-    for i in range(n_steps):
-        j = 2 * i
-        k1 = rhs(x, j)
-        k2 = rhs([a + hh * b for a, b in zip(x, k1)], j + 1)
-        k3 = rhs([a + hh * b for a, b in zip(x, k2)], j + 1)
-        k4 = rhs([a + h * b for a, b in zip(x, k3)], j + 2)
-        x = [
-            a + h * ((b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-        ]
-        states[i + 1] = x
-        if not all(map(isfinite, x)):
-            raise DomainError(
-                f"{label} rollout left the finite domain at step {i}", x=states[i]
-            )
+    ref_ptr = None if ref is None else ref.ctypes.data
+    i = _library().nh_rk4(
+        kind, states.ctypes.data, states.shape[0] - 1, float(h), ref_ptr, float(eps), int(literal)
+    )
+    if i >= 0:
+        raise DomainError(f"{label} rollout left the finite domain at step {i}", x=states[i])
     return states
-
-
-def _reduced_rhs(s, j):
-    _, y, _, v1, v2 = s
-    return (-y * v2, v1, v2, 0.0, -(y / (1.0 + y * y)) * v1 * v2)
-
-
-def _unreduced_rhs(s, j):
-    _, y, _, vx, vy, vz = s
-    lam = -vz * vy / (1.0 + y * y)
-    return (vx, vy, vz, lam, 0.0, y * lam)
-
-
-def _coupled_rhs(ref_half: np.ndarray, eps: float, literal: bool):
-    """State-costate rhs with u = -mu/eps, reading the reference at index j."""
-    # a flat view: three rows per step are read as floats, none is copied
-    ref = memoryview(np.ascontiguousarray(ref_half, dtype=float).ravel())
-    eps = float(eps)
-
-    def rhs(s, j):
-        x, y, z, v1, v2, l1, l2, l3, m1, m2 = s
-        r = 5 * j
-        w = 1.0 + y * y
-        f = y / w
-        ex = x - ref[r]
-        ey = y - ref[r + 1]
-        ez = z - ref[r + 2]
-        e1 = v1 - ref[r + 3]
-        e2 = v2 - ref[r + 4]
-        if literal:
-            dl2 = l1 * v2 - ey + eps * v1 * v2 * m2 * (y * y - 1.0) / (w * w)
-            dm1 = -l2 - e1 - m2 * f * v2
-            dm2 = -l3 + l1 * y - e2 - m2 * f * v1
-        else:
-            dl2 = l1 * v2 - ey + m2 * v1 * v2 * (1.0 - y * y) / (w * w)
-            dm1 = -l2 - e1 + m2 * f * v2
-            dm2 = l1 * y - l3 - e2 + m2 * f * v1
-        return (-y * v2, v1, v2, -m1 / eps, -m2 / eps - f * v1 * v2, -ex, dl2, -ez, dm1, dm2)
-
-    return rhs
 
 
 def rollout_reduced(x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """Integrate the uncontrolled reduced flow; returns (n_steps+1, 5)."""
-    return _rk4(_reduced_rhs, x0, h, n_steps, "reduced")
+    return _rk4(_REDUCED, x0, h, n_steps, "reduced")
 
 
 def rollout_unreduced(x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """Integrate the ambient multiplier flow; returns (n_steps+1, 6)."""
-    return _rk4(_unreduced_rhs, x0, h, n_steps, "unreduced")
+    return _rk4(_UNREDUCED, x0, h, n_steps, "unreduced")
 
 
 def rollout_coupled(
@@ -118,12 +146,13 @@ def rollout_coupled(
     eps: float,
     literal: bool,
 ) -> np.ndarray:
-    """Integrate the state-costate flow; returns (n_steps+1, 10).
+    """Integrate the state-costate flow with u = -mu/eps; returns (n_steps+1, 10).
 
     ref_half must hold reference samples (x_r, y_r, z_r, v1_r, v2_r) on the
-    half grid, shape (2*n_steps + 1, 5). literal selects the paper-literal
-    adjoint instead of the derived one.
+    half grid t0 + j*(h/2), shape (2*n_steps + 1, 5). literal selects the
+    paper-literal adjoint instead of the derived one.
     """
     if ref_half.shape != (2 * n_steps + 1, 5):
         raise ValueError("reference table does not cover the half grid")
-    return _rk4(_coupled_rhs(ref_half, eps, literal), z0, h, n_steps, "coupled")
+    ref = np.ascontiguousarray(ref_half, dtype=float)
+    return _rk4(_COUPLED, z0, h, n_steps, "coupled", ref, eps, literal)

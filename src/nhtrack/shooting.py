@@ -5,7 +5,7 @@ defect of one coupled integration. Jacobians come from central finite
 differences (the residual is smooth in alpha thanks to the fixed-step
 integrator), steps are damped by simple backtracking, and the 5x5 linear
 solves use partial-pivot elimination with an explicit pivot check so a
-rank-deficient Jacobian surfaces as a diagnostic instead of garbage.
+rank-deficient Jacobian ends the solve with a reason instead of garbage.
 """
 
 from __future__ import annotations
@@ -139,8 +139,9 @@ def newton_solve(
     Always returns a report; convergence is flagged, never raised. A step
     is accepted only when it strictly reduces the residual max-norm, so
     the recorded norm history is monotone. A DomainError at the starting
-    guess or in a Jacobian probe ends the iteration with a non-converged
-    report whose message gives the reason.
+    guess or in a Jacobian probe, or a singular Jacobian, ends the
+    iteration with a non-converged report whose message gives the reason
+    and whose alpha_star is the iterate where it happened.
     """
     alpha = np.asarray(alpha0, dtype=float).copy()
     try:
@@ -167,8 +168,8 @@ def newton_solve(
         try:
             delta = solve_pivoted(J, -r)
         except SingularJacobianError as err:
-            err.alpha = alpha.copy()
-            raise
+            message = f"singular Jacobian: {err}"
+            break
         s = 1.0
         accepted = False
         for _ in range(MAX_HALVINGS + 1):

@@ -178,6 +178,21 @@ class TestCommands:
         assert not (tmp_path / "plot.gp").exists()
         assert "did not converge" in capsys.readouterr().err
 
+    def test_singular_jacobian_exits_two_with_report(self, tmp_path, monkeypatch):
+        """A rank-deficient shooting Jacobian is a solver failure like any
+        other: report.txt names the pivot, and the flow at the starting
+        guess is still written."""
+        from nhtrack import shooting
+
+        monkeypatch.setattr(shooting, "fd_jacobian", lambda res, alpha, step: np.zeros((5, 5)))
+        rc = main(["track", "--out", str(tmp_path), "--steps", "400"])
+        assert rc == 2
+        report = (tmp_path / "report.txt").read_text()
+        assert "converged: False" in report
+        assert "note: singular Jacobian: negligible pivot in column 0" in report
+        assert "alpha*: 0.0 0.0 0.0 0.0 0.0" in report
+        assert (tmp_path / "track.csv").exists()
+
     def test_config_error_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("epsilon = 0\n")

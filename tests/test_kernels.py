@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nhtrack import kernels
-from nhtrack.errors import DomainError
+from nhtrack.errors import DomainError, KernelBuildError
 from nhtrack.geometry import AdaptedState, admissible_velocity, nh_acceleration
 from nhtrack.integrators import VectorField, integrate
 from nhtrack.particle import embed, multiplier, particle_system, unreduced_field
@@ -146,4 +146,48 @@ class TestBitExactOutputs:
 
 class TestBackendSelection:
     def test_backend_reported(self):
-        assert kernels.backend() == "python"
+        assert kernels.backend() == "c"
+
+
+class TestKernelBuild:
+    DERIVED_DIGEST = "1d068cb43a790a7e49a03dec63c5aa8721d0c1fbd04c3f6cb28eb55e333aa3a0"
+
+    @staticmethod
+    def _coupled_digest(lib):
+        from nhtrack.tracking import benchmark_problem
+
+        prob = benchmark_problem(N=400)
+        states = np.empty((401, 10))
+        states[0] = np.concatenate([prob.s0.q, prob.s0.v, TRACK_ALPHA])
+        ref = np.ascontiguousarray(prob._ref_table)
+        kind, _ = kernels._COUPLED
+        assert lib.nh_rk4(kind, states.ctypes.data, 400, prob.h, ref.ctypes.data, prob.epsilon, 0) == -1
+        return _sha256(states)
+
+    def test_fresh_build_matches_pinned_digest(self, tmp_path):
+        lib = kernels._build(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [p.name for p in tmp_path.glob("_rk4-*.so")]
+        assert self._coupled_digest(lib) == self.DERIVED_DIGEST
+
+    def test_second_load_reuses_cached_library(self, tmp_path):
+        kernels._build(tmp_path)
+        built = list(tmp_path.iterdir())
+        # a compiler that does not exist is never called when the cache is warm
+        lib = kernels._build(tmp_path, compiler="nhtrack-no-such-cc")
+        assert list(tmp_path.iterdir()) == built
+        assert self._coupled_digest(lib) == self.DERIVED_DIGEST
+
+    def test_missing_compiler_raises_clear_error(self, tmp_path):
+        with pytest.raises(KernelBuildError, match="nhtrack-no-such-cc"):
+            kernels._build(tmp_path, compiler="nhtrack-no-such-cc")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_compiler_failure_carries_stderr(self, tmp_path):
+        fake_cc = tmp_path / "fake-cc"
+        fake_cc.write_text("#!/bin/sh\necho 'fake-cc: unsupported flag' >&2\nexit 1\n")
+        fake_cc.chmod(0o755)
+        out = tmp_path / "lib"
+        out.mkdir()
+        with pytest.raises(KernelBuildError, match="(?s)fake-cc' failed.*exit 1.*unsupported flag"):
+            kernels._build(out, compiler=str(fake_cc))
+        assert list(out.iterdir()) == []
