@@ -7,14 +7,19 @@ Four commands over a line-oriented key = value configuration:
     track     solve the tracking problem -> track.csv, report.txt, plot.gp
     check     run the invariant suite    -> pass/fail table on stdout
 
-Exit codes: 0 success, 1 config error, 2 track non-convergence (report.txt
-still written; track.csv and plot.gp only when the flow at the last iterate
-is finite), 3 internal/domain error (including a failed check).
+Each config key has a parser in `_KEYS`; every range and choice rule, for
+keys and flags alike, is in `_RULES` and is checked before a command runs.
+
+Exit codes: 0 success, 1 config error (an unknown or malformed key, or a
+key or flag value that breaks its rule), 2 track non-convergence
+(report.txt still written; track.csv and plot.gp only when the flow at the
+last iterate is finite), 3 internal/domain error (including a failed check).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -31,6 +36,7 @@ from .integrators import Trajectory
 from .particle import PARTICLE_NAME, analytic_constants, analytic_flow
 from .shooting import NewtonConfig, solve_tracking
 from .tracking import (
+    ADJOINT_MODES,
     KIND_FREE_FLOW,
     KIND_LINE,
     KIND_TABULATED,
@@ -79,166 +85,140 @@ class ExperimentConfig:
     provided: frozenset = field(default_factory=frozenset, compare=False)
 
 
-def _parse_floats(value: str, count: int, key: str, line: int) -> tuple:
-    parts = value.replace(",", " ").split()
-    if len(parts) != count:
-        raise ConfigError(f"line {line}: key '{key}' needs {count} numbers", line=line)
+def _parse_float(text: str) -> float:
     try:
-        return tuple(float(p) for p in parts)
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"line {line}: malformed number in key '{key}'", line=line)
+        raise ValueError(f"malformed number '{text}'") from None
+    if not math.isfinite(value):
+        raise ValueError(f"'{text}' is not a finite number")
+    return value
 
 
-def _parse_float(value: str, key: str, line: int) -> float:
+def _parse_state(text: str) -> tuple:
+    parts = text.replace(",", " ").split()
+    if len(parts) != 5:
+        raise ValueError(f"needs 5 numbers, got {len(parts)}")
+    return tuple(_parse_float(p) for p in parts)
+
+
+def _parse_int(text: str) -> int:
     try:
-        return float(value)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"line {line}: malformed number for key '{key}'", line=line)
+        raise ValueError(f"malformed integer '{text}'") from None
 
 
-def _parse_int(value: str, key: str, line: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {line}: malformed integer for key '{key}'", line=line)
-
-
-def _parse_bool(value: str, key: str, line: int) -> bool:
-    low = value.strip().lower()
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
-    raise ConfigError(f"line {line}: key '{key}' expects true/false", line=line)
+    raise ValueError(f"expects true/false, got '{text}'")
+
+
+# config key -> (ExperimentConfig field, parser of the value text)
+_KEYS = {
+    "system": ("system", str),
+    "initial_state": ("initial_state", _parse_state),
+    "reference": ("reference", str),
+    "reference.x_r": ("ref_x_r", _parse_float),
+    "reference.z_offset": ("ref_z_offset", _parse_float),
+    "reference.speed": ("ref_speed", _parse_float),
+    "reference.initial_state": ("ref_initial_state", _parse_state),
+    "reference.file": ("ref_file", str),
+    "T": ("T", _parse_float),
+    "steps": ("steps", _parse_int),
+    "epsilon": ("epsilon", _parse_float),
+    "omega": ("omega", _parse_float),
+    "adjoint_mode": ("adjoint_mode", str),
+    "full_transversality": ("full_transversality", _parse_bool),
+    "newton.tol": ("newton_tol", _parse_float),
+    "newton.max_iters": ("newton_max_iters", _parse_int),
+    "output_dir": ("output_dir", str),
+}
+
+# (config key, test of the whole config, what the test requires). Flags set
+# T, epsilon and omega without the file parser, so their rules include
+# finiteness.
+_RULES = (
+    ("system", lambda c: c.system == PARTICLE_NAME, f"only {PARTICLE_NAME} is bundled"),
+    ("reference", lambda c: c.reference in REFERENCE_KINDS,
+     "must be one of " + ", ".join(REFERENCE_KINDS)),
+    ("reference", lambda c: c.reference != KIND_TABULATED or c.ref_file is not None,
+     "needs reference.file"),
+    ("T", lambda c: 0.0 < c.T < math.inf, "must be finite and > 0"),
+    ("steps", lambda c: c.steps >= 1, "must be >= 1"),
+    ("epsilon", lambda c: 0.0 < c.epsilon < math.inf,
+     "must be finite and > 0 (epsilon = 0 makes the tracking problem singular: "
+     "the stationary condition u = -mu/epsilon no longer determines the control)"),
+    ("omega", lambda c: 0.0 < c.omega < math.inf, "must be finite and > 0"),
+    ("adjoint_mode", lambda c: c.adjoint_mode in ADJOINT_MODES,
+     "must be one of " + ", ".join(ADJOINT_MODES)),
+    ("newton.tol", lambda c: c.newton_tol > 0.0, "must be > 0"),
+    ("newton.max_iters", lambda c: c.newton_max_iters >= 1, "must be >= 1"),
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse key = value lines into a validated ExperimentConfig.
 
-    '#' starts a comment; blank lines are skipped; unknown keys and
-    invariant violations are rejected with the offending line number.
+    '#' starts a comment; blank lines are skipped; unknown keys, malformed
+    values and rule violations are rejected with the offending line number.
     """
     values = {}
-    provided = set()
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        body = raw.split("#", 1)[0].strip()
+        if not body:
             continue
-        if "=" not in line:
+        if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value'", line=lineno)
-        key, _, value = line.partition("=")
+        key, _, value = body.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key in provided:
-            raise ConfigError(f"line {lineno}: duplicate key '{key}'", line=lineno)
-        provided.add(key)
-        if key == "system":
-            values["system"] = value
-        elif key == "initial_state":
-            values["initial_state"] = _parse_floats(value, 5, key, lineno)
-        elif key == "reference":
-            if value not in REFERENCE_KINDS:
-                raise ConfigError(
-                    f"line {lineno}: unknown reference kind '{value}' "
-                    f"(expected one of {', '.join(REFERENCE_KINDS)})",
-                    line=lineno,
-                )
-            values["reference"] = value
-        elif key == "reference.x_r":
-            values["ref_x_r"] = _parse_float(value, key, lineno)
-        elif key == "reference.z_offset":
-            values["ref_z_offset"] = _parse_float(value, key, lineno)
-        elif key == "reference.speed":
-            values["ref_speed"] = _parse_float(value, key, lineno)
-        elif key == "reference.initial_state":
-            values["ref_initial_state"] = _parse_floats(value, 5, key, lineno)
-        elif key == "reference.file":
-            values["ref_file"] = value
-        elif key == "T":
-            values["T"] = _parse_float(value, key, lineno)
-        elif key == "steps":
-            values["steps"] = _parse_int(value, key, lineno)
-        elif key == "epsilon":
-            values["epsilon"] = _parse_float(value, key, lineno)
-            if values["epsilon"] <= 0.0:
-                raise ConfigError(
-                    f"line {lineno}: epsilon must be > 0 (epsilon = 0 makes the "
-                    "tracking problem singular: the control is no longer "
-                    "determined by the stationary condition)",
-                    line=lineno,
-                )
-        elif key == "omega":
-            values["omega"] = _parse_float(value, key, lineno)
-            if values["omega"] <= 0.0:
-                raise ConfigError(f"line {lineno}: omega must be > 0", line=lineno)
-        elif key == "adjoint_mode":
-            if value not in ("derived", "paper-literal"):
-                raise ConfigError(
-                    f"line {lineno}: adjoint_mode must be 'derived' or 'paper-literal'",
-                    line=lineno,
-                )
-            values["adjoint_mode"] = value
-        elif key == "full_transversality":
-            values["full_transversality"] = _parse_bool(value, key, lineno)
-        elif key == "newton.tol":
-            values["newton_tol"] = _parse_float(value, key, lineno)
-            if values["newton_tol"] <= 0.0:
-                raise ConfigError(f"line {lineno}: newton.tol must be > 0", line=lineno)
-        elif key == "newton.max_iters":
-            values["newton_max_iters"] = _parse_int(value, key, lineno)
-            if values["newton_max_iters"] < 1:
-                raise ConfigError(f"line {lineno}: newton.max_iters must be >= 1", line=lineno)
-        elif key == "output_dir":
-            values["output_dir"] = value
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'", line=lineno)
-
-    cfg = ExperimentConfig(**values, provided=frozenset(provided))
-    _validate(cfg)
+        if key in lines:
+            raise ConfigError(f"line {lineno}: duplicate key '{key}'", line=lineno)
+        lines[key] = lineno
+        name, parse = _KEYS[key]
+        try:
+            values[name] = parse(value.strip())
+        except ValueError as err:
+            raise ConfigError(f"line {lineno}: key '{key}': {err}", line=lineno) from None
+    cfg = ExperimentConfig(**values, provided=frozenset(lines))
+    _validate(cfg, lines)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.system != PARTICLE_NAME:
-        raise ConfigError(f"unknown system '{cfg.system}' (only {PARTICLE_NAME} is bundled)")
-    for name in ("T", "epsilon", "omega", "newton_tol"):
-        if not np.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"key '{name}' must be finite")
-    if not all(np.isfinite(v) for v in cfg.initial_state):
-        raise ConfigError("initial_state entries must be finite")
-    if cfg.T <= 0.0:
-        raise ConfigError("T must be > 0")
-    if cfg.steps < 1:
-        raise ConfigError("steps must be >= 1")
-    if cfg.epsilon <= 0.0:
-        raise ConfigError("epsilon must be > 0 (singular tracking problem)")
-    if cfg.reference == KIND_TABULATED and cfg.ref_file is None:
-        raise ConfigError("reference = tabulated requires reference.file")
+def _validate(cfg: ExperimentConfig, lines: dict) -> None:
+    """Raise ConfigError for the first rule the config breaks.
+
+    lines maps the keys read from a config file to their line numbers; the
+    error carries the line of the key it names.
+    """
+    for key, holds, requirement in _RULES:
+        if not holds(cfg):
+            line = lines.get(key)
+            where = "" if line is None else f"line {line}: "
+            value = getattr(cfg, _KEYS[key][0])
+            raise ConfigError(f"{where}{key} = {value!r}: {requirement}", line=line)
 
 
 def apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """Fold command-line flags over parsed config keys."""
+    """Fold command-line flags over parsed config keys and validate the result."""
     updates = {}
-    provided = set(cfg.provided)
-    for flag, key in (("T", "T"), ("epsilon", "epsilon"), ("omega", "omega"), ("steps", "steps")):
+    for flag, key in (("T", "T"), ("epsilon", "epsilon"), ("omega", "omega"),
+                      ("steps", "steps"), ("out", "output_dir")):
         value = getattr(args, flag, None)
         if value is not None:
             updates[key] = value
-            provided.add(key)
-    if getattr(args, "out", None) is not None:
-        updates["output_dir"] = args.out
-        provided.add("output_dir")
     if not updates:
         return cfg
-    cfg = replace(cfg, **updates, provided=frozenset(provided))
-    if cfg.epsilon <= 0.0:
-        raise ConfigError("epsilon must be > 0 (singular tracking problem)")
-    if cfg.omega <= 0.0:
-        raise ConfigError("omega must be > 0")
-    if cfg.T <= 0.0:
-        raise ConfigError("T must be > 0")
-    if cfg.steps < 1:
-        raise ConfigError("steps must be >= 1")
+    cfg = replace(cfg, **updates, provided=cfg.provided.union(updates))
+    # the values cfg came with are valid already, so a broken rule names a flag
+    _validate(cfg, {})
     return cfg
 
 
@@ -273,12 +253,12 @@ def write_csv(
         reference = np.zeros((npts, 5))
     if controls.shape[0] != npts or reference.shape[0] != npts:
         raise NhtrackError("controls/reference rows do not align with the trajectory grid")
+    rows = np.column_stack([traj.times, body, controls, costates, reference]).tolist()
     try:
         with open(path, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            for i in range(npts):
-                row = [traj.times[i], *body[i], *controls[i], *costates[i], *reference[i]]
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in rows:
+                fh.write(",".join(map(repr, row)) + "\n")
     except OSError as err:
         raise NhtrackError(f"cannot write CSV to {path}: {err}") from err
 
@@ -554,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # reserved: the solver has no randomness, so the seedless flag is a no-op
-    os.environ.get("NHTRACK_SEEDLESS")
     args = build_parser().parse_args(argv)
     try:
         if args.config is not None:

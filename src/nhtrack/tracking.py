@@ -28,7 +28,6 @@ from .geometry import (
     AdaptedState,
     NonholonomicSystem,
     admissible_velocity,
-    constraint_residual,
     controlled_acceleration,
 )
 from .integrators import Trajectory, VectorField, integrate
@@ -128,24 +127,6 @@ def tabulated(times: Array, samples: Array) -> ReferenceTrajectory:
         return row[:3], row[3:]
 
     return ReferenceTrajectory(kind=KIND_TABULATED, sample=sample)
-
-
-def reference_distribution_defect(
-    sys: NonholonomicSystem, ref: ReferenceTrajectory, times: Array
-) -> float:
-    """Worst constraint residual of the reference's induced velocity.
-
-    Fiber velocities induce base velocities through the frame, so this is
-    zero up to roundoff for any sample whatsoever; it confirms the frame
-    algebra, not the reference. See reference_admissibility_defect for the
-    check with content.
-    """
-    worst = 0.0
-    for t in np.asarray(times, dtype=float):
-        q_r, v_r = ref.sample(float(t))
-        qdot = sys.frame.rho(q_r).T @ v_r
-        worst = max(worst, float(np.max(np.abs(constraint_residual(sys, q_r, qdot)))))
-    return worst
 
 
 def reference_admissibility_defect(

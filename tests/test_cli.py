@@ -1,5 +1,7 @@
 """Tests for config parsing, CSV contract, commands, and exit codes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("system = unicycle\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "T = 4\nsteps = 0\n",
+            "steps = 10\nT = 0\n",
+            "T = 4\nepsilon = -1\n",
+            "T = 4\nomega = 0\n",
+            "T = 4\nnewton.tol = 0\n",
+            "T = 4\nnewton.max_iters = 0\n",
+            "T = 4\nsystem = unicycle\n",
+            "T = 4\nreference = circle\n",
+            "T = 4\nreference = tabulated\n",
+            "T = 4\nadjoint_mode = literal\n",
+        ],
+    )
+    def test_rule_violation_carries_line_number(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == 2
+        assert str(err.value).startswith("line 2: ")
+
+    def test_adjoint_modes_accepted(self):
+        assert parse_config("adjoint_mode = paper-literal\n").adjoint_mode == "paper-literal"
+
 
 class TestWriteCsv:
     def test_exact_header_and_line_count(self, tmp_path):
@@ -109,6 +135,57 @@ class TestWriteCsv:
             assert np.all(data[name] == controls[:, j])
         for j, name in enumerate(("x_r", "y_r", "z_r", "v1_r", "v2_r")):
             assert np.all(data[name] == reference[:, j])
+
+
+class TestTrackCsvBytes:
+    def test_track_400_csv_sha256_pinned(self, tmp_path):
+        """`nhtrack track --steps 400` writes the same track.csv bytes as the
+        per-cell repr(float(v)) writer it replaced."""
+        assert main(["track", "--steps", "400", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "track.csv").read_bytes()).hexdigest()
+        assert digest == "e6091507ac0574484a0cc9eb89ed8369e3ade65c0df3bdf0f4ff181e67b37ad4"
+
+
+class TestBadValuesExitOne:
+    """A bad value from a flag or a config key exits 1 before any file is written."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        ["--T nan", "--T inf", "--epsilon nan", "--epsilon inf", "--omega nan", "--omega inf",
+         "--steps 0"],
+    )
+    def test_bad_flag(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["track", "--out", str(out), "--steps", "400", *flags.split()]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "T = nan",
+            "T = inf",
+            "epsilon = nan",
+            "epsilon = inf",
+            "omega = nan",
+            "omega = inf",
+            "reference.x_r = nan",
+            "reference.x_r = inf",
+            "reference.z_offset = nan",
+            "reference.speed = nan",
+            "reference.speed = inf",
+            "reference.initial_state = 0.5 0.2 nan 0.5 0.4",
+            "reference.initial_state = 0.5 0.2 0.7 inf 0.4",
+        ],
+    )
+    def test_non_finite_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"steps = 400\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: line 2: " in err
+        assert not (out / "report.txt").exists()
 
 
 class TestCommands:

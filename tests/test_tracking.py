@@ -378,17 +378,6 @@ class TestReferenceKinds:
         with pytest.raises(ContractError):
             TrackingProblem(sys=SYS, ref=bad, epsilon=7.0, T=4.0, s0=S0, N=10)
 
-    def test_induced_velocity_residual_is_structural(self):
-        """Any (q_r, v_r) sample induces an on-distribution velocity; the
-        literal residual stays at roundoff for arbitrary samples."""
-        from nhtrack.tracking import reference_distribution_defect
-
-        arbitrary = ReferenceTrajectory(
-            kind="tabulated",
-            sample=lambda t: (np.array([t, 1.0 + t, -t]), np.array([2.0, -3.0])),
-        )
-        assert reference_distribution_defect(SYS, arbitrary, np.linspace(0, 4, 9)) <= 1e-10
-
 
 class TestTrackingProblem:
     def test_rejects_singular_epsilon(self):
