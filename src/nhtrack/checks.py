@@ -4,10 +4,13 @@ Each check re-verifies one contract of the library on the bundled
 particle: frame algebra, conservation laws, oracle agreement between the
 reduced and unreduced dynamics, adjoint-gradient consistency, residual
 smoothness, and solver behavior. Everything is deterministic (fixed RNG
-seeds). The suite takes about 0.5 s on a 2-vCPU Xeon VM, and `nhtrack
-check` about 0.8 s with interpreter start-up. The slowest checks are
-cubic-exactness and grid-endpoint (about 0.1 s each, in the generic
-integrator); the 4000-step shooting solve of solver-behavior takes 0.08 s.
+seeds). The suite takes about 0.33 s on a 2-vCPU Xeon VM, and `nhtrack
+check` about 0.67 s with interpreter start-up. The slowest checks are
+cubic-exactness and grid-endpoint (about 0.08 s each: 4000 steps of the
+generic integrator, one finiteness check per step) and adjoint-gradient
+(0.06 s); the 4000-step shooting solve of solver-behavior takes 0.07 s.
+The closed-form flow and the references are sampled on whole time grids,
+one call per grid.
 """
 
 from __future__ import annotations
@@ -140,11 +143,10 @@ def check_oracle_equivalence() -> CheckResult:
 def check_branch_continuity() -> CheckResult:
     from .particle import AnalyticParams
 
-    worst = 0.0
-    for t in np.linspace(0.0, 4.0, 81):
-        a = analytic_flow(AnalyticParams(c1=1e-8, c2=0.7, x0=0.3, y0=0.4, z0=-0.2), t)
-        b = analytic_flow(AnalyticParams(c1=0.0, c2=0.7, x0=0.3, y0=0.4, z0=-0.2), t)
-        worst = max(worst, float(np.max(np.abs(np.concatenate([a.q - b.q, a.v - b.v])))))
+    times = np.linspace(0.0, 4.0, 81)
+    a = analytic_flow(AnalyticParams(c1=1e-8, c2=0.7, x0=0.3, y0=0.4, z0=-0.2), times)
+    b = analytic_flow(AnalyticParams(c1=0.0, c2=0.7, x0=0.3, y0=0.4, z0=-0.2), times)
+    worst = float(np.max(np.abs(np.concatenate([a.q - b.q, a.v - b.v], axis=1))))
     return CheckResult("branch-continuity", worst <= 1e-5, f"max branch gap {worst:.2e}")
 
 
@@ -152,14 +154,16 @@ def check_flow_ode_residual() -> CheckResult:
     sys_ = particle_system()
     p = analytic_constants(AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4]))
     fd = 1e-6
+    times = np.linspace(0.1, 3.9, 20)
+    sm = analytic_flow(p, times - fd)
+    sp = analytic_flow(p, times + fd)
+    ds = (np.concatenate([sp.q, sp.v], axis=1) - np.concatenate([sm.q, sm.v], axis=1)) / (2.0 * fd)
+    flow = analytic_flow(p, times)
     worst = 0.0
-    for t in np.linspace(0.1, 3.9, 20):
-        sm = analytic_flow(p, t - fd)
-        sp = analytic_flow(p, t + fd)
-        ds = (np.concatenate([sp.q, sp.v]) - np.concatenate([sm.q, sm.v])) / (2.0 * fd)
-        s = analytic_flow(p, t)
+    for j in range(times.shape[0]):
+        s = AdaptedState(q=flow.q[j], v=flow.v[j])
         rhs = np.concatenate([admissible_velocity(sys_, s), nh_acceleration(sys_, s)])
-        worst = max(worst, float(np.max(np.abs(ds - rhs))))
+        worst = max(worst, float(np.max(np.abs(ds[j] - rhs))))
     return CheckResult("flow-ode-residual", worst <= 1e-6, f"max residual {worst:.2e}")
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import kernels
-from .errors import ConfigError, NhtrackError
+from .errors import ConfigError, ContractError, NhtrackError
 from .geometry import AdaptedState
 from .integrators import Trajectory
 from .particle import PARTICLE_NAME, analytic_constants, analytic_flow
@@ -44,6 +44,7 @@ from .tracking import (
     TrackingProblem,
     constant_z_line,
     free_flow,
+    reference_rows,
     tabulated,
     uncontrolled_cost,
 )
@@ -274,12 +275,8 @@ def read_csv(path) -> dict:
 
 
 def sample_reference(ref: ReferenceTrajectory, times: np.ndarray) -> np.ndarray:
-    out = np.empty((times.shape[0], 5))
-    for i, t in enumerate(times):
-        q_r, v_r = ref.sample(float(t))
-        out[i, :3] = q_r
-        out[i, 3:] = v_r
-    return out
+    """The particle reference at the given times as (len(times), 5) CSV columns."""
+    return reference_rows(ref, times, 3, 2)
 
 
 def write_plot_script(path, csv_name: str) -> None:
@@ -343,14 +340,17 @@ def _build_reference(cfg: ExperimentConfig) -> ReferenceTrajectory:
     if cfg.reference == KIND_FREE_FLOW:
         s = cfg.ref_initial_state if cfg.ref_initial_state is not None else cfg.initial_state
         return free_flow(AdaptedState(q=np.array(s[:3]), v=np.array(s[3:])))
+    path = cfg.ref_file
     try:
-        table = (
-            read_csv(cfg.ref_file) if _is_full_csv(cfg.ref_file) else _read_plain_table(cfg.ref_file)
-        )
+        table = read_csv(path) if _is_full_csv(path) else _read_plain_table(path)
+        cols = np.column_stack([table["x"], table["y"], table["z"], table["v1"], table["v2"]])
+        return tabulated(table["t"], cols)
     except OSError as err:
-        raise ConfigError(f"cannot read reference file {cfg.ref_file}: {err}") from err
-    cols = np.column_stack([table["x"], table["y"], table["z"], table["v1"], table["v2"]])
-    return tabulated(table["t"], cols)
+        raise ConfigError(f"cannot read reference file {path}: {err}") from err
+    except (ValueError, IndexError, ContractError) as err:
+        # a token that is not a number, a short or long row, no rows at all,
+        # a non-finite value or times that do not increase
+        raise ConfigError(f"bad reference file {path}: {err}") from err
 
 
 def _is_full_csv(path) -> bool:
@@ -395,6 +395,13 @@ def _warn_ignored(cfg: ExperimentConfig, command: str) -> None:
             )
 
 
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, created on first use: only once a command's
+    inputs are built, so a config error leaves no directory behind."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return Path(cfg.output_dir)
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     h = cfg.T / cfg.steps
     x0 = np.array(cfg.initial_state)
@@ -402,7 +409,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     times = h * np.arange(cfg.steps + 1)
     traj = Trajectory(times=times, states=states)
     ref = sample_reference(_build_reference(cfg), times)
-    out = Path(cfg.output_dir) / "simulate.csv"
+    out = _output_dir(cfg) / "simulate.csv"
     write_csv(traj, None, ref, out)
     print(f"wrote {out}")
     return 0
@@ -412,15 +419,10 @@ def cmd_analytic(cfg: ExperimentConfig) -> int:
     h = cfg.T / cfg.steps
     times = h * np.arange(cfg.steps + 1)
     s0 = AdaptedState(q=np.array(cfg.initial_state[:3]), v=np.array(cfg.initial_state[3:]))
-    params = analytic_constants(s0)
-    states = np.empty((cfg.steps + 1, 5))
-    for i, t in enumerate(times):
-        s = analytic_flow(params, float(t))
-        states[i, :3] = s.q
-        states[i, 3:] = s.v
-    traj = Trajectory(times=times, states=states)
+    s = analytic_flow(analytic_constants(s0), times)
+    traj = Trajectory(times=times, states=np.concatenate([s.q, s.v], axis=1))
     ref = sample_reference(_build_reference(cfg), times)
-    out = Path(cfg.output_dir) / "analytic.csv"
+    out = _output_dir(cfg) / "analytic.csv"
     write_csv(traj, None, ref, out)
     print(f"wrote {out}")
     return 0
@@ -430,7 +432,7 @@ def cmd_track(cfg: ExperimentConfig) -> int:
     prob = _build_problem(cfg)
     newton = NewtonConfig(tol_residual=cfg.newton_tol, max_iters=cfg.newton_max_iters)
     report = solve_tracking(prob, cfg=newton)
-    out_dir = Path(cfg.output_dir)
+    out_dir = _output_dir(cfg)
     lines = [
         "tracking report",
         "===============",
@@ -497,7 +499,6 @@ def run(command: str, cfg: ExperimentConfig) -> int:
         raise ConfigError(f"unknown command '{command}'")
     if command != "track":
         _warn_ignored(cfg, command)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     return COMMANDS[command](cfg)
 
 

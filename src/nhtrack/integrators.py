@@ -4,6 +4,10 @@ A fixed step keeps every downstream quantity (shooting residuals in
 particular) a smooth, reproducible function of its inputs; adaptive
 stepping would turn finite-difference Jacobians into noise. Grid times
 are always formed as t0 + i*h with h computed once, never accumulated.
+
+One RK4 formula (`_rk4`) serves both entry points. `rk4_step` checks
+every stage for finiteness; `integrate` checks each step's result and
+re-runs only a failing step through `rk4_step`.
 """
 
 from __future__ import annotations
@@ -54,23 +58,40 @@ def _stage(vf: VectorField, t: float, x: Array) -> Array:
     return k
 
 
-def rk4_step(vf: VectorField, t: float, x: Array, h: float) -> Array:
-    """One classical 4-stage step from (t, x) with step size h > 0.
+def _rk4(stage: Callable[[float, Array], Array], t: float, x: Array, h: float) -> Array:
+    """The classical 4-stage update of x at t, with stage(t, x) the slope.
 
     The update is grouped as x + h*((k1 + 2k2 + 2k3 + k4)/6) so constant
     fields advance by exactly h per step (the (h/6)*sum grouping re-rounds).
     """
-    if h <= 0.0:
-        raise ContractError("step size must be positive")
-    k1 = _stage(vf, t, x)
-    k2 = _stage(vf, t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = _stage(vf, t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = _stage(vf, t + h, x + h * k3)
+    k1 = stage(t, x)
+    k2 = stage(t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = stage(t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = stage(t + h, x + h * k3)
     return x + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
+def rk4_step(vf: VectorField, t: float, x: Array, h: float) -> Array:
+    """One classical 4-stage step from (t, x) with step size h > 0.
+
+    Each stage is checked: the first non-finite slope raises DomainError
+    with the time and state that stage was evaluated at.
+    """
+    if h <= 0.0:
+        raise ContractError("step size must be positive")
+    return _rk4(lambda s, y: _stage(vf, s, y), t, x, h)
+
+
 def integrate(vf: VectorField, t0: float, x0: Array, T: float, N: int) -> Trajectory:
-    """Integrate over [t0, t0+T] with N uniform steps; returns N+1 rows."""
+    """Integrate over [t0, t0+T] with N uniform steps; returns N+1 rows.
+
+    A non-finite slope always makes the step's result non-finite, so each
+    step is checked once. A step whose result is not finite, which raised,
+    or which set numpy's overflow, invalid or divide flag is run again
+    through rk4_step (calling the field again): the error is then
+    "step i: " plus rk4_step's, with the failing stage's t and x, or the
+    field's own exception, with the warnings rk4_step gives.
+    """
     if N < 1:
         raise ContractError("step count must be at least 1")
     if T <= 0.0:
@@ -83,12 +104,25 @@ def integrate(vf: VectorField, t0: float, x0: Array, T: float, N: int) -> Trajec
     states = np.empty((N + 1, vf.dim))
     states[0] = x0
     x = x0
-    for i in range(N):
-        try:
-            x = rk4_step(vf, times[i], x, h)
-        except DomainError as err:
-            raise DomainError(f"step {i}: {err}", t=err.t, x=err.x) from err
-        states[i + 1] = x
+
+    def slope(t, y):
+        return np.asarray(vf.f(t, y), dtype=float)
+
+    caller = np.geterr()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for i in range(N):
+            try:
+                x_next = _rk4(slope, times[i], x, h)
+                ok = bool(np.isfinite(x_next).all())
+            except Exception:  # the checked re-run raises it again, or an earlier stage's error
+                ok = False
+            if not ok:
+                try:
+                    with np.errstate(**caller):
+                        x_next = rk4_step(vf, times[i], x, h)
+                except DomainError as err:
+                    raise DomainError(f"step {i}: {err}", t=err.t, x=err.x) from err
+            states[i + 1] = x = x_next
     return Trajectory(times=times, states=states)
 
 

@@ -137,8 +137,8 @@ def analytic_constants(s0: AdaptedState) -> AnalyticParams:
     )
 
 
-def analytic_flow(p: AnalyticParams, t: float) -> AdaptedState:
-    """Exact uncontrolled state at time t.
+def analytic_flow(p: AnalyticParams, t) -> AdaptedState:
+    """Exact uncontrolled state at time t, a scalar or a 1-D array of times.
 
     Generic branch (|c1| > C1_SWITCH):
         y = y0 + c1 t,   v1 = c1,   v2 = c2 / sqrt(y^2 + 1),
@@ -146,18 +146,31 @@ def analytic_flow(p: AnalyticParams, t: float) -> AdaptedState:
         z = z0 + (c2/c1) (asinh(y) - asinh(y0)).
     Constant-y branch (|c1| <= C1_SWITCH): y frozen at y0, v2 constant,
     x and z linear in t.
+
+    For a scalar t, q has shape (3,) and v shape (2,); for M times they
+    are (M, 3) and (M, 2), row j belonging to t[j] and equal bit for bit
+    to the scalar result at t[j].
     """
+    t = np.asarray(t, dtype=float)
+    q = np.empty(t.shape + (3,))
+    v = np.empty(t.shape + (2,))
     if abs(p.c1) > C1_SWITCH:
         y = p.y0 + p.c1 * t
         r0 = np.sqrt(p.y0 * p.y0 + 1.0)
         r = np.sqrt(y * y + 1.0)
-        x = p.x0 + (p.c2 / p.c1) * (r0 - r)
-        z = p.z0 + (p.c2 / p.c1) * (np.arcsinh(y) - np.arcsinh(p.y0))
-        return AdaptedState(q=np.array([x, y, z]), v=np.array([p.c1, p.c2 / r]))
-    v2 = p.c2 / np.sqrt(p.y0 * p.y0 + 1.0)
-    x = p.x0 - p.y0 * v2 * t
-    z = p.z0 + v2 * t
-    return AdaptedState(q=np.array([x, p.y0, z]), v=np.array([0.0, v2]))
+        q[..., 0] = p.x0 + (p.c2 / p.c1) * (r0 - r)
+        q[..., 1] = y
+        q[..., 2] = p.z0 + (p.c2 / p.c1) * (np.arcsinh(y) - np.arcsinh(p.y0))
+        v[..., 0] = p.c1
+        v[..., 1] = p.c2 / r
+    else:
+        v2 = p.c2 / np.sqrt(p.y0 * p.y0 + 1.0)
+        q[..., 0] = p.x0 - p.y0 * v2 * t
+        q[..., 1] = p.y0
+        q[..., 2] = p.z0 + v2 * t
+        v[..., 0] = 0.0
+        v[..., 1] = v2
+    return AdaptedState(q=q, v=v)
 
 
 # ---------------------------------------------------------------------------

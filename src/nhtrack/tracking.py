@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Tuple
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -78,10 +78,31 @@ class CoupledState:
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
-    """Sampled target curve t -> (q_r, v_r), with its construction kind."""
+    """Sampled target curve t -> (q_r, v_r), with its construction kind.
+
+    sample takes a scalar time or a 1-D array of M times. For a scalar it
+    returns q_r of shape (n,) and v_r of shape (k,); for an array, (M, n)
+    and (M, k), row j belonging to time j. The built-in kinds keep one
+    formula that broadcasts, so a row equals the scalar sample bit for bit.
+    """
 
     kind: str
-    sample: Callable[[float], RefSample]
+    sample: Callable[[Union[float, Array]], RefSample]
+
+
+def reference_rows(ref: ReferenceTrajectory, times: Array, n: int, k: int) -> Array:
+    """Rows [q_r, v_r] of ref at a 1-D array of times, from one sample call."""
+    times = np.asarray(times, dtype=float)
+    q_r, v_r = ref.sample(times)
+    q_r = np.asarray(q_r, dtype=float)
+    v_r = np.asarray(v_r, dtype=float)
+    m = times.shape[0]
+    if q_r.shape != (m, n) or v_r.shape != (m, k):
+        raise ContractError(
+            f"reference sample of {m} times gave shapes {q_r.shape}/{v_r.shape}, "
+            f"expected ({m}, {n})/({m}, {k})"
+        )
+    return np.concatenate([q_r, v_r], axis=1)
 
 
 def constant_z_line(x_r: float = 1.0, z_offset: float = 1.0, speed: float = 1.0) -> ReferenceTrajectory:
@@ -92,8 +113,16 @@ def constant_z_line(x_r: float = 1.0, z_offset: float = 1.0, speed: float = 1.0)
     solves its free dynamics.
     """
 
-    def sample(t: float) -> RefSample:
-        return np.array([x_r, 0.0, z_offset + speed * t]), np.array([0.0, speed])
+    def sample(t) -> RefSample:
+        t = np.asarray(t, dtype=float)
+        q_r = np.empty(t.shape + (3,))
+        q_r[..., 0] = x_r
+        q_r[..., 1] = 0.0
+        q_r[..., 2] = z_offset + speed * t
+        v_r = np.empty(t.shape + (2,))
+        v_r[..., 0] = 0.0
+        v_r[..., 1] = speed
+        return q_r, v_r
 
     return ReferenceTrajectory(kind=KIND_LINE, sample=sample)
 
@@ -102,7 +131,7 @@ def free_flow(s0: AdaptedState) -> ReferenceTrajectory:
     """Reference generated by the particle's closed-form uncontrolled flow."""
     params = analytic_constants(s0)
 
-    def sample(t: float) -> RefSample:
+    def sample(t) -> RefSample:
         s = analytic_flow(params, t)
         return s.q, s.v
 
@@ -112,19 +141,22 @@ def free_flow(s0: AdaptedState) -> ReferenceTrajectory:
 def tabulated(times: Array, samples: Array) -> ReferenceTrajectory:
     """Reference interpolated linearly from rows (q_r, v_r) on a time grid.
 
-    Queries outside the grid clamp to the end values.
+    Queries outside the grid clamp to the end values. Times and samples
+    must be finite.
     """
     times = np.asarray(times, dtype=float)
     samples = np.asarray(samples, dtype=float)
     if times.ndim != 1 or samples.shape[0] != times.shape[0]:
         raise ContractError("tabulated reference needs one sample row per time")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(samples))):
+        raise ContractError("tabulated reference times and samples must be finite")
     if np.any(np.diff(times) <= 0):
         raise ContractError("tabulated reference times must increase strictly")
     ncols = samples.shape[1]
 
-    def sample(t: float) -> RefSample:
-        row = np.array([np.interp(t, times, samples[:, j]) for j in range(ncols)])
-        return row[:3], row[3:]
+    def sample(t) -> RefSample:
+        rows = np.stack([np.interp(t, times, samples[:, j]) for j in range(ncols)], axis=-1)
+        return rows[..., :3], rows[..., 3:]
 
     return ReferenceTrajectory(kind=KIND_TABULATED, sample=sample)
 
@@ -210,14 +242,14 @@ class TrackingProblem:
 
     @cached_property
     def _ref_table(self) -> Array:
-        """Reference samples on the half grid, shape (2N+1, n+k)."""
-        half = 0.5 * self.h
-        rows = np.empty((2 * self.N + 1, self.sys.n + self.sys.k))
-        for j in range(rows.shape[0]):
-            q_r, v_r = self.ref.sample(j * half)
-            rows[j, : self.sys.n] = q_r
-            rows[j, self.sys.n :] = v_r
-        return rows
+        """Reference samples on the half grid j*(h/2), shape (2N+1, n+k)."""
+        half_grid = np.arange(2 * self.N + 1) * (0.5 * self.h)
+        return reference_rows(self.ref, half_grid, self.sys.n, self.sys.k)
+
+    @cached_property
+    def _ref_final(self) -> RefSample:
+        """Reference sample (q_r, v_r) at the horizon T."""
+        return self.ref.sample(self.T)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +454,7 @@ def residual_from_trajectory(traj: Trajectory, prob: TrackingProblem) -> Array:
     zT = traj.final_state()
     qT, vT = zT[:n], zT[n : n + k]
     lamT, muT = zT[n + k : 2 * n + k], zT[2 * n + k :]
-    q_rT, v_rT = prob.ref.sample(prob.T)
+    q_rT, v_rT = prob._ref_final
     if prob.full_transversality:
         rows_q = lamT - 2.0 * prob.omega * (qT - q_rT)
         rows_v = muT - 2.0 * prob.omega * (vT - v_rT)
@@ -458,7 +490,7 @@ def _cost(prob: TrackingProblem, times: Array, body: Array, u: Array) -> float:
     )
     integral = float(np.trapezoid(values, times))
     sT = AdaptedState(q=body[-1, :n], v=body[-1, n:])
-    return integral + prob.omega * terminal_cost(sT, prob.ref.sample(prob.T))
+    return integral + prob.omega * terminal_cost(sT, prob._ref_final)
 
 
 def total_cost(traj: Trajectory, prob: TrackingProblem) -> float:

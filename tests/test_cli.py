@@ -146,6 +146,69 @@ class TestTrackCsvBytes:
         assert digest == "e6091507ac0574484a0cc9eb89ed8369e3ade65c0df3bdf0f4ff181e67b37ad4"
 
 
+class TestFlowCsvBytes:
+    """SHA-256 of the flow files from `--steps 4000`, recorded with the
+    per-sample reference and closed-form loops that whole-grid sampling
+    replaced."""
+
+    @pytest.mark.parametrize("command, digest", [
+        ("analytic", "febbb9f934b4ec0afc5f53af2aa80479d047efae55937a14302339c4e9f125ff"),
+        ("simulate", "eafe385905d91c73dfe346741cccf22cd36c83b2dcc298a2c3ce7e36c37f06b9"),
+    ])
+    def test_csv_sha256_pinned(self, tmp_path, command, digest):
+        assert main([command, "--steps", "4000", "--out", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / f"{command}.csv").read_bytes()).hexdigest()
+        assert got == digest
+
+
+class TestBadReferenceFile:
+    """A tabulated reference file that cannot be used is a config error: exit
+    1, naming the file, with no output directory left behind."""
+
+    GOOD_ROWS = ["t,x,y,z,v1,v2", "0,1,0,1,0,1", "1,1,0,2,0,1"]
+
+    def run(self, tmp_path, capsys, rows):
+        table = tmp_path / "ref.csv"
+        if rows is not None:
+            table.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"reference = tabulated\nreference.file = {table}\nT = 1\nsteps = 10\n")
+        out = tmp_path / "newdir"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        return rc, capsys.readouterr().err, table, out
+
+    @pytest.mark.parametrize("bad_row", [
+        "0.5,1,0,1.5,0,abc",  # a token that is not a number
+        "0.5,1,0,1.5,0",  # a short row
+        "0.5,1,0,1.5,0,nan",  # a non-finite value
+    ])
+    def test_malformed_row(self, tmp_path, capsys, bad_row):
+        rows = self.GOOD_ROWS[:2] + [bad_row] + self.GOOD_ROWS[2:]
+        rc, err, table, out = self.run(tmp_path, capsys, rows)
+        assert rc == 1
+        assert "config error" in err and str(table) in err
+        assert not out.exists()
+
+    def test_time_column_not_increasing(self, tmp_path, capsys):
+        rows = self.GOOD_ROWS + ["0.5,1,0,1.5,0,1"]
+        rc, err, table, out = self.run(tmp_path, capsys, rows)
+        assert rc == 1
+        assert "config error" in err and str(table) in err and "increase" in err
+        assert not out.exists()
+
+    def test_missing_file_leaves_no_output_directory(self, tmp_path, capsys):
+        rc, err, table, out = self.run(tmp_path, capsys, None)
+        assert rc == 1
+        assert "config error" in err and str(table) in err
+        assert not out.exists()
+
+    def test_good_file_writes_into_new_directory(self, tmp_path, capsys):
+        rc, err, table, out = self.run(tmp_path, capsys, self.GOOD_ROWS)
+        assert rc == 0
+        data = read_csv(out / "simulate.csv")
+        np.testing.assert_array_equal(data["z_r"], 1.0 + np.arange(11) * 0.1)
+
+
 class TestBadValuesExitOne:
     """A bad value from a flag or a config key exits 1 before any file is written."""
 

@@ -1,5 +1,7 @@
 """Tests for the fixed-step integrator and its convergence diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,68 @@ class TestIntegrate:
         with pytest.raises(DomainError) as err:
             integrate(VectorField(dim=1, f=f), 0.0, np.zeros(1), 1.0, 10)
         assert "step" in str(err.value)
+
+    # The three fields below fail inside step i > 0. The expected error is
+    # the one the per-stage check gave before integrate checked once per
+    # step: message, t and x recorded from that integrator.
+
+    @staticmethod
+    def _rotation(t, x):
+        return np.array([x[1], -x[0]])
+
+    def _fail(self, f):
+        x0 = np.array([1.0, -0.5])
+        with pytest.raises(Exception) as err:
+            integrate(VectorField(dim=2, f=f), 0.0, x0, 1.0, 10)
+        return err.value
+
+    def test_field_turning_non_finite_mid_run(self):
+        """The second stage of step 3 (t = 0.35) is the first non-finite one."""
+        err = self._fail(lambda t, x: np.array([np.inf, 1.0]) if t >= 0.35 else self._rotation(t, x))
+        assert type(err) is DomainError
+        assert str(err) == "step 3: vector field returned a non-finite value"
+        assert err.t == 0.35000000000000003
+        assert err.x.tolist() == [0.7689171499005119, -0.8135670620425827]
+
+    def test_field_raising_on_non_finite_input(self):
+        """A field that raises ValueError when fed the non-finite slope of
+        an earlier stage still reports the first non-finite stage."""
+
+        def f(t, x):
+            if not np.all(np.isfinite(x)):
+                raise ValueError("non-finite input")
+            return np.array([np.inf, 0.0]) if t > 0.45 else self._rotation(t, x)
+
+        err = self._fail(f)
+        assert type(err) is DomainError
+        assert str(err) == "step 4: vector field returned a non-finite value"
+        assert err.t == 0.5
+        assert err.x.tolist() == [0.6379379542733195, -0.9181524520833477]
+
+    def test_field_error_propagates_unchanged(self):
+        def f(t, x):
+            if t > 0.45:
+                raise ValueError("field undefined")
+            return self._rotation(t, x)
+
+        err = self._fail(f)
+        assert type(err) is ValueError and str(err) == "field undefined"
+
+    def test_failing_step_warns_as_rk4_step_does(self):
+        """The unchecked attempt at a failing step adds no numpy warning:
+        its update would add inf to -inf, but the stage check stops at the
+        first infinite slope."""
+
+        def f(t, x):
+            if t <= 0.42:
+                return self._rotation(t, x)
+            return np.array([np.inf if np.all(np.isfinite(x)) else -np.inf, 0.0])
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self._fail(f)
+        assert type(err) is DomainError and str(err).startswith("step 4: ")
+        assert [str(w.message) for w in caught] == []
 
     def test_trajectory_row_count_validated(self):
         with pytest.raises(ContractError):

@@ -130,6 +130,18 @@ class TestAnalyticFlow:
             gap = np.abs(flat(analytic_flow(a, t)) - flat(analytic_flow(b, t)))
             assert np.max(gap) <= 1e-5
 
+    @pytest.mark.parametrize("c1", [0.8, 1e-8, 0.0], ids=["generic", "small-c1", "c1-zero"])
+    def test_time_array_rows_equal_scalar_samples(self, c1):
+        p = AnalyticParams(c1=c1, c2=-1.1, x0=0.2, y0=-0.4, z0=3.0)
+        times = np.linspace(-1.0, 4.0, 11)
+        s = analytic_flow(p, times)
+        assert s.q.shape == (11, 3) and s.v.shape == (11, 2)
+        for j, t in enumerate(times):
+            one = analytic_flow(p, float(t))
+            assert one.q.shape == (3,) and one.v.shape == (2,)
+            np.testing.assert_array_equal(s.q[j], one.q)
+            np.testing.assert_array_equal(s.v[j], one.v)
+
 
 class TestUnreducedField:
     def test_rest_in_y_freezes_velocities(self):

@@ -1,5 +1,7 @@
 """Tests for costs, Hamiltonian, adjoint modes, coupled flow, and residual."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -364,9 +366,28 @@ class TestReferenceKinds:
         np.testing.assert_array_equal(q_r, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(v_r, [4.0, 5.0])
 
+    @pytest.mark.parametrize("make", [
+        lambda: constant_z_line(1.0, -0.5, 2.0),
+        lambda: free_flow(S0),
+        lambda: tabulated(np.array([0.0, 1.5, 3.0]), RNG.uniform(-1, 1, (3, 5))),
+    ], ids=["line", "free-flow", "tabulated"])
+    def test_time_array_rows_equal_scalar_samples(self, make):
+        ref = make()
+        times = np.linspace(-0.5, 4.0, 10)
+        q_r, v_r = ref.sample(times)
+        assert q_r.shape == (10, 3) and v_r.shape == (10, 2)
+        for j, t in enumerate(times):
+            q1, v1 = ref.sample(float(t))
+            np.testing.assert_array_equal(q_r[j], q1)
+            np.testing.assert_array_equal(v_r[j], v1)
+
     def test_tabulated_validates_grid(self):
         with pytest.raises(ContractError):
             tabulated(np.array([0.0, 0.0, 1.0]), np.zeros((3, 5)))
+        with pytest.raises(ContractError, match="finite"):
+            tabulated(np.array([0.0, np.nan, 1.0]), np.zeros((3, 5)))
+        with pytest.raises(ContractError, match="finite"):
+            tabulated(np.array([0.0, 0.5, 1.0]), np.full((3, 5), np.inf))
 
     def test_problem_rejects_inadmissible_reference(self):
         """Frozen base point with nonzero fiber velocity is not a curve on
@@ -404,6 +425,48 @@ class TestTrackingProblem:
         for j in (0, 5, 16):
             q_r, v_r = prob.ref.sample(j * half)
             np.testing.assert_array_equal(table[j], np.concatenate([q_r, v_r]))
+
+
+def _sha256(table):
+    return hashlib.sha256(np.ascontiguousarray(table, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestRefTableBitExact:
+    """SHA-256 of _ref_table, recorded when it sampled the reference one
+    half-grid time at a time; the whole-grid call must give the same bits."""
+
+    def test_constant_z_line_n400(self):
+        table = benchmark_problem(N=400)._ref_table
+        assert _sha256(table) == "c5a71dfd2e76ca6eceb9c6c45ece53957c01904b53ef5f68cc3c13c920ebc4e7"
+
+    @pytest.mark.parametrize("v, digest", [
+        ([0.5, 0.4], "397241c8a3142edf6f9d9ffad4716e746f9755abd6a2a6433c6b5d9d1959e797"),
+        ([0.0, 0.4], "ec82bc4c2c493eef84a5906e36f6616631fbe7e5abd37b96986b39809dca3887"),
+    ], ids=["generic", "c1-zero"])
+    def test_free_flow_n4000(self, v, digest):
+        s0 = AdaptedState(q=np.array([0.5, 0.2, 0.7]), v=np.array(v))
+        prob = TrackingProblem(sys=SYS, ref=free_flow(s0), epsilon=7.0, T=4.0, s0=s0, N=4000)
+        assert _sha256(prob._ref_table) == digest
+
+    def test_tabulated_n400(self):
+        # an irregular grid ending at t = 3.08, so the last samples clamp
+        rng = np.random.default_rng(7)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.2, 24))])
+        ref = tabulated(times, rng.uniform(-1.0, 1.0, (25, 5)))
+        prob = TrackingProblem(sys=SYS, ref=ref, epsilon=7.0, T=4.0, s0=S0, N=400)
+        assert _sha256(prob._ref_table) == "cd55e7852ec50bf75049b9350bc307c3cdb1066056f49a563bf2a317aa839188"
+
+    @pytest.mark.parametrize("sample", [
+        lambda t: (np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0])),  # ignores the time vector
+        lambda t: (np.stack([np.ones_like(t), 0 * t, 1 + t]), np.stack([0 * t, np.ones_like(t)])),
+    ], ids=["scalar-only", "transposed"])
+    def test_wrong_sample_shapes_rejected(self, sample):
+        prob = TrackingProblem(
+            sys=SYS, ref=ReferenceTrajectory(kind="user", sample=sample),
+            epsilon=7.0, T=4.0, s0=S0, N=10,
+        )
+        with pytest.raises(ContractError, match="reference sample of 21 times"):
+            prob._ref_table
 
 
 class TestShootingResidual:
