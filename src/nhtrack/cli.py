@@ -265,11 +265,19 @@ def write_csv(
 
 
 def read_csv(path) -> dict:
-    """Re-parse a CSV written by write_csv into named float arrays."""
+    """Parse a comma-separated table under a header line into named float
+    arrays: a CSV written by write_csv, or a tabulated reference file.
+
+    Raises ValueError on a token that is not a number, on a row whose
+    length is not the header's, and on a table with no rows.
+    """
     with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        names = header.split(",")
+        names = fh.readline().strip().split(",")
         rows = [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
+    if not rows:
+        raise ValueError("the table has no rows")
+    if any(len(row) != len(names) for row in rows):
+        raise ValueError(f"a row does not have {len(names)} values, one per header name")
     data = np.array(rows)
     return {name: data[:, j] for j, name in enumerate(names)}
 
@@ -342,31 +350,18 @@ def _build_reference(cfg: ExperimentConfig) -> ReferenceTrajectory:
         return free_flow(AdaptedState(q=np.array(s[:3]), v=np.array(s[3:])))
     path = cfg.ref_file
     try:
-        table = read_csv(path) if _is_full_csv(path) else _read_plain_table(path)
-        cols = np.column_stack([table["x"], table["y"], table["z"], table["v1"], table["v2"]])
+        table = read_csv(path)
+        missing = [name for name in ("t", "x", "y", "z", "v1", "v2") if name not in table]
+        if missing:
+            raise ValueError(f"the header has no column {', '.join(missing)}")
+        cols = np.column_stack([table[name] for name in ("x", "y", "z", "v1", "v2")])
         return tabulated(table["t"], cols)
     except OSError as err:
         raise ConfigError(f"cannot read reference file {path}: {err}") from err
-    except (ValueError, IndexError, ContractError) as err:
+    except (ValueError, ContractError) as err:
         # a token that is not a number, a short or long row, no rows at all,
-        # a non-finite value or times that do not increase
+        # a missing column, a non-finite value or times that do not increase
         raise ConfigError(f"bad reference file {path}: {err}") from err
-
-
-def _is_full_csv(path) -> bool:
-    with open(path) as fh:
-        return fh.readline().strip() == CSV_HEADER
-
-
-def _read_plain_table(path) -> dict:
-    """Read a 6-column reference table: header t,x,y,z,v1,v2."""
-    with open(path) as fh:
-        names = fh.readline().strip().split(",")
-        if names[:6] != ["t", "x", "y", "z", "v1", "v2"]:
-            raise ConfigError(f"reference file {path} must start with header t,x,y,z,v1,v2")
-        rows = [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
-    data = np.array(rows)
-    return {name: data[:, j] for j, name in enumerate(names[:6])}
 
 
 def _build_problem(cfg: ExperimentConfig) -> TrackingProblem:

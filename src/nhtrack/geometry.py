@@ -76,9 +76,10 @@ class NonholonomicSystem:
 
     The optional derivative callables (d_rho, d_gamma, d_pforce) supply the
     closed-form q-derivatives needed by the analytically derived adjoint
-    equations; systems without them can still be simulated but not used in
-    derived-mode tracking. ``domain`` declares where the closed forms are
-    valid (connection singularities must be excluded here).
+    equations; `tracking.adjoint_field` rejects systems without them in
+    derived mode. Only the bundled particle can be tracked (see
+    `tracking.TrackingProblem`). ``domain`` declares where the closed forms
+    are valid (connection singularities must be excluded here).
     """
 
     frame: AdaptedFrame

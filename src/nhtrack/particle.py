@@ -99,10 +99,11 @@ def particle_system() -> NonholonomicSystem:
     )
 
 
-def restricted_energy(s: AdaptedState) -> float:
-    """Kinetic energy in the adapted frame: (v1^2 + (1+y^2) v2^2) / 2."""
-    y = s.q[1]
-    return 0.5 * (s.v[0] ** 2 + (1.0 + y * y) * s.v[1] ** 2)
+def restricted_energy(s: AdaptedState):
+    """Kinetic energy in the adapted frame: (v1^2 + (1+y^2) v2^2) / 2, one
+    value per row when q and v hold M rows, (M, 3) and (M, 2)."""
+    y = s.q[..., 1]
+    return 0.5 * (s.v[..., 0] ** 2 + (1.0 + y * y) * s.v[..., 1] ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,15 @@ coupled state-costate flow whose unknown initial costate alpha is fixed by
 a terminal residual; root-finding on that residual lives in `shooting`.
 
 Two adjoint variants are provided. 'derived' integrates the exact
-negative gradient of the Hamiltonian (finite-difference checked in the
-test suite); 'paper-literal' integrates the particle's costate equations
-in their as-printed form, which differs from the gradient in three terms
-and is kept for side-by-side comparison.
+negative gradient of the Hamiltonian (finite-difference checked by the
+adjoint-gradient check in `checks`); 'paper-literal' integrates the
+particle's costate equations in their as-printed form, which differs from
+the gradient in three terms and is kept for side-by-side comparison.
+
+A TrackingProblem is built for the bundled particle only, and its
+rollouts run the particle's C RK4 kernel. `coupled_field` and
+`adjoint_field` are generic in the system: with `integrators.integrate`
+they are the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from .geometry import (
     admissible_velocity,
     controlled_acceleration,
 )
-from .integrators import Trajectory, VectorField, integrate
+from .integrators import Trajectory
+from .integrators import integrate  # noqa: F401 - perfbench/spans.py rebinds tracking.integrate
 from .particle import PARTICLE_NAME, analytic_constants, analytic_flow
 
 Array = np.ndarray
@@ -185,7 +191,9 @@ def reference_admissibility_defect(
 
 @dataclass(frozen=True)
 class TrackingProblem:
-    """A complete tracking instance over a fixed horizon.
+    """A complete tracking instance over a fixed horizon, for the bundled
+    particle only: the rollouts run the particle's C RK4 kernel, so any
+    other system is rejected with ContractError.
 
     epsilon > 0 weights the control effort (zero is rejected: the
     stationary condition would no longer determine the control), omega > 0
@@ -212,6 +220,8 @@ class TrackingProblem:
     full_transversality: bool = True
 
     def __post_init__(self):
+        if self.sys.name != PARTICLE_NAME:
+            raise ContractError(f"only {PARTICLE_NAME} can be tracked, not {self.sys.name!r}")
         if self.epsilon <= 0.0:
             raise SingularProblemError(
                 "epsilon must be positive; epsilon = 0 makes the tracking "
@@ -410,30 +420,22 @@ def coupled_field(t: float, z: Array, prob: TrackingProblem) -> Array:
 
 
 def integrate_coupled(prob: TrackingProblem, alpha: Array) -> Trajectory:
-    """Flow of the coupled system from (s0, alpha) over [0, T].
-
-    Dispatches to the particle's RK4 kernel when possible, otherwise
-    to the generic integrator over `coupled_field`.
-    """
+    """Flow of the coupled system from (s0, alpha) over [0, T], by the
+    particle's C RK4 kernel (`coupled_field` is its generic oracle)."""
     alpha = np.asarray(alpha, dtype=float)
     n, k = prob.sys.n, prob.sys.k
     if alpha.shape != (n + k,):
         raise ContractError(f"alpha must have length {n + k}")
     z0 = np.concatenate([prob.s0.q, prob.s0.v, alpha])
-    h = prob.h
-    times = h * np.arange(prob.N + 1)
-    if prob.sys.name == PARTICLE_NAME:
-        states = kernels.rollout_coupled(
-            z0,
-            h,
-            prob.N,
-            prob._ref_table,
-            prob.epsilon,
-            prob.adjoint_mode == "paper-literal",
-        )
-        return Trajectory(times=times, states=states)
-    vf = VectorField(dim=2 * (n + k), f=lambda t, z: coupled_field(t, z, prob))
-    return integrate(vf, 0.0, z0, prob.T, prob.N)
+    states = kernels.rollout_coupled(
+        z0,
+        prob.h,
+        prob.N,
+        prob._ref_table,
+        prob.epsilon,
+        prob.adjoint_mode == "paper-literal",
+    )
+    return Trajectory(times=prob.h * np.arange(prob.N + 1), states=states)
 
 
 def shooting_residual(alpha: Array, prob: TrackingProblem) -> Array:
@@ -502,22 +504,9 @@ def total_cost(traj: Trajectory, prob: TrackingProblem) -> float:
 
 def uncontrolled_trajectory(prob: TrackingProblem) -> Trajectory:
     """Free (u = 0) flow of the state alone from s0 on the problem grid."""
-    n, k = prob.sys.n, prob.sys.k
-    h = prob.h
-    times = h * np.arange(prob.N + 1)
-    if prob.sys.name == PARTICLE_NAME:
-        x0 = np.concatenate([prob.s0.q, prob.s0.v])
-        states = kernels.rollout_reduced(x0, h, prob.N)
-        return Trajectory(times=times, states=states)
-
-    def f(t, x):
-        s = AdaptedState(q=x[:n], v=x[n:])
-        return np.concatenate(
-            [admissible_velocity(prob.sys, s), controlled_acceleration(prob.sys, s, np.zeros(k))]
-        )
-
-    return integrate(VectorField(dim=n + k, f=f), 0.0,
-                     np.concatenate([prob.s0.q, prob.s0.v]), prob.T, prob.N)
+    x0 = np.concatenate([prob.s0.q, prob.s0.v])
+    states = kernels.rollout_reduced(x0, prob.h, prob.N)
+    return Trajectory(times=prob.h * np.arange(prob.N + 1), states=states)
 
 
 def uncontrolled_cost(prob: TrackingProblem) -> float:

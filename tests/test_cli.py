@@ -196,6 +196,17 @@ class TestBadReferenceFile:
         assert "config error" in err and str(table) in err and "increase" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        (["t,x,y,z,v1,v2"], "has no rows"),
+        ([CSV_HEADER], "has no rows"),
+        (["t,x,y,z,v1,w", "0,1,0,1,0,1"], "no column v2"),
+    ], ids=["header-only", "header-only-track-csv", "column-missing"])
+    def test_unusable_table(self, tmp_path, capsys, rows, message):
+        rc, err, table, out = self.run(tmp_path, capsys, rows)
+        assert rc == 1
+        assert "config error" in err and str(table) in err and message in err
+        assert not out.exists()
+
     def test_missing_file_leaves_no_output_directory(self, tmp_path, capsys):
         rc, err, table, out = self.run(tmp_path, capsys, None)
         assert rc == 1
@@ -398,12 +409,3 @@ class TestExperimentConfigDefaults:
         assert cfg.system == "nonholonomic-particle"
         assert cfg.T == 4.0 and cfg.epsilon == 7.0 and cfg.omega == 1.0
         assert cfg.newton_tol == 1e-10 and cfg.newton_max_iters == 100
-
-    def test_seedless_env_var_accepted_and_ignored(self, tmp_path, monkeypatch):
-        """The solver is deterministic; the reserved env var changes nothing."""
-        assert main(["analytic", "--out", str(tmp_path / "a"), "--steps", "50", "--T", "1"]) == 0
-        monkeypatch.setenv("NHTRACK_SEEDLESS", "1")
-        assert main(["analytic", "--out", str(tmp_path / "b"), "--steps", "50", "--T", "1"]) == 0
-        assert (tmp_path / "a" / "analytic.csv").read_bytes() == (
-            tmp_path / "b" / "analytic.csv"
-        ).read_bytes()

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nhtrack import checks
 from nhtrack.errors import ContractError, DegenerateFitError, DomainError
 from nhtrack.geometry import AdaptedState, admissible_velocity, nh_acceleration
 from nhtrack.integrators import Trajectory, VectorField, convergence_order, integrate, rk4_step
@@ -90,16 +91,12 @@ class TestIntegrate:
         assert 12.0 < ratio < 20.0
 
     def test_grid_hits_endpoint(self):
-        traj = integrate(VectorField(dim=1, f=lambda t, x: x), 0.25, np.ones(1), 4.0, 4000)
-        assert abs(traj.times[-1] - 4.25) <= 1e-12
-        assert np.allclose(np.diff(traj.times), 4.0 / 4000, rtol=1e-12)
+        r = checks.check_grid_endpoint()
+        assert r.passed, r.detail
 
     def test_cubic_polynomial_integrated_exactly(self):
-        """Degree-3 quadrature is exact up to accumulation roundoff."""
-        vf = VectorField(dim=1, f=lambda t, x: np.array([3 * t**2 - 2 * t + 0.5]))
-        traj = integrate(vf, 0.0, np.array([1.0]), 4.0, 4000)
-        exact = traj.times**3 - traj.times**2 + 0.5 * traj.times + 1.0
-        assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-12
+        r = checks.check_cubic_exactness()
+        assert r.passed, r.detail
 
     def test_deterministic(self):
         a = integrate(reduced_field(), 0.0, S0, 4.0, 500)

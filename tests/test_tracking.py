@@ -5,8 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from nhtrack import checks
 from nhtrack.errors import ContractError, SingularProblemError
-from nhtrack.geometry import AdaptedState, NonholonomicSystem, admissible_velocity
+from nhtrack.geometry import AdaptedState, NonholonomicSystem
 from nhtrack.integrators import Trajectory, VectorField, integrate
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
 from nhtrack.shooting import fd_jacobian
@@ -58,20 +59,6 @@ def random_costate():
 
 def random_sample():
     return (RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 2))
-
-
-def fd_hamiltonian_gradient(s, p, u, r, eps, step=1e-6):
-    """Independent central-difference gradient of H in (q, v)."""
-    grad = np.empty(5)
-    for j in range(5):
-        e = np.zeros(5)
-        e[j] = step
-        sp = AdaptedState(q=s.q + e[:3], v=s.v + e[3:])
-        sm = AdaptedState(q=s.q - e[:3], v=s.v - e[3:])
-        grad[j] = (hamiltonian(SYS, sp, p, u, r, eps) - hamiltonian(SYS, sm, p, u, r, eps)) / (
-            2 * step
-        )
-    return grad
 
 
 class TestRunningCost:
@@ -180,12 +167,8 @@ class TestStationaryControl:
             np.testing.assert_allclose(gap, 0.5 * eps * (d @ d), rtol=1e-9, atol=1e-12)
 
     def test_gradient_vanishes_at_stationary_point(self):
-        """|dH/du| at u* stays below 1e-15 (scaled) on random costates."""
-        for _ in range(100):
-            p = random_costate()
-            eps = float(RNG.uniform(0.5, 10))
-            g = hamiltonian_control_gradient(p, stationary_control(p, eps), eps)
-            assert np.max(np.abs(g)) <= 1e-15 * max(1.0, np.max(np.abs(p.mu)))
+        r = checks.check_stationarity()
+        assert r.passed, r.detail
 
 
 class TestAdjointField:
@@ -208,36 +191,12 @@ class TestAdjointField:
         np.testing.assert_array_equal(d.mu, np.zeros(2))
 
     def test_derived_matches_negative_fd_gradient(self):
-        """The derived mode is the exact negative Hamiltonian gradient."""
-        for _ in range(100):
-            s = AdaptedState(q=RNG.uniform(-2, 2, 3), v=RNG.uniform(-2, 2, 2))
-            p = random_costate()
-            r = random_sample()
-            eps = 7.0
-            u = stationary_control(p, eps)
-            d = adjoint_field(SYS, s, p, r, eps, "derived")
-            got = np.concatenate([d.lam, d.mu])
-            grad = fd_hamiltonian_gradient(s, p, u, r, eps)
-            scale = np.maximum(1.0, np.abs(grad))
-            assert np.max(np.abs(got + grad) / scale) <= 1e-5
+        r = checks.check_adjoint_gradient()
+        assert r.passed, r.detail
 
     def test_paper_literal_fails_gradient_check_in_three_rows(self):
-        """The as-printed equations deviate from the gradient exactly in
-        lam2 (eps factor and sign) and in both mu rows (coupling sign)."""
-        mismatched = np.zeros(5, dtype=bool)
-        for _ in range(50):
-            s = AdaptedState(q=RNG.uniform(0.5, 2, 3), v=RNG.uniform(0.5, 2, 2))
-            p = Costate(lam=RNG.uniform(0.5, 2, 3), mu=RNG.uniform(0.5, 2, 2))
-            r = random_sample()
-            eps = 7.0
-            u = stationary_control(p, eps)
-            d = adjoint_field(SYS, s, p, r, eps, "paper-literal")
-            got = np.concatenate([d.lam, d.mu])
-            grad = fd_hamiltonian_gradient(s, p, u, r, eps)
-            scale = np.maximum(1.0, np.abs(grad))
-            mismatched |= np.abs(got + grad) / scale > 1e-5
-        # rows lam1, lam3 agree with the gradient; lam2, mu1, mu2 do not
-        np.testing.assert_array_equal(mismatched, [False, True, False, True, True])
+        r = checks.check_adjoint_gradient()
+        assert r.passed, r.detail
 
     def test_modes_agree_when_coupling_costate_vanishes(self):
         """With mu2 = 0 the differing terms drop out of both variants."""
@@ -319,16 +278,8 @@ class TestCoupledField:
         np.testing.assert_allclose(dz[5:], np.zeros(5), atol=1e-13)
 
     def test_constraint_holds_along_coupled_flow(self):
-        """Adapted coordinates keep the ambient velocity on the constraint
-        identically, whatever the costate does."""
-        from nhtrack.geometry import constraint_residual
-
-        prob = benchmark_problem(N=500)
-        traj = integrate_coupled(prob, np.array([0.1, -0.2, 0.3, 0.05, -0.4]))
-        for i in range(0, 501, 25):
-            s = AdaptedState(q=traj.states[i, :3], v=traj.states[i, 3:5])
-            res = constraint_residual(SYS, s.q, admissible_velocity(SYS, s))
-            assert np.max(np.abs(res)) <= 1e-12
+        r = checks.check_constraint_invariance()
+        assert r.passed, r.detail
 
     def test_kernel_matches_generic_integrator(self):
         """Kernel rollout vs callback integrator, both adjoint modes."""
@@ -416,6 +367,22 @@ class TestTrackingProblem:
             TrackingProblem(sys=SYS, ref=ref, epsilon=7.0, T=4.0, s0=S0, N=0)
         with pytest.raises(ContractError):
             TrackingProblem(sys=SYS, ref=ref, epsilon=7.0, T=4.0, s0=S0, adjoint_mode="exact")
+
+    def test_rejects_other_system(self):
+        """Only the particle has a C kernel; another system is not tracked
+        with the particle's right-hand side."""
+        other = NonholonomicSystem(
+            frame=SYS.frame,
+            christoffel=SYS.christoffel,
+            metric=SYS.metric,
+            potential=SYS.potential,
+            constraint_annihilator=SYS.constraint_annihilator,
+            d_rho=SYS.d_rho,
+            d_gamma=SYS.d_gamma,
+            d_pforce=SYS.d_pforce,
+        )
+        with pytest.raises(ContractError, match="only nonholonomic-particle can be tracked"):
+            TrackingProblem(sys=other, ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0)
 
     def test_reference_table_matches_samples(self):
         prob = benchmark_problem(N=8)
@@ -509,18 +476,12 @@ class TestShootingResidual:
         )
 
     def test_zero_error_fixed_point(self):
-        """Self-generated reference with alpha = 0: residual at roundoff."""
-        prob = TrackingProblem(sys=SYS, ref=free_flow(S0), epsilon=7.0, T=4.0, s0=S0)
-        assert np.max(np.abs(shooting_residual(np.zeros(5), prob))) <= 1e-9
+        r = checks.check_zero_fixed_point()
+        assert r.passed, r.detail
 
     def test_fd_jacobian_insensitive_to_step(self):
-        """Smoothness: FD Jacobians at 1e-5 and 1e-6 agree to 1e-3."""
-        prob = benchmark_problem(N=1000)
-        alpha = np.array([0.3, -0.5, 0.2, 0.1, -0.1])
-        J5 = fd_jacobian(lambda a: shooting_residual(a, prob), alpha, 1e-5)
-        J6 = fd_jacobian(lambda a: shooting_residual(a, prob), alpha, 1e-6)
-        scale = np.maximum(1.0, np.abs(J6))
-        assert np.max(np.abs(J5 - J6) / scale) <= 1e-3
+        r = checks.check_residual_smoothness()
+        assert r.passed, r.detail
 
     def test_jacobian_full_rank_fixture(self):
         """Condition number of the FD Jacobian at alpha = 0, by SVD."""
