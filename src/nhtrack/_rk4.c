@@ -14,6 +14,11 @@
  * t0 + j*(h/2), so the stages of step i sit at j = 2i, 2i+1, 2i+2. The
  * coupled flow reads its reference (x_r, y_r, z_r, v1_r, v2_r) from row j
  * of a (2n+1, 5) table on that half grid.
+ *
+ * The coupled flow can also carry its forward sensitivity S = dz/dalpha,
+ * a (10, 5) block, alongside the states. Each RK4 stage is differentiated
+ * exactly (internal numerical differentiation), so S at the last step is
+ * the Jacobian of the discrete RK4 map, not of the exact flow.
  */
 
 #include <math.h>
@@ -90,6 +95,54 @@ static void coupled_rhs(const double *s, long j, const params *p, double *out)
     out[9] = dm2;
 }
 
+/* out = A u for the (10, 5) blocks u and out, where A = d coupled_rhs / dz
+ * at state s. A does not depend on the reference. Its 27 nonzero entries
+ * are formed once and applied to each of the 5 columns. */
+static void coupled_jac(const double *s, const params *p, const double *u, double *out)
+{
+    double y = s[1], v1 = s[3], v2 = s[4], l1 = s[5], m2 = s[9];
+    double w = 1.0 + y * y;
+    double f = y / w;
+    double g = (1.0 - y * y) / (w * w);                /* df/dy */
+    double dg = 2.0 * y * (y * y - 3.0) / (w * w * w); /* dg/dy */
+    double ie = 1.0 / p->eps;
+    /* the m2 coupling enters dl2 with weight c6 and dm1, dm2 with sign sg */
+    double c6 = p->literal ? -p->eps : 1.0;
+    double sg = p->literal ? -1.0 : 1.0;
+    double a0y = -v2, a0v2 = -y;
+    double a4y = -g * v1 * v2, a4v1 = -f * v2, a4v2 = -f * v1;
+    double a6y = -1.0 + c6 * m2 * v1 * v2 * dg, a6v1 = c6 * m2 * v2 * g;
+    double a6v2 = l1 + c6 * m2 * v1 * g, a6m2 = c6 * v1 * v2 * g;
+    double a8y = sg * m2 * g * v2, a8v2 = sg * m2 * f, a8m2 = sg * f * v2;
+    double a9y = l1 + sg * m2 * g * v1, a9v1 = sg * m2 * f, a9m2 = sg * f * v1;
+    for (int c = 0; c < 5; c++) {
+        double dx = u[c], dy = u[5 + c], dz = u[10 + c], dv1 = u[15 + c], dv2 = u[20 + c];
+        double dl1 = u[25 + c], dl2 = u[30 + c], dl3 = u[35 + c], dm1 = u[40 + c], dm2 = u[45 + c];
+        out[c] = a0y * dy + a0v2 * dv2;
+        out[5 + c] = dv1;
+        out[10 + c] = dv2;
+        out[15 + c] = -ie * dm1;
+        out[20 + c] = a4y * dy + a4v1 * dv1 + a4v2 * dv2 - ie * dm2;
+        out[25 + c] = -dx;
+        out[30 + c] = a6y * dy + a6v1 * dv1 + a6v2 * dv2 + v2 * dl1 + a6m2 * dm2;
+        out[35 + c] = -dz;
+        out[40 + c] = a8y * dy - dv1 + a8v2 * dv2 - dl2 + a8m2 * dm2;
+        out[45 + c] = a9y * dy + a9v1 * dv1 - dv2 + y * dl1 - dl3 + a9m2 * dm2;
+    }
+}
+
+#define SENS 50 /* entries of the coupled sensitivity block, (10, 5) */
+
+/* dk = A(s) (S + c*dk_prev), the derivative of one RK4 stage. */
+static void stage_sens(const double *s, const params *p, const double *S, double c,
+                       const double *dk_prev, double *dk)
+{
+    double u[SENS];
+    for (int e = 0; e < SENS; e++)
+        u[e] = S[e] + c * dk_prev[e];
+    coupled_jac(s, p, u, dk);
+}
+
 static const struct {
     rhs_fn rhs;
     int dim;
@@ -99,30 +152,46 @@ static const struct {
  * states, shape (n_steps+1, dim), writing every step into the next row.
  * Returns -1, or the index i of the first step whose result row i+1 has a
  * non-finite entry; the rows after it are left unwritten. The update keeps
- * the grouping x + h*((k1 + 2k2 + 2k3 + k4)/6). */
+ * the grouping x + h*((k1 + 2k2 + 2k3 + k4)/6).
+ *
+ * sens is NULL, or (coupled only) the (10, 5) sensitivity block at row 0,
+ * which is advanced in place to the last row written. The states do not
+ * depend on it. */
 long nh_rk4(int kind, double *states, long n_steps, double h,
-            const double *ref, double eps, int literal)
+            const double *ref, double eps, int literal, double *sens)
 {
     rhs_fn rhs = systems[kind].rhs;
     int d = systems[kind].dim;
     params p = {ref, eps, literal};
     double hh = 0.5 * h;
     double k1[MAX_DIM], k2[MAX_DIM], k3[MAX_DIM], k4[MAX_DIM], t[MAX_DIM];
+    double dk1[SENS], dk2[SENS], dk3[SENS], dk4[SENS];
     for (long i = 0; i < n_steps; i++) {
         const double *x = states + i * d;
         double *next = states + (i + 1) * d;
         long j = 2 * i;
         int finite = 1;
         rhs(x, j, &p, k1);
+        if (sens)
+            coupled_jac(x, &p, sens, dk1);
         for (int c = 0; c < d; c++)
             t[c] = x[c] + hh * k1[c];
         rhs(t, j + 1, &p, k2);
+        if (sens)
+            stage_sens(t, &p, sens, hh, dk1, dk2);
         for (int c = 0; c < d; c++)
             t[c] = x[c] + hh * k2[c];
         rhs(t, j + 1, &p, k3);
+        if (sens)
+            stage_sens(t, &p, sens, hh, dk2, dk3);
         for (int c = 0; c < d; c++)
             t[c] = x[c] + h * k3[c];
         rhs(t, j + 2, &p, k4);
+        if (sens) {
+            stage_sens(t, &p, sens, h, dk3, dk4);
+            for (int e = 0; e < SENS; e++)
+                sens[e] += h * ((dk1[e] + 2.0 * dk2[e] + 2.0 * dk3[e] + dk4[e]) / 6.0);
+        }
         for (int c = 0; c < d; c++) {
             next[c] = x[c] + h * ((k1[c] + 2.0 * k2[c] + 2.0 * k3[c] + k4[c]) / 6.0);
             finite &= isfinite(next[c]) != 0;

@@ -10,8 +10,9 @@ check` about 0.7 s with interpreter start-up. The slowest checks are
 cubic-exactness and grid-endpoint (about 0.09 s each: 4000 steps of the
 generic integrator, one finiteness check per step) and adjoint-gradient
 (0.07 s, both adjoint modes against one FD gradient); the 4000-step
-shooting solve of solver-behavior takes 0.07 s. The closed-form flow and
-the references are sampled on whole time grids, one call per grid.
+shooting solve of solver-behavior, with exact Newton Jacobians, takes
+0.03 s. The closed-form flow and the references are sampled on whole time
+grids, one call per grid.
 """
 
 from __future__ import annotations

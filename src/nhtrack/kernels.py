@@ -1,13 +1,17 @@
 """Fixed-step RK4 rollouts for the particle flows.
 
-Shooting evaluates hundreds of full state-costate integrations (every
-finite-difference Jacobian column is two), so the inner loop matters. The
-RK4 loop and the three right-hand sides (reduced, unreduced, and coupled
-with the derived or paper-literal adjoint) live in the C file `_rk4.c`
-next to this module. Each rhs is transcribed term for term from the Python
-expressions it replaced, in the same evaluation order, and the file is
-compiled without floating-point contraction, so its IEEE double outputs are
-bit-identical to those of a Python-float loop.
+Shooting evaluates a full state-costate integration for every residual
+and every Jacobian, so the inner loop matters. The RK4 loop and the three
+right-hand sides (reduced, unreduced, and coupled with the derived or
+paper-literal adjoint) live in the C file `_rk4.c` next to this module.
+Each rhs is transcribed term for term from the Python expressions it
+replaced, in the same evaluation order, and the file is compiled without
+floating-point contraction, so its IEEE double outputs are bit-identical to
+those of a Python-float loop.
+
+The same loop can carry the forward sensitivity S = dz/dalpha of the
+coupled flow, from the hand-written Jacobian of the coupled rhs in
+`_rk4.c`; the states it writes are those of a plain rollout, bit for bit.
 
 The library is compiled with the system C compiler `cc` on first use and
 cached as `__pycache__/_rk4-<CRC-32 of source and flags>.so` beside this
@@ -29,6 +33,7 @@ import os
 import tempfile
 import zlib
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 
@@ -90,6 +95,7 @@ def _build(out_dir: Path, compiler: str = "cc") -> ctypes.CDLL:
         ctypes.c_void_p,  # half-grid reference table, (2*n_steps+1, 5), or NULL
         ctypes.c_double,  # eps
         ctypes.c_int,  # literal
+        ctypes.c_void_p,  # coupled sensitivity block, (10, 5) C-contiguous float64, or NULL
     ]
     lib.nh_rk4.restype = ctypes.c_long
     return lib
@@ -107,11 +113,12 @@ def _library() -> ctypes.CDLL:
     return _build(cache)
 
 
-def _rk4(system, x0, h: float, n_steps: int, label: str, ref=None, eps=0.0, literal=False):
+def _rk4(system, x0, h: float, n_steps: int, label: str, ref=None, eps=0.0, literal=False, sens=None):
     """Integrate one flow from x0; returns (n_steps+1, dim).
 
-    Raises DomainError at the first step whose result is not finite, with
-    the last finite state as payload.
+    sens, if given, is the (10, 5) sensitivity block at x0, advanced in
+    place to the last step. Raises DomainError at the first step whose
+    result is not finite, with the last finite state as payload.
     """
     kind, dim = system
     x0 = np.asarray(x0, dtype=float)
@@ -120,8 +127,9 @@ def _rk4(system, x0, h: float, n_steps: int, label: str, ref=None, eps=0.0, lite
     states = np.empty((n_steps + 1, dim))
     states[0] = x0
     ref_ptr = None if ref is None else ref.ctypes.data
+    sens_ptr = None if sens is None else sens.ctypes.data
     i = _library().nh_rk4(
-        kind, states.ctypes.data, states.shape[0] - 1, float(h), ref_ptr, float(eps), int(literal)
+        kind, states.ctypes.data, states.shape[0] - 1, float(h), ref_ptr, float(eps), int(literal), sens_ptr
     )
     if i >= 0:
         raise DomainError(f"{label} rollout left the finite domain at step {i}", x=states[i])
@@ -138,6 +146,13 @@ def rollout_unreduced(x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     return _rk4(_UNREDUCED, x0, h, n_steps, "unreduced")
 
 
+def _coupled(z0, h, n_steps, ref_half, eps, literal, sens=None):
+    if ref_half.shape != (2 * n_steps + 1, 5):
+        raise ValueError("reference table does not cover the half grid")
+    ref = np.ascontiguousarray(ref_half, dtype=float)
+    return _rk4(_COUPLED, z0, h, n_steps, "coupled", ref, eps, literal, sens)
+
+
 def rollout_coupled(
     z0: np.ndarray,
     h: float,
@@ -152,7 +167,25 @@ def rollout_coupled(
     half grid t0 + j*(h/2), shape (2*n_steps + 1, 5). literal selects the
     paper-literal adjoint instead of the derived one.
     """
-    if ref_half.shape != (2 * n_steps + 1, 5):
-        raise ValueError("reference table does not cover the half grid")
-    ref = np.ascontiguousarray(ref_half, dtype=float)
-    return _rk4(_COUPLED, z0, h, n_steps, "coupled", ref, eps, literal)
+    return _coupled(z0, h, n_steps, ref_half, eps, literal)
+
+
+def rollout_coupled_sensitivity(
+    z0: np.ndarray,
+    h: float,
+    n_steps: int,
+    ref_half: np.ndarray,
+    eps: float,
+    literal: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """rollout_coupled together with S_N = dz_N/dalpha, shape (10, 5).
+
+    alpha is the initial costate, entries 5..9 of z0, so S starts as
+    [0; I]. S_N is the exact derivative of the discrete RK4 map, and the
+    states are bit-identical to rollout_coupled's. S_N is not checked for
+    finiteness here.
+    """
+    sens = np.zeros((10, 5))
+    sens[5:] = np.eye(5)
+    states = _coupled(z0, h, n_steps, ref_half, eps, literal, sens)
+    return states, sens

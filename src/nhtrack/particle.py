@@ -84,17 +84,29 @@ def _annihilator(q: Array) -> Array:
     return np.array([[1.0, 0.0, q[1]]])
 
 
+def _dV(q: Array) -> Array:
+    return np.zeros(3)
+
+
+def _d_pforce(q: Array) -> Array:
+    return np.zeros((2, 3))
+
+
 def particle_system() -> NonholonomicSystem:
-    """Construct the constrained-particle system (n=3, k=2, V=0)."""
+    """Construct the constrained-particle system (n=3, k=2, V=0).
+
+    Every callable is a function of this module, so two calls give equal
+    systems: dataclass equality compares the callables by identity.
+    """
     return NonholonomicSystem(
         frame=AdaptedFrame(n=3, k=2, rho=_rho),
         christoffel=ChristoffelField(gamma=_gamma),
         metric=RestrictedMetricField(g=_metric, g_inv=_metric_inv),
-        potential=PotentialGradient(dV=lambda q: np.zeros(3)),
+        potential=PotentialGradient(dV=_dV),
         constraint_annihilator=_annihilator,
         d_rho=_d_rho,
         d_gamma=_d_gamma,
-        d_pforce=lambda q: np.zeros((2, 3)),
+        d_pforce=_d_pforce,
         name=PARTICLE_NAME,
     )
 

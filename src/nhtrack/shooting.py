@@ -1,11 +1,13 @@
 """Damped Newton iteration on the shooting residual.
 
 The unknown is the initial costate alpha; the residual is the terminal
-defect of one coupled integration. Jacobians come from central finite
-differences (the residual is smooth in alpha thanks to the fixed-step
-integrator), steps are damped by simple backtracking, and the 5x5 linear
-solves use partial-pivot elimination with an explicit pivot check so a
-rank-deficient Jacobian ends the solve with a reason instead of garbage.
+defect of one coupled integration. The Jacobian is the exact derivative of
+that discrete map, from the forward sensitivities the C kernel carries
+alongside the flow (`tracking.shooting_jacobian`); the central-difference
+`fd_jacobian` is kept as its oracle. Steps are damped by simple
+backtracking, and the 5x5 linear solves use partial-pivot elimination with
+an explicit pivot check so a rank-deficient Jacobian ends the solve with a
+reason instead of garbage.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .tracking import (
     controls_along,
     integrate_coupled,
     residual_from_trajectory,
+    shooting_jacobian,
     total_cost,
 )
 
@@ -41,15 +44,12 @@ class NewtonConfig:
 
     tol_residual: float = 1e-10
     max_iters: int = 100
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.tol_residual <= 0.0:
             raise ValueError("tol_residual must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
 
 
 @dataclass
@@ -100,48 +100,62 @@ def fd_jacobian(res: Callable[[Array], Array], alpha: Array, step: float) -> Arr
 def solve_pivoted(A: Array, b: Array) -> Array:
     """Solve A x = b by Gaussian elimination with partial pivoting.
 
-    Raises SingularJacobianError when the best available pivot falls below
-    PIVOT_TOL times the row scale of the original matrix.
+    The pivot is the first row with the largest |entry| in its column.
+    Raises SingularJacobianError when that pivot falls below PIVOT_TOL
+    times the row scale of the original matrix. The elimination runs on
+    Python floats: for the 5x5 shooting systems that is several times
+    faster than on numpy rows.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    d = A.shape[0]
-    scale = np.max(np.abs(A), axis=1)
-    scale[scale == 0.0] = 1.0
-    perm_scale = scale.copy()
+    rows = np.asarray(A, dtype=float).tolist()
+    rhs = np.asarray(b, dtype=float).tolist()
+    d = len(rows)
+    scale = [max(map(abs, row)) or 1.0 for row in rows]
     for col in range(d):
-        pivot_row = col + int(np.argmax(np.abs(A[col:, col])))
-        if abs(A[pivot_row, col]) < PIVOT_TOL * perm_scale[pivot_row]:
+        pivot_row = max(range(col, d), key=lambda r: abs(rows[r][col]))
+        pivot = rows[pivot_row][col]
+        if abs(pivot) < PIVOT_TOL * scale[pivot_row]:
             raise SingularJacobianError(
-                f"negligible pivot in column {col} (|pivot| = {abs(A[pivot_row, col]):.3e})"
+                f"negligible pivot in column {col} (|pivot| = {abs(pivot):.3e})"
             )
         if pivot_row != col:
-            A[[col, pivot_row]] = A[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-            perm_scale[[col, pivot_row]] = perm_scale[[pivot_row, col]]
-        inv_p = 1.0 / A[col, col]
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
+            scale[col], scale[pivot_row] = scale[pivot_row], scale[col]
+        top = rows[col]
+        inv_p = 1.0 / pivot
         for row in range(col + 1, d):
-            m = A[row, col] * inv_p
+            below = rows[row]
+            m = below[col] * inv_p
             if m != 0.0:
-                A[row, col + 1 :] -= m * A[col, col + 1 :]
-                b[row] -= m * b[col]
-    x = np.empty(d)
+                for c in range(col + 1, d):
+                    below[c] -= m * top[c]
+                rhs[row] -= m * rhs[col]
+    x = [0.0] * d
     for row in range(d - 1, -1, -1):
-        x[row] = (b[row] - A[row, row + 1 :] @ x[row + 1 :]) / A[row, row]
-    return x
+        r = rows[row]
+        acc = rhs[row]
+        for c in range(row + 1, d):
+            acc -= r[c] * x[c]
+        x[row] = acc / r[row]
+    return np.array(x)
 
 
 def newton_solve(
-    res: Callable[[Array], Array], alpha0: Array, cfg: NewtonConfig = NewtonConfig()
+    res: Callable[[Array], Array],
+    jac: Callable[[Array], Array],
+    alpha0: Array,
+    cfg: NewtonConfig = NewtonConfig(),
 ) -> ShootingReport:
-    """Backtracking Newton iteration on a square residual map.
+    """Backtracking Newton iteration on a square residual map res with
+    Jacobian jac, which is called once per iteration, at the accepted
+    iterate.
 
     Always returns a report; convergence is flagged, never raised. A step
     is accepted only when it strictly reduces the residual max-norm, so
     the recorded norm history is monotone. A DomainError at the starting
-    guess or in a Jacobian probe, or a singular Jacobian, ends the
-    iteration with a non-converged report whose message gives the reason
-    and whose alpha_star is the iterate where it happened.
+    guess or from jac, or a singular Jacobian, ends the iteration with a
+    non-converged report whose message gives the reason and whose
+    alpha_star is the iterate where it happened.
     """
     alpha = np.asarray(alpha0, dtype=float).copy()
     try:
@@ -161,7 +175,7 @@ def newton_solve(
     converged = norm <= cfg.tol_residual
     while not converged and iterations < cfg.max_iters:
         try:
-            J = fd_jacobian(res, alpha, cfg.fd_step)
+            J = jac(alpha)
         except DomainError as err:
             message = f"Jacobian left the domain: {err}"
             break
@@ -223,7 +237,10 @@ def solve_tracking(
     def res(alpha: Array) -> Array:
         return residual_from_trajectory(integrate_coupled(prob, alpha), prob)
 
-    report = newton_solve(res, alpha0, cfg)
+    def jac(alpha: Array) -> Array:
+        return shooting_jacobian(prob, alpha)
+
+    report = newton_solve(res, jac, alpha0, cfg)
     try:
         traj = integrate_coupled(prob, report.alpha_star)
     except DomainError:

@@ -28,7 +28,7 @@ from typing import Callable, Tuple, Union
 import numpy as np
 
 from . import kernels
-from .errors import ContractError, SingularProblemError
+from .errors import ContractError, DomainError, SingularProblemError
 from .geometry import (
     AdaptedState,
     NonholonomicSystem,
@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .integrators import Trajectory
 from .integrators import integrate  # noqa: F401 - perfbench/spans.py rebinds tracking.integrate
-from .particle import PARTICLE_NAME, analytic_constants, analytic_flow
+from .particle import PARTICLE_NAME, analytic_constants, analytic_flow, particle_system
 
 Array = np.ndarray
 RefSample = Tuple[Array, Array]
@@ -193,7 +193,8 @@ def reference_admissibility_defect(
 class TrackingProblem:
     """A complete tracking instance over a fixed horizon, for the bundled
     particle only: the rollouts run the particle's C RK4 kernel, so any
-    other system is rejected with ContractError.
+    system but `particle_system()`, one that carries the particle's name
+    with other callables among them, is rejected with ContractError.
 
     epsilon > 0 weights the control effort (zero is rejected: the
     stationary condition would no longer determine the control), omega > 0
@@ -222,6 +223,13 @@ class TrackingProblem:
     def __post_init__(self):
         if self.sys.name != PARTICLE_NAME:
             raise ContractError(f"only {PARTICLE_NAME} can be tracked, not {self.sys.name!r}")
+        # equality compares the callables by identity, the particle's own
+        # module functions: the kernel hard-codes their right-hand side
+        if self.sys != particle_system():
+            raise ContractError(
+                f"a system named {PARTICLE_NAME} must be particle_system(): the C kernel "
+                "integrates the particle's own right-hand side and Jacobian"
+            )
         if self.epsilon <= 0.0:
             raise SingularProblemError(
                 "epsilon must be positive; epsilon = 0 makes the tracking "
@@ -419,22 +427,21 @@ def coupled_field(t: float, z: Array, prob: TrackingProblem) -> Array:
     return np.concatenate([qdot, vdot, pdot.lam, pdot.mu])
 
 
-def integrate_coupled(prob: TrackingProblem, alpha: Array) -> Trajectory:
-    """Flow of the coupled system from (s0, alpha) over [0, T], by the
-    particle's C RK4 kernel (`coupled_field` is its generic oracle)."""
+def _kernel_args(prob: TrackingProblem, alpha: Array) -> tuple:
+    """Arguments of the coupled C kernels for the flow from (s0, alpha)."""
     alpha = np.asarray(alpha, dtype=float)
     n, k = prob.sys.n, prob.sys.k
     if alpha.shape != (n + k,):
         raise ContractError(f"alpha must have length {n + k}")
     z0 = np.concatenate([prob.s0.q, prob.s0.v, alpha])
-    states = kernels.rollout_coupled(
-        z0,
-        prob.h,
-        prob.N,
-        prob._ref_table,
-        prob.epsilon,
-        prob.adjoint_mode == "paper-literal",
-    )
+    literal = prob.adjoint_mode == "paper-literal"
+    return z0, prob.h, prob.N, prob._ref_table, prob.epsilon, literal
+
+
+def integrate_coupled(prob: TrackingProblem, alpha: Array) -> Trajectory:
+    """Flow of the coupled system from (s0, alpha) over [0, T], by the
+    particle's C RK4 kernel (`coupled_field` is its generic oracle)."""
+    states = kernels.rollout_coupled(*_kernel_args(prob, alpha))
     return Trajectory(times=prob.h * np.arange(prob.N + 1), states=states)
 
 
@@ -463,6 +470,29 @@ def residual_from_trajectory(traj: Trajectory, prob: TrackingProblem) -> Array:
     else:
         rows_q = lamT + prob.omega * (qT - q_rT)
         rows_v = muT.copy()
+    return np.concatenate([rows_q, rows_v])
+
+
+def shooting_jacobian(prob: TrackingProblem, alpha: Array) -> Array:
+    """Exact Jacobian dr/dalpha of the shooting residual of the discrete flow.
+
+    One rollout carries the sensitivity S_N = dz_N/dalpha (see
+    `kernels.rollout_coupled_sensitivity`), and each row below is the
+    derivative of the matching row of `residual_from_trajectory`. Raises
+    DomainError when the flow or S_N is not finite.
+    """
+    _, S = kernels.rollout_coupled_sensitivity(*_kernel_args(prob, alpha))
+    if not np.all(np.isfinite(S)):
+        raise DomainError("the sensitivity of the coupled flow is not finite")
+    n, k = prob.sys.n, prob.sys.k
+    dq, dv = S[:n], S[n : n + k]
+    dlam, dmu = S[n + k : 2 * n + k], S[2 * n + k :]
+    if prob.full_transversality:
+        rows_q = dlam - 2.0 * prob.omega * dq
+        rows_v = dmu - 2.0 * prob.omega * dv
+    else:
+        rows_q = dlam + prob.omega * dq
+        rows_v = dmu
     return np.concatenate([rows_q, rows_v])
 
 
@@ -525,8 +555,6 @@ def benchmark_problem(
 ) -> TrackingProblem:
     """The bundled benchmark: particle from ((0.5, 0.2, 0.7), (0.5, 0.4))
     tracking the constant-z-line reference (1, 0, t+1, 0, 1)."""
-    from .particle import particle_system
-
     return TrackingProblem(
         sys=particle_system(),
         ref=constant_z_line(x_r=1.0, z_offset=1.0, speed=1.0),

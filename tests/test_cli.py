@@ -138,12 +138,16 @@ class TestWriteCsv:
 
 
 class TestTrackCsvBytes:
+    # recorded from the solve with exact Newton Jacobians; the file of the
+    # finite-difference Newton solve differed by at most 2.8e-14 per cell
+    DIGEST = "30335ff2100db4ad0627d126ee9aa3ba75c009b67b9dcfeaaa9da8863d140e21"
+
     def test_track_400_csv_sha256_pinned(self, tmp_path):
-        """`nhtrack track --steps 400` writes the same track.csv bytes as the
-        per-cell repr(float(v)) writer it replaced."""
+        """`nhtrack track --steps 400` writes the same track.csv bytes from
+        run to run and build to build."""
         assert main(["track", "--steps", "400", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "track.csv").read_bytes()).hexdigest()
-        assert digest == "e6091507ac0574484a0cc9eb89ed8369e3ade65c0df3bdf0f4ff181e67b37ad4"
+        assert digest == self.DIGEST
 
 
 class TestFlowCsvBytes:
@@ -335,7 +339,7 @@ class TestCommands:
         guess is still written."""
         from nhtrack import shooting
 
-        monkeypatch.setattr(shooting, "fd_jacobian", lambda res, alpha, step: np.zeros((5, 5)))
+        monkeypatch.setattr(shooting, "shooting_jacobian", lambda prob, alpha: np.zeros((5, 5)))
         rc = main(["track", "--out", str(tmp_path), "--steps", "400"])
         assert rc == 2
         report = (tmp_path / "report.txt").read_text()

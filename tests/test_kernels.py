@@ -85,6 +85,14 @@ TRACK_ALPHA = np.array(
 )
 TRACK_J = 5.271431831871028
 
+# alpha* and J of the N=400 benchmark solve with the exact Newton Jacobian.
+# They differ from TRACK_ALPHA and TRACK_J, found with finite-difference
+# Jacobians, by at most 9 units in the last place.
+SOLVE_ALPHA = np.array(
+    [-3.3738608687695826, 6.125942425341016, -2.471449523238801, 7.865586352049729, -4.077189439249364]
+)
+SOLVE_J = 5.271431831871029
+
 
 class TestBitExactOutputs:
     def test_reduced_n4000(self):
@@ -140,8 +148,69 @@ class TestBitExactOutputs:
 
         report = solve_tracking(benchmark_problem(N=400))
         assert report.converged
-        assert np.array_equal(report.alpha_star, TRACK_ALPHA)
-        assert report.cost == TRACK_J
+        assert np.array_equal(report.alpha_star, SOLVE_ALPHA)
+        assert report.cost == SOLVE_J
+
+
+COUPLED_DIGESTS = {
+    "derived": "1d068cb43a790a7e49a03dec63c5aa8721d0c1fbd04c3f6cb28eb55e333aa3a0",
+    "paper-literal": "f95d2c72cbcc9b6ae8b559547fccf070304557449b9ae25536f0f8e6342bb46c",
+}
+
+
+class TestSensitivity:
+    """The forward sensitivity S_N = dz_N/dalpha carried by the RK4 kernel,
+    and the exact shooting Jacobian built from it."""
+
+    @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
+    def test_states_bit_identical_to_plain_rollout(self, mode):
+        from nhtrack.tracking import _kernel_args, benchmark_problem
+
+        prob = benchmark_problem(N=400, adjoint_mode=mode)
+        states, sens = kernels.rollout_coupled_sensitivity(*_kernel_args(prob, TRACK_ALPHA))
+        assert _sha256(states) == COUPLED_DIGESTS[mode]
+        assert sens.shape == (10, 5)
+
+    @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
+    def test_every_row_matches_central_differences(self, mode):
+        from nhtrack.tracking import _kernel_args, benchmark_problem
+
+        prob = benchmark_problem(N=400, adjoint_mode=mode)
+        _, sens = kernels.rollout_coupled_sensitivity(*_kernel_args(prob, TRACK_ALPHA))
+        fd = np.empty((10, 5))
+        for j in range(5):
+            e = np.zeros(5)
+            e[j] = 1e-6 * max(1.0, abs(TRACK_ALPHA[j]))
+            plus = kernels.rollout_coupled(*_kernel_args(prob, TRACK_ALPHA + e))[-1]
+            minus = kernels.rollout_coupled(*_kernel_args(prob, TRACK_ALPHA - e))[-1]
+            fd[:, j] = (plus - minus) / (2.0 * e[j])
+        scale = np.max(np.abs(fd), axis=1, keepdims=True)
+        assert np.max(np.abs(sens - fd) / scale) <= 1e-6
+
+    # (T, epsilon, N, alpha): the N=400 benchmark at alpha = 0 and at
+    # TRACK_ALPHA, and the failure-map points (N = 250*T) whose flow is
+    # finite at alpha = 0; the other six leave the finite domain there.
+    POINTS = [
+        (4.0, 7.0, 400, np.zeros(5)),
+        (4.0, 7.0, 400, TRACK_ALPHA),
+        (4.0, 1.0, 1000, np.zeros(5)),
+        (4.0, 7.0, 1000, np.zeros(5)),
+        (8.0, 7.0, 2000, np.zeros(5)),
+    ]
+
+    @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
+    @pytest.mark.parametrize("full_transversality", [True, False])
+    @pytest.mark.parametrize("T, epsilon, N, alpha", POINTS)
+    def test_shooting_jacobian_matches_fd_oracle(self, mode, full_transversality, T, epsilon, N, alpha):
+        from nhtrack.shooting import fd_jacobian
+        from nhtrack.tracking import benchmark_problem, shooting_jacobian, shooting_residual
+
+        prob = benchmark_problem(
+            epsilon=epsilon, T=T, N=N, adjoint_mode=mode, full_transversality=full_transversality
+        )
+        fd = fd_jacobian(lambda a: shooting_residual(a, prob), alpha, 1e-6)
+        exact = shooting_jacobian(prob, alpha)
+        assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 class TestBackendSelection:
@@ -161,7 +230,7 @@ class TestKernelBuild:
         states[0] = np.concatenate([prob.s0.q, prob.s0.v, TRACK_ALPHA])
         ref = np.ascontiguousarray(prob._ref_table)
         kind, _ = kernels._COUPLED
-        assert lib.nh_rk4(kind, states.ctypes.data, 400, prob.h, ref.ctypes.data, prob.epsilon, 0) == -1
+        assert lib.nh_rk4(kind, states.ctypes.data, 400, prob.h, ref.ctypes.data, prob.epsilon, 0, None) == -1
         return _sha256(states)
 
     def test_fresh_build_matches_pinned_digest(self, tmp_path):

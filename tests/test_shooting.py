@@ -1,8 +1,9 @@
-"""Tests for the FD Jacobian, pivoted elimination, and damped Newton."""
+"""Tests for the FD and exact Jacobians, pivoted elimination, and damped Newton."""
 
 import numpy as np
 import pytest
 
+from nhtrack import kernels
 from nhtrack.errors import DomainError, SingularJacobianError, SingularProblemError
 from nhtrack.geometry import AdaptedState
 from nhtrack.shooting import (
@@ -76,11 +77,26 @@ class TestSolvePivoted:
             solve_pivoted(A, np.ones(2))
 
 
+    def test_matches_numpy_on_well_conditioned_systems(self):
+        """The Python-float elimination sums in its own order: it agrees with
+        numpy.linalg.solve to 1e-12 relative when cond(A) < 100."""
+        rng = np.random.default_rng(11)
+        tested = 0
+        while tested < 200:
+            A = rng.uniform(-1, 1, (5, 5))
+            if np.linalg.cond(A) >= 100.0:
+                continue
+            b = rng.uniform(-1, 1, 5)
+            x = np.linalg.solve(A, b)
+            assert np.max(np.abs(solve_pivoted(A, b) - x)) <= 1e-12 * np.max(np.abs(x))
+            tested += 1
+
+
 class TestNewtonSolve:
     def test_affine_converges_in_one_iteration(self):
         A = RNG.uniform(-2, 2, (5, 5)) + 3.0 * np.eye(5)
         x_star = RNG.uniform(-1, 1, 5)
-        report = newton_solve(lambda x: A @ (x - x_star), np.zeros(5), NewtonConfig())
+        report = newton_solve(lambda x: A @ (x - x_star), lambda x: A, np.zeros(5), NewtonConfig())
         assert report.converged
         assert report.iterations == 1
         np.testing.assert_allclose(report.alpha_star, x_star, atol=1e-9)
@@ -88,7 +104,10 @@ class TestNewtonSolve:
     def test_scalar_cube_root(self):
         """x^3 - 8 from x0 = 3: classic quadratic convergence to 2."""
         report = newton_solve(
-            lambda x: np.array([x[0] ** 3 - 8.0]), np.array([3.0]), NewtonConfig()
+            lambda x: np.array([x[0] ** 3 - 8.0]),
+            lambda x: np.array([[3.0 * x[0] ** 2]]),
+            np.array([3.0]),
+            NewtonConfig(),
         )
         assert report.converged
         assert report.iterations <= 10
@@ -97,6 +116,7 @@ class TestNewtonSolve:
     def test_monotone_residual_history(self):
         report = newton_solve(
             lambda x: np.array([x[0] ** 3 + x[0] - 1.0, x[1] ** 3 + x[1] - 1.0]),
+            lambda x: np.diag(3.0 * x**2 + 1.0),
             np.array([2.0, -2.0]),
             NewtonConfig(),
         )
@@ -112,6 +132,7 @@ class TestNewtonSolve:
     def test_max_iterations_reported_not_raised(self):
         report = newton_solve(
             lambda x: np.array([np.exp(x[0])]),  # no root
+            lambda x: np.array([[np.exp(x[0])]]),
             np.array([0.0]),
             NewtonConfig(max_iters=5),
         )
@@ -122,7 +143,7 @@ class TestNewtonSolve:
         def res(x):
             raise DomainError("flow blew up")
 
-        report = newton_solve(res, np.array([1.0, 2.0]), NewtonConfig())
+        report = newton_solve(res, lambda x: np.eye(2), np.array([1.0, 2.0]), NewtonConfig())
         assert not report.converged
         assert report.iterations == 0
         assert report.residual_norms == []
@@ -135,7 +156,9 @@ class TestNewtonSolve:
                 raise DomainError("flow blew up")
             return x - 0.25
 
-        report = newton_solve(res, np.array([0.0, 0.5]), NewtonConfig(fd_step=1e-2))
+        report = newton_solve(
+            res, lambda x: fd_jacobian(res, x, 1e-2), np.array([0.0, 0.5]), NewtonConfig()
+        )
         assert not report.converged
         assert report.iterations == 0
         assert len(report.residual_norms) == 1
@@ -147,7 +170,9 @@ class TestNewtonSolve:
         def res(x):
             return np.array([x[0] + x[1] - 1.0, 2.0 * (x[0] + x[1]) - 2.0])
 
-        report = newton_solve(res, np.array([5.0, -1.0]), NewtonConfig())
+        report = newton_solve(
+            res, lambda x: np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([5.0, -1.0]), NewtonConfig()
+        )
         assert not report.converged
         assert report.iterations == 0
         assert report.residual_norms == [6.0]
@@ -159,8 +184,6 @@ class TestNewtonSolve:
             NewtonConfig(tol_residual=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            NewtonConfig(fd_step=-1.0)
 
 
 class TestSolveTracking:
@@ -221,6 +244,23 @@ class TestSolveTracking:
             report.controls, -report.trajectory.states[:, 8:] / prob.epsilon
         )
         assert report.cost > 0.0
+
+    def test_non_finite_sensitivity_reported_not_raised(self, monkeypatch):
+        """A non-finite S_N ends the solve with a Jacobian report."""
+        rollout = kernels.rollout_coupled_sensitivity
+
+        def nan_sensitivity(*args):
+            states, sens = rollout(*args)
+            sens[0, 0] = np.nan
+            return states, sens
+
+        monkeypatch.setattr(kernels, "rollout_coupled_sensitivity", nan_sensitivity)
+        report = solve_tracking(benchmark_problem(N=400))
+        assert not report.converged
+        assert report.iterations == 0
+        assert "Jacobian left the domain" in report.message and "not finite" in report.message
+        np.testing.assert_array_equal(report.alpha_star, np.zeros(5))
+        assert report.trajectory is not None
 
     def test_singular_problem_rejected_before_solving(self):
         with pytest.raises(SingularProblemError):

@@ -1,5 +1,6 @@
 """Tests for costs, Hamiltonian, adjoint modes, coupled flow, and residual."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from nhtrack import checks
 from nhtrack.errors import ContractError, SingularProblemError
-from nhtrack.geometry import AdaptedState, NonholonomicSystem
+from nhtrack.geometry import AdaptedState, ChristoffelField, NonholonomicSystem, PotentialGradient
 from nhtrack.integrators import Trajectory, VectorField, integrate
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
 from nhtrack.shooting import fd_jacobian
@@ -382,6 +383,20 @@ class TestTrackingProblem:
             d_pforce=SYS.d_pforce,
         )
         with pytest.raises(ContractError, match="only nonholonomic-particle can be tracked"):
+            TrackingProblem(sys=other, ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_rho", lambda q: 2.0 * SYS.d_rho(q)),
+        ("christoffel", ChristoffelField(gamma=lambda q: 2.0 * SYS.christoffel.gamma(q))),
+        ("potential", PotentialGradient(dV=lambda q: np.ones(3))),
+    ])
+    def test_rejects_particle_name_with_other_callables(self, field, value):
+        """The C kernel integrates the particle's own right-hand side, so a
+        system that keeps the particle's name but swaps a callable is not
+        tracked with it."""
+        other = dataclasses.replace(SYS, **{field: value})
+        assert other.name == SYS.name
+        with pytest.raises(ContractError, match="must be particle_system"):
             TrackingProblem(sys=other, ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0)
 
     def test_reference_table_matches_samples(self):
