@@ -5,14 +5,14 @@ Each check re-verifies one contract of the library on the bundled
 particle: frame algebra, conservation laws, oracle agreement between the
 reduced and unreduced dynamics, adjoint-gradient consistency, residual
 smoothness, and solver behavior. Everything is deterministic (fixed RNG
-seeds). The suite takes about 0.35 s on a 2-vCPU Xeon VM, and `nhtrack
-check` about 0.7 s with interpreter start-up. The slowest checks are
-cubic-exactness and grid-endpoint (about 0.09 s each: 4000 steps of the
-generic integrator, one finiteness check per step) and adjoint-gradient
-(0.07 s, both adjoint modes against one FD gradient); the 4000-step
-shooting solve of solver-behavior, with exact Newton Jacobians, takes
-0.03 s. The closed-form flow and the references are sampled on whole time
-grids, one call per grid.
+seeds). The suite takes about 0.24 s on a 2-vCPU Xeon VM, and `nhtrack
+check` about 0.63 s with interpreter start-up. The slowest checks are
+adjoint-gradient (0.05-0.07 s, both adjoint modes against one FD
+gradient), then cubic-exactness and grid-endpoint (0.03-0.06 s each: 4000
+steps of the generic integrator, which runs on Python floats); the
+4000-step shooting solve of solver-behavior, with exact Newton Jacobians,
+takes 0.04 s. The closed-form flow and the references are sampled on
+whole time grids, one call per grid.
 """
 
 from __future__ import annotations

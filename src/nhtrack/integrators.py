@@ -5,14 +5,17 @@ particular) a smooth, reproducible function of its inputs; adaptive
 stepping would turn finite-difference Jacobians into noise. Grid times
 are always formed as t0 + i*h with h computed once, never accumulated.
 
-One RK4 formula (`_rk4`) serves both entry points. `rk4_step` checks
-every stage for finiteness; `integrate` checks each step's result and
-re-runs only a failing step through `rk4_step`.
+The RK4 formula has two copies, pinned bit-identical by the tests.
+`rk4_step` runs `_rk4` on arrays and checks every stage for finiteness.
+`integrate` runs each step on Python floats, where numpy's dispatch on
+small arrays would cost more than most fields, and re-runs a step that
+fails any of its checks through `rk4_step`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,44 +88,68 @@ def rk4_step(vf: VectorField, t: float, x: Array, h: float) -> Array:
 def integrate(vf: VectorField, t0: float, x0: Array, T: float, N: int) -> Trajectory:
     """Integrate over [t0, t0+T] with N uniform steps; returns N+1 rows.
 
-    A non-finite slope always makes the step's result non-finite, so each
-    step is checked once. A step whose result is not finite, which raised,
-    or which set numpy's overflow, invalid or divide flag is run again
-    through rk4_step (calling the field again): the error is then
-    "step i: " plus rk4_step's, with the failing stage's t and x, or the
-    field's own exception, with the warnings rk4_step gives.
+    Each step runs on Python floats: the field gets a Python float t and a
+    fresh array, its slope becomes a list, and the stage inputs and the
+    update are formed element by element with the grouping of `_rk4`, so
+    this loop is a second copy of the formula, pinned bit-identical to a
+    loop of `rk4_step` by the tests. A step goes through the checked path
+    instead, rk4_step (calling the field again), when it raised or set
+    numpy's overflow, invalid or divide flag, when a slope does not have
+    exactly dim entries, or when a stage input or the result is not
+    finite. The error is then "step i: " plus rk4_step's, with the failing
+    stage's t and x, or the field's own exception, and the broadcasting
+    and warnings are rk4_step's.
     """
     if N < 1:
         raise ContractError("step count must be at least 1")
     if T <= 0.0:
         raise ContractError("horizon must be positive")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (vf.dim,):
-        raise ContractError(f"initial state shape {x0.shape} does not match dim {vf.dim}")
+    dim = vf.dim
+    if x0.shape != (dim,):
+        raise ContractError(f"initial state shape {x0.shape} does not match dim {dim}")
     h = T / N
+    hh = 0.5 * h
     times = t0 + h * np.arange(N + 1)
-    states = np.empty((N + 1, vf.dim))
+    states = np.empty((N + 1, dim))
     states[0] = x0
-    x = x0
+    ts = times.tolist()
+    x = x0.tolist()
 
     def slope(t, y):
-        return np.asarray(vf.f(t, y), dtype=float)
+        if not all(map(isfinite, y)):
+            raise FloatingPointError("non-finite stage input")
+        k = np.asarray(vf.f(t, np.array(y)), dtype=float).tolist()
+        if len(k) != dim:  # a 0-d slope raises TypeError here
+            raise ValueError("slope length does not match dim")
+        return k
 
     caller = np.geterr()
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for i in range(N):
+            t = ts[i]
             try:
-                x_next = _rk4(slope, times[i], x, h)
-                ok = bool(np.isfinite(x_next).all())
+                k1 = slope(t, x)
+                k2 = slope(t + hh, [a + hh * b for a, b in zip(x, k1)])
+                k3 = slope(t + hh, [a + hh * b for a, b in zip(x, k2)])
+                k4 = slope(t + h, [a + h * b for a, b in zip(x, k3)])
+                x_next = [
+                    a + h * ((b + 2.0 * c + 2.0 * d + e) / 6.0)
+                    for a, b, c, d, e in zip(x, k1, k2, k3, k4)
+                ]
+                ok = all(map(isfinite, x_next))
             except Exception:  # the checked re-run raises it again, or an earlier stage's error
                 ok = False
-            if not ok:
-                try:
-                    with np.errstate(**caller):
-                        x_next = rk4_step(vf, times[i], x, h)
-                except DomainError as err:
-                    raise DomainError(f"step {i}: {err}", t=err.t, x=err.x) from err
-            states[i + 1] = x = x_next
+            if ok:
+                states[i + 1] = x = x_next
+                continue
+            try:
+                with np.errstate(**caller):
+                    x_next = rk4_step(vf, times[i], np.array(x), h)
+            except DomainError as err:
+                raise DomainError(f"step {i}: {err}", t=err.t, x=err.x) from err
+            states[i + 1] = x_next
+            x = states[i + 1].tolist()
     return Trajectory(times=times, states=states)
 
 

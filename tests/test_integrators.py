@@ -10,6 +10,7 @@ from nhtrack.errors import ContractError, DegenerateFitError, DomainError
 from nhtrack.geometry import AdaptedState, admissible_velocity, nh_acceleration
 from nhtrack.integrators import Trajectory, VectorField, convergence_order, integrate, rk4_step
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
+from nhtrack.tracking import benchmark_problem, coupled_field
 
 S0 = np.array([0.5, 0.2, 0.7, 0.5, 0.4])
 
@@ -186,6 +187,72 @@ class TestIntegrate:
     def test_trajectory_row_count_validated(self):
         with pytest.raises(ContractError):
             Trajectory(times=np.arange(3.0), states=np.zeros((2, 1)))
+
+
+def rk4_step_loop(vf, t0, x0, T, N):
+    """Times and states of N plain rk4_step calls: the reference formula."""
+    h = T / N
+    times = t0 + h * np.arange(N + 1)
+    states = [np.asarray(x0, dtype=float)]
+    for i in range(N):
+        states.append(rk4_step(vf, times[i], states[-1], h))
+    return times, np.array(states)
+
+
+def _coupled_case(mode):
+    prob = benchmark_problem(N=400, adjoint_mode=mode)
+    z0 = np.concatenate([S0, [0.2, -0.4, 0.1, 0.3, -0.2]])
+    return VectorField(dim=10, f=lambda t, z: coupled_field(t, z, prob)), 0.0, z0, prob.T, prob.N
+
+
+BIT_IDENTICAL_CASES = {
+    # the fields of the grid-endpoint and cubic-exactness checks
+    "grid-endpoint": lambda: (VectorField(dim=1, f=lambda t, x: np.zeros(1)), 0.25, np.zeros(1), 4.0, 4000),
+    "cubic-exactness": lambda: (
+        VectorField(dim=1, f=lambda t, x: np.array([3.0 * t**2 - 2.0 * t + 0.5])),
+        0.0,
+        np.array([1.0]),
+        4.0,
+        4000,
+    ),
+    "reduced-particle": lambda: (reduced_field(), 0.0, S0, 4.0, 1000),
+    "coupled-derived": lambda: _coupled_case("derived"),
+    "coupled-paper-literal": lambda: _coupled_case("paper-literal"),
+    "list-slope": lambda: (VectorField(dim=2, f=lambda t, x: [x[1], -x[0] + t]), 0.0, np.array([1.0, -0.5]), 3.0, 300),
+}
+
+
+class TestIntegrateMatchesRk4Step:
+    """integrate's float loop is a second copy of the RK4 formula; these
+    pin it bit for bit to the checked per-step path."""
+
+    @pytest.mark.parametrize("case", sorted(BIT_IDENTICAL_CASES))
+    def test_bit_identical_to_rk4_step_loop(self, case):
+        vf, t0, x0, T, N = BIT_IDENTICAL_CASES[case]()
+        traj = integrate(vf, t0, x0, T, N)
+        times, states = rk4_step_loop(vf, t0, x0, T, N)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+
+    def test_slope_longer_than_dim_raises_broadcast_error(self):
+        vf = VectorField(dim=2, f=lambda t, x: np.ones(3))
+        with pytest.raises(ValueError) as err:
+            integrate(vf, 0.0, np.zeros(2), 1.0, 2)
+        assert str(err.value) == "operands could not be broadcast together with shapes (2,) (3,) "
+
+    def test_scalar_slope_broadcasts(self):
+        traj = integrate(VectorField(dim=2, f=lambda t, x: 1.5), 0.0, np.zeros(2), 1.0, 2)
+        assert traj.states.tolist() == [[0.0, 0.0], [0.75, 0.75], [1.5, 1.5]]
+
+    def test_overflowing_stage_input_takes_checked_path(self):
+        """Stage 2's input overflows to inf, yet the step's result is
+        finite; the step still goes through rk4_step, which warns once."""
+        vf = VectorField(dim=1, f=lambda t, x: np.array([1e308 if t == 0.0 else 0.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = integrate(vf, 0.0, np.zeros(1), 4.0, 1)
+        assert traj.states[1].tolist() == [6.666666666666666e307]
+        assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
 
 
 class TestConvergenceOrder:
