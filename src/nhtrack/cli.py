@@ -19,6 +19,7 @@ last iterate is finite), 3 internal/domain error (including a failed check).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -50,6 +51,8 @@ from .tracking import (
 )
 
 CSV_HEADER = "t,x,y,z,v1,v2,u1,u2,l1,l2,l3,m1,m2,x_r,y_r,z_r,v1_r,v2_r"
+# rows write_csv formats per call of the compiled formatter
+CSV_CHUNK_ROWS = 256
 
 REFERENCE_KINDS = (KIND_LINE, KIND_FREE_FLOW, KIND_TABULATED)
 
@@ -236,30 +239,45 @@ def write_csv(
 ) -> None:
     """Write the fixed 18-column CSV (states, controls, costates, reference).
 
-    Floats are formatted with shortest round-trip precision so a re-parse
-    reproduces the arrays bit-exactly. Reduced 5-column trajectories get
-    zero costates; missing controls/reference columns are zero-filled.
+    Floats are written as repr writes them, with shortest round-trip
+    precision, so a re-parse reproduces the arrays bit-exactly; the text
+    comes from the compiled formatter `kernels.format_csv`. Reduced
+    5-column trajectories get zero costates; missing controls/reference
+    columns are zero-filled. The table is written CSV_CHUNK_ROWS rows at a
+    time through one reused block and text buffer, so the memory this
+    takes does not grow with the number of rows.
     """
     npts = traj.times.shape[0]
     states = traj.states
     if states.shape[1] == 10:
         body, costates = states[:, :5], states[:, 5:]
     elif states.shape[1] == 5:
-        body, costates = states, np.zeros((npts, 5))
+        body, costates = states, None
     else:
         raise NhtrackError(f"cannot serialize trajectory with {states.shape[1]} columns")
-    if controls is None:
-        controls = np.zeros((npts, 2))
-    if reference is None:
-        reference = np.zeros((npts, 5))
-    if controls.shape[0] != npts or reference.shape[0] != npts:
-        raise NhtrackError("controls/reference rows do not align with the trajectory grid")
-    rows = np.column_stack([traj.times, body, controls, costates, reference]).tolist()
+    for name, values, width in (("controls", controls, 2), ("reference", reference, 5)):
+        if values is not None and values.shape != (npts, width):
+            raise NhtrackError(
+                f"{name} of shape {values.shape} does not align with the trajectory grid: need ({npts}, {width})"
+            )
+    # (first column, last column + 1, values or None for zeros) in CSV_HEADER order
+    parts = (
+        (0, 1, traj.times[:, None]),
+        (1, 6, body),
+        (6, 8, controls),
+        (8, 13, costates),
+        (13, 18, reference),
+    )
+    block = np.empty((min(npts, CSV_CHUNK_ROWS), 18))
+    text = np.empty(kernels.CSV_VALUE_BYTES * block.size, dtype=np.uint8)
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join(map(repr, row)) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(CSV_HEADER.encode() + b"\n")
+            for start in range(0, npts, CSV_CHUNK_ROWS):
+                rows = block[: min(CSV_CHUNK_ROWS, npts - start)]
+                for lo, hi, values in parts:
+                    rows[:, lo:hi] = 0.0 if values is None else values[start : start + len(rows)]
+                fh.write(kernels.format_csv(rows, text))
     except OSError as err:
         raise NhtrackError(f"cannot write CSV to {path}: {err}") from err
 
@@ -497,7 +515,10 @@ def run(command: str, cfg: ExperimentConfig) -> int:
     return COMMANDS[command](cfg)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nhtrack",
         description=(

@@ -1,4 +1,4 @@
-"""Fixed-step RK4 rollouts for the particle flows.
+"""Compiled kernels: fixed-step RK4 rollouts for the particle flows, and CSV text.
 
 Shooting evaluates a full state-costate integration for every residual
 and every Jacobian, so the inner loop matters. The RK4 loop and the three
@@ -13,8 +13,12 @@ The same loop can carry the forward sensitivity S = dz/dalpha of the
 coupled flow, from the hand-written Jacobian of the coupled rhs in
 `_rk4.c`; the states it writes are those of a plain rollout, bit for bit.
 
-The library is compiled with the system C compiler `cc` on first use and
-cached as `__pycache__/_rk4-<CRC-32 of source and flags>.so` beside this
+The same library formats float64 tables as CSV text (`format_csv`), each
+value exactly as Python's repr writes it, from the C++17 file `_csv.cc`.
+
+Both sources are compiled by one call of the system compiler `cc` on first
+use (which must also compile C++17 with a floating-point std::to_chars) and
+cached as `__pycache__/_rk4-<CRC-32 of sources and flags>.so` beside this
 module (in a private temporary directory when `__pycache__` is not
 writable). This module allocates every array, checks its shape and passes
 it to the library through ctypes.
@@ -39,9 +43,14 @@ import numpy as np
 
 from .errors import DomainError, KernelBuildError
 
-_SOURCE = Path(__file__).with_name("_rk4.c")
+_SOURCES = (Path(__file__).with_name("_rk4.c"), Path(__file__).with_name("_csv.cc"))
 # no -ffast-math or -march=native: both may reorder or fuse the arithmetic
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_LIBS = ("-lstdc++",)
+
+# bytes format_csv needs per value: the longest repr of a double,
+# '-2.2250738585072014e-308', and its separator
+CSV_VALUE_BYTES = 25
 
 # the system index and state dimension of each flow in _rk4.c
 _REDUCED, _UNREDUCED, _COUPLED = (0, 5), (1, 6), (2, 10)
@@ -55,31 +64,31 @@ def backend() -> str:
 def _build(out_dir: Path, compiler: str = "cc") -> ctypes.CDLL:
     """Load the kernel library cached in out_dir, compiling it there if absent.
 
-    The file name carries a CRC-32 of the source and the flags, so an
+    The file name carries a CRC-32 of the sources and the flags, so an
     edited source is compiled afresh. (Not a SHA-256: importing hashlib
     loads OpenSSL, which adds about 4 MB to the peak RSS of every process.)
     The compiler writes to a temporary name that is then moved into place,
     so a concurrent load never sees a partial file. Raises KernelBuildError
     when the compiler cannot run or fails.
     """
-    digest = zlib.crc32(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode())
-    path = Path(out_dir) / f"_rk4-{digest:08x}.so"
+    path = Path(out_dir) / _library_name()
     if not path.exists():
         import subprocess  # only a cold cache needs it; it costs every import 6 ms
 
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=out_dir)
         os.close(fd)
         try:
-            cmd = [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)]
+            cmd = [compiler, *_CFLAGS, "-o", tmp, *map(str, _SOURCES), *_LIBS]
+            names = " and ".join(src.name for src in _SOURCES)
             try:
                 proc = subprocess.run(cmd, capture_output=True, text=True)
             except OSError as err:
                 raise KernelBuildError(
-                    f"cannot run the C compiler '{compiler}' to build {_SOURCE.name}: {err}"
+                    f"cannot run the C compiler '{compiler}' to build {names}: {err}"
                 ) from err
             if proc.returncode != 0:
                 raise KernelBuildError(
-                    f"the C compiler '{compiler}' failed to build {_SOURCE.name}"
+                    f"the C compiler '{compiler}' failed to build {names}"
                     f" (exit {proc.returncode}):\n{proc.stderr}"
                 )
             os.replace(tmp, path)
@@ -98,12 +107,27 @@ def _build(out_dir: Path, compiler: str = "cc") -> ctypes.CDLL:
         ctypes.c_void_p,  # coupled sensitivity block, (10, 5) C-contiguous float64, or NULL
     ]
     lib.nh_rk4.restype = ctypes.c_long
+    lib.nh_csv_format.argtypes = [
+        ctypes.c_void_p,  # table, (rows, cols) C-contiguous float64
+        ctypes.c_long,  # rows
+        ctypes.c_long,  # cols
+        ctypes.c_void_p,  # text out, at least CSV_VALUE_BYTES*rows*cols bytes
+    ]
+    lib.nh_csv_format.restype = ctypes.c_long
     return lib
+
+
+def _library_name() -> str:
+    digest = 0
+    for src in _SOURCES:
+        digest = zlib.crc32(src.read_bytes(), digest)
+    digest = zlib.crc32(" ".join(_CFLAGS + _LIBS).encode(), digest)
+    return f"_rk4-{digest:08x}.so"
 
 
 @functools.cache
 def _library() -> ctypes.CDLL:
-    cache = _SOURCE.with_name("__pycache__")
+    cache = _SOURCES[0].with_name("__pycache__")
     try:
         cache.mkdir(exist_ok=True)
     except OSError:
@@ -189,3 +213,23 @@ def rollout_coupled_sensitivity(
     sens[5:] = np.eye(5)
     states = _coupled(z0, h, n_steps, ref_half, eps, literal, sens)
     return states, sens
+
+
+def format_csv(table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the (rows, cols) table into out as comma-separated lines, each
+    ended by '\\n'; returns the view of out that holds them.
+
+    Every value is written as repr(float(value)) writes it, so the text
+    parses back to the same doubles. out is a contiguous uint8 buffer of
+    at least CSV_VALUE_BYTES * rows * cols bytes; a binary file takes the
+    result as is.
+    """
+    table = np.ascontiguousarray(table, dtype=float)
+    if table.ndim != 2:
+        raise ValueError("format_csv needs a 2-D table")
+    rows, cols = table.shape
+    need = CSV_VALUE_BYTES * rows * cols
+    if out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous or out.size < need:
+        raise ValueError(f"format_csv needs a contiguous uint8 buffer of at least {need} bytes")
+    n = _library().nh_csv_format(table.ctypes.data, rows, cols, out.ctypes.data)
+    return out[:n]

@@ -5,7 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from nhtrack import cli
 from nhtrack.cli import (
+    CSV_CHUNK_ROWS,
     CSV_HEADER,
     ExperimentConfig,
     main,
@@ -13,7 +15,7 @@ from nhtrack.cli import (
     read_csv,
     write_csv,
 )
-from nhtrack.errors import ConfigError
+from nhtrack.errors import ConfigError, NhtrackError
 from nhtrack.integrators import Trajectory
 
 
@@ -135,6 +137,49 @@ class TestWriteCsv:
             assert np.all(data[name] == controls[:, j])
         for j, name in enumerate(("x_r", "y_r", "z_r", "v1_r", "v2_r")):
             assert np.all(data[name] == reference[:, j])
+
+
+    @pytest.mark.parametrize("controls, reference", [
+        (np.zeros((3, 2)), None),
+        (np.zeros((2, 3)), None),
+        (None, np.zeros((2, 6))),
+    ])
+    def test_misaligned_columns_rejected_before_writing(self, tmp_path, controls, reference):
+        traj = Trajectory(times=np.array([0.0, 0.5]), states=np.zeros((2, 5)))
+        path = tmp_path / "out.csv"
+        with pytest.raises(NhtrackError, match="does not align with the trajectory grid: need \\(2, [25]\\)"):
+            write_csv(traj, controls, reference, path)
+        assert not path.exists()
+
+    def test_several_chunks_match_repr(self, tmp_path):
+        """A table longer than one formatter chunk, from sliced inputs, is
+        written line for line as repr writes each value."""
+        rng = np.random.default_rng(11)
+        npts = 2 * CSV_CHUNK_ROWS + 3
+        times = np.linspace(0.0, 4.0, npts)
+        states = rng.standard_normal((5, npts)).T * 10.0 ** rng.integers(-8, 20, (npts, 5))
+        reference = rng.standard_normal((npts, 10))[:, ::2]
+        path = tmp_path / "long.csv"
+        write_csv(Trajectory(times=times, states=states), None, reference, path)
+        zeros = np.zeros((npts, 7))  # controls and costates
+        table = np.column_stack([times, states, zeros, reference]).tolist()
+        expected = "".join(",".join(map(repr, row)) + "\n" for row in table)
+        assert path.read_text() == CSV_HEADER + "\n" + expected
+
+
+class TestParserReuse:
+    def test_each_main_call_sees_only_its_own_flags(self, tmp_path, monkeypatch):
+        """The parser built once per process keeps nothing from one call to
+        the next."""
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda command, cfg: seen.append((command, cfg)) or 0)
+        assert main(["simulate", "--T", "2", "--steps", "10", "--out", str(tmp_path / "a")]) == 0
+        assert main(["track", "--epsilon", "3"]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        (first, a), (second, b) = seen
+        assert (first, a.T, a.steps, a.epsilon, a.output_dir) == ("simulate", 2.0, 10, 7.0, str(tmp_path / "a"))
+        assert (second, b.T, b.steps, b.epsilon, b.output_dir) == ("track", 4.0, 4000, 3.0, ".")
+        assert a.provided == {"T", "steps", "output_dir"} and b.provided == {"epsilon"}
 
 
 class TestTrackCsvBytes:

@@ -1,7 +1,10 @@
 """Tests for the RK4 rollouts of the particle flows."""
 
 import hashlib
+import re
 import warnings
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +254,35 @@ class TestKernelBuild:
             kernels._build(tmp_path, compiler="nhtrack-no-such-cc")
         assert list(tmp_path.iterdir()) == []
 
+    def test_source_edit_renames_library(self, tmp_path, monkeypatch):
+        """An edit to either source changes the cached file name, so a stale
+        library, such as one built from _rk4.c alone before the CSV
+        formatter existed, is never loaded."""
+        rk4_only = zlib.crc32(kernels._SOURCES[0].read_bytes() + " ".join(kernels._CFLAGS).encode())
+        names = {f"_rk4-{rk4_only:08x}.so", kernels._library_name()}
+        copies = []
+        for src in kernels._SOURCES:
+            copy = tmp_path / src.name
+            copy.write_bytes(src.read_bytes())
+            copies.append(copy)
+        monkeypatch.setattr(kernels, "_SOURCES", tuple(copies))
+        assert kernels._library_name() in names
+        for copy in copies:
+            copy.write_bytes(copy.read_bytes() + b"/* edited */\n")
+            names.add(kernels._library_name())
+        assert len(names) == 4
+
+    def test_build_errors_name_both_sources(self, tmp_path):
+        with pytest.raises(KernelBuildError, match=r"to build _rk4\.c and _csv\.cc: "):
+            kernels._build(tmp_path, compiler="nhtrack-no-such-cc")
+        fake_cc = tmp_path / "fake-cc"
+        fake_cc.write_text("#!/bin/sh\nexit 2\n")
+        fake_cc.chmod(0o755)
+        out = tmp_path / "lib"
+        out.mkdir()
+        with pytest.raises(KernelBuildError, match=r"failed to build _rk4\.c and _csv\.cc \(exit 2\)"):
+            kernels._build(out, compiler=str(fake_cc))
+
     def test_compiler_failure_carries_stderr(self, tmp_path):
         fake_cc = tmp_path / "fake-cc"
         fake_cc.write_text("#!/bin/sh\necho 'fake-cc: unsupported flag' >&2\nexit 1\n")
@@ -260,3 +292,61 @@ class TestKernelBuild:
         with pytest.raises(KernelBuildError, match="(?s)fake-cc' failed.*exit 1.*unsupported flag"):
             kernels._build(out, compiler=str(fake_cc))
         assert list(out.iterdir()) == []
+
+
+class TestPackaging:
+    def test_every_kernel_source_is_package_data(self):
+        """A wheel carries every source _build compiles. pyproject.toml is
+        read as text: tomllib needs Python 3.11."""
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        section = text.split("[tool.setuptools.package-data]", 1)[1].split("\n[", 1)[0]
+        declared = re.search(r"^nhtrack = \[(.*)\]$", section, re.MULTILINE).group(1)
+        names = {name.strip().strip('"') for name in declared.split(",")}
+        assert {src.name for src in kernels._SOURCES} <= names
+
+
+def _format(table):
+    table = np.asarray(table, dtype=float)
+    return bytes(kernels.format_csv(table, np.empty(kernels.CSV_VALUE_BYTES * table.size, dtype=np.uint8)))
+
+
+def _repr_lines(table):
+    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(table).tolist()).encode()
+
+
+class TestFormatCsv:
+    """kernels.format_csv writes each value exactly as repr does."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64)
+        bits[::16] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # subnormals and signed zeros
+        bits[1::16] |= np.uint64(0x7FF0_0000_0000_0000)  # NaNs of either sign
+        bits[2::4096] &= np.uint64(0xFFF0_0000_0000_0000)  # +-inf
+        bits[2::4096] |= np.uint64(0x7FF0_0000_0000_0000)
+        table = bits.view(np.float64).reshape(-1, 20)
+        assert np.isinf(table).any() and np.isnan(table).any()
+        assert _format(table) == _repr_lines(table)
+
+    def test_boundary_values(self):
+        values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e-4, 0.1,
+                  9999999999999998.0, 1e15, 1e16, 1e22, 1e23, np.inf]
+        table = np.array([values, [-v for v in values]])
+        text = _format(table)
+        assert text == _repr_lines(table)
+        assert text.startswith(b"0.0,5e-324,2.2250738585072014e-308,1.7976931348623157e+308,1e-05,0.0001,")
+        assert _format([[np.copysign(np.nan, -1.0), np.nan]]) == b"nan,nan\n"
+
+    def test_longest_values_fill_the_buffer_bound(self):
+        table = np.full((3, 18), -2.2250738585072014e-308)
+        out = np.empty(kernels.CSV_VALUE_BYTES * table.size, dtype=np.uint8)
+        text = kernels.format_csv(table, out)
+        assert text.size == out.size
+        assert bytes(text) == _repr_lines(table)
+        with pytest.raises(ValueError, match="at least 1350 bytes"):
+            kernels.format_csv(table, out[:-1])
+
+    def test_non_contiguous_input(self):
+        table = np.random.default_rng(9).standard_normal((40, 30)) * 1e3
+        for view in (table[::3, 1::4], table.T):
+            assert _format(view) == _repr_lines(view)
