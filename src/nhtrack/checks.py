@@ -5,14 +5,15 @@ Each check re-verifies one contract of the library on the bundled
 particle: frame algebra, conservation laws, oracle agreement between the
 reduced and unreduced dynamics, adjoint-gradient consistency, residual
 smoothness, and solver behavior. Everything is deterministic (fixed RNG
-seeds). The suite takes about 0.24 s on a 2-vCPU Xeon VM, and `nhtrack
-check` about 0.63 s with interpreter start-up. The slowest checks are
+seeds). The suite takes about 0.2 s on a 2-vCPU Xeon VM, and `nhtrack
+check` about 0.5 s with interpreter start-up. The slowest checks are
 adjoint-gradient (0.05-0.07 s, both adjoint modes against one FD
-gradient), then cubic-exactness and grid-endpoint (0.03-0.06 s each: 4000
-steps of the generic integrator, which runs on Python floats); the
-4000-step shooting solve of solver-behavior, with exact Newton Jacobians,
-takes 0.04 s. The closed-form flow and the references are sampled on
-whole time grids, one call per grid.
+gradient) and cubic-exactness (0.04-0.06 s: 4000 steps of the generic
+integrator, which runs on Python floats); the 4000-step shooting solve of
+solver-behavior, with exact Newton Jacobians, takes 0.03-0.04 s.
+grid-endpoint reads `integrators.time_grid` directly and integrates
+nothing. The closed-form flow and the references are sampled on whole
+time grids, one call per grid.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .geometry import (
     controlled_acceleration,
     nh_acceleration,
 )
-from .integrators import VectorField, integrate
+from .integrators import VectorField, integrate, time_grid
 from .particle import (
     AnalyticParams,
     analytic_constants,
@@ -176,10 +177,9 @@ def check_flow_ode_residual() -> CheckResult:
 
 
 def check_grid_endpoint() -> CheckResult:
-    vf = VectorField(dim=1, f=lambda t, x: np.zeros(1))
-    traj = integrate(vf, 0.25, np.zeros(1), 4.0, 4000)
-    gap = abs(traj.times[-1] - 4.25)
-    steps = np.diff(traj.times)
+    times = time_grid(0.25, 4.0, 4000)
+    gap = abs(times[-1] - 4.25)
+    steps = np.diff(times)
     uniform = bool(np.allclose(steps, 4.0 / 4000, rtol=1e-12))
     spread = float(np.max(np.abs(steps - 4.0 / 4000)))
     return CheckResult(

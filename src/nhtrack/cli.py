@@ -33,7 +33,7 @@ from . import checks as checks_mod
 from . import kernels
 from .errors import ConfigError, ContractError, NhtrackError
 from .geometry import AdaptedState
-from .integrators import Trajectory
+from .integrators import Trajectory, time_grid
 from .particle import PARTICLE_NAME, analytic_constants, analytic_flow
 from .shooting import NewtonConfig, solve_tracking
 from .tracking import (
@@ -416,10 +416,9 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    h = cfg.T / cfg.steps
     x0 = np.array(cfg.initial_state)
-    states = kernels.rollout_reduced(x0, h, cfg.steps)
-    times = h * np.arange(cfg.steps + 1)
+    states = kernels.rollout_reduced(x0, cfg.T / cfg.steps, cfg.steps)
+    times = time_grid(0.0, cfg.T, cfg.steps)
     traj = Trajectory(times=times, states=states)
     ref = sample_reference(_build_reference(cfg), times)
     out = _output_dir(cfg) / "simulate.csv"
@@ -429,8 +428,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_analytic(cfg: ExperimentConfig) -> int:
-    h = cfg.T / cfg.steps
-    times = h * np.arange(cfg.steps + 1)
+    times = time_grid(0.0, cfg.T, cfg.steps)
     s0 = AdaptedState(q=np.array(cfg.initial_state[:3]), v=np.array(cfg.initial_state[3:]))
     s = analytic_flow(analytic_constants(s0), times)
     traj = Trajectory(times=times, states=np.concatenate([s.q, s.v], axis=1))
@@ -459,13 +457,11 @@ def cmd_track(cfg: ExperimentConfig) -> int:
     ]
     written = []
     if report.trajectory is not None:
-        ref = sample_reference(prob.ref, report.trajectory.times)
         written = [out_dir / "track.csv", out_dir / "plot.gp"]
-        write_csv(report.trajectory, report.controls, ref, written[0])
+        # the even rows of the half-grid reference table are the grid times
+        write_csv(report.trajectory, report.controls, prob._ref_table[::2], written[0])
         write_plot_script(written[1], "track.csv")
-        zT = report.trajectory.final_state()
-        q_rT, v_rT = prob.ref.sample(prob.T)
-        terminal = np.concatenate([zT[:3] - q_rT, zT[3:5] - v_rT])
+        terminal = report.trajectory.final_state()[:5] - np.concatenate(prob._ref_final)
         lines += [
             f"cost J: {report.cost!r}",
             f"cost of u=0 rollout: {uncontrolled_cost(prob)!r}",

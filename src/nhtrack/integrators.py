@@ -2,8 +2,10 @@
 
 A fixed step keeps every downstream quantity (shooting residuals in
 particular) a smooth, reproducible function of its inputs; adaptive
-stepping would turn finite-difference Jacobians into noise. Grid times
-are always formed as t0 + i*h with h computed once, never accumulated.
+stepping would turn finite-difference Jacobians into noise. `time_grid`
+is the one grid formula, t0 + i*h with h = T/N computed once, never
+accumulated; the reference half grid j*(h/2) of `TrackingProblem` holds
+the same times in its even rows.
 
 The RK4 formula has two copies, pinned bit-identical by the tests.
 `rk4_step` runs `_rk4` on arrays and checks every stage for finiteness.
@@ -52,6 +54,11 @@ class Trajectory:
 
     def final_state(self) -> Array:
         return self.states[-1]
+
+
+def time_grid(t0: float, T: float, N: int) -> Array:
+    """The N+1 times t0 + i*(T/N), i = 0..N, of a uniform grid over [t0, t0+T]."""
+    return t0 + (T / N) * np.arange(N + 1)
 
 
 def _stage(vf: VectorField, t: float, x: Array) -> Array:
@@ -110,7 +117,7 @@ def integrate(vf: VectorField, t0: float, x0: Array, T: float, N: int) -> Trajec
         raise ContractError(f"initial state shape {x0.shape} does not match dim {dim}")
     h = T / N
     hh = 0.5 * h
-    times = t0 + h * np.arange(N + 1)
+    times = time_grid(t0, T, N)
     states = np.empty((N + 1, dim))
     states[0] = x0
     ts = times.tolist()

@@ -13,6 +13,7 @@ reason instead of garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -23,8 +24,8 @@ from .tracking import (
     TrackingProblem,
     controls_along,
     integrate_coupled,
-    residual_from_trajectory,
     shooting_jacobian,
+    shooting_residual,
     total_cost,
 )
 
@@ -46,8 +47,8 @@ class NewtonConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.tol_residual <= 0.0:
-            raise ValueError("tol_residual must be positive")
+        if not 0.0 < self.tol_residual < np.inf:
+            raise ValueError("tol_residual must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -234,13 +235,8 @@ def solve_tracking(
     if alpha0 is None:
         alpha0 = np.zeros(d)
 
-    def res(alpha: Array) -> Array:
-        return residual_from_trajectory(integrate_coupled(prob, alpha), prob)
-
-    def jac(alpha: Array) -> Array:
-        return shooting_jacobian(prob, alpha)
-
-    report = newton_solve(res, jac, alpha0, cfg)
+    res = partial(shooting_residual, prob=prob)
+    report = newton_solve(res, partial(shooting_jacobian, prob), alpha0, cfg)
     try:
         traj = integrate_coupled(prob, report.alpha_star)
     except DomainError:

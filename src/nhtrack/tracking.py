@@ -35,7 +35,7 @@ from .geometry import (
     admissible_velocity,
     controlled_acceleration,
 )
-from .integrators import Trajectory
+from .integrators import Trajectory, time_grid
 from .integrators import integrate  # noqa: F401 - perfbench/spans.py rebinds tracking.integrate
 from .particle import PARTICLE_NAME, analytic_constants, analytic_flow, particle_system
 
@@ -177,7 +177,7 @@ def reference_admissibility_defect(
 
     An admissible reference curve must move its base point exactly as its
     fiber velocities dictate; this differentiates the base path centrally
-    and compares.
+    and compares. A non-finite defect at any time makes the result NaN.
     """
     worst = 0.0
     for t in np.asarray(times, dtype=float):
@@ -185,7 +185,7 @@ def reference_admissibility_defect(
         q_m, _ = ref.sample(float(t) - fd_step)
         q_dot = (q_p - q_m) / (2.0 * fd_step)
         q_r, v_r = ref.sample(float(t))
-        worst = max(worst, float(np.max(np.abs(q_dot - sys.frame.rho(q_r).T @ v_r))))
+        worst = float(np.maximum(worst, np.max(np.abs(q_dot - sys.frame.rho(q_r).T @ v_r))))
     return worst
 
 
@@ -198,7 +198,8 @@ class TrackingProblem:
 
     epsilon > 0 weights the control effort (zero is rejected: the
     stationary condition would no longer determine the control), omega > 0
-    weights the terminal error. N is the integration step count.
+    weights the terminal error; both and the horizon T must be finite. N is
+    the integration step count.
 
     full_transversality selects the terminal rows of the shooting
     residual. True (default) imposes the gradient of the terminal cost on
@@ -230,15 +231,15 @@ class TrackingProblem:
                 f"a system named {PARTICLE_NAME} must be particle_system(): the C kernel "
                 "integrates the particle's own right-hand side and Jacobian"
             )
-        if self.epsilon <= 0.0:
+        if not 0.0 < self.epsilon < np.inf:
             raise SingularProblemError(
-                "epsilon must be positive; epsilon = 0 makes the tracking "
+                "epsilon must be finite and positive; epsilon = 0 makes the tracking "
                 "problem singular (control undetermined by stationarity)"
             )
-        if self.omega <= 0.0:
-            raise ContractError("omega must be positive")
-        if self.T <= 0.0:
-            raise ContractError("horizon T must be positive")
+        if not 0.0 < self.omega < np.inf:
+            raise ContractError("omega must be finite and positive")
+        if not 0.0 < self.T < np.inf:
+            raise ContractError("horizon T must be finite and positive")
         if self.N < 1:
             raise ContractError("step count N must be at least 1")
         if self.adjoint_mode not in ADJOINT_MODES:
@@ -249,7 +250,7 @@ class TrackingProblem:
             # sample away from the endpoints so the FD probe stays in [0, T]
             probe = np.linspace(0.01 * self.T, 0.99 * self.T, 7)
             defect = reference_admissibility_defect(self.sys, self.ref, probe)
-            if defect > 1e-6:
+            if not defect <= 1e-6:
                 raise ContractError(
                     f"reference is not an admissible curve (kinematic defect {defect:.3e})"
                 )
@@ -257,6 +258,14 @@ class TrackingProblem:
     @property
     def h(self) -> float:
         return self.T / self.N
+
+    @cached_property
+    def times(self) -> Array:
+        """The problem grid `time_grid(0, T, N)`, read-only: every trajectory
+        of the problem shares this one array."""
+        times = time_grid(0.0, self.T, self.N)
+        times.flags.writeable = False
+        return times
 
     @cached_property
     def _ref_table(self) -> Array:
@@ -275,16 +284,18 @@ class TrackingProblem:
 # ---------------------------------------------------------------------------
 
 
-def running_cost(s: AdaptedState, r: RefSample, u: Array, eps: float) -> float:
-    """Instantaneous cost (|q-q_r|^2 + |v-v_r|^2 + eps |u|^2) / 2."""
+def running_cost(s: AdaptedState, r: RefSample, u: Array, eps: float) -> Union[float, Array]:
+    """Instantaneous cost (|q-q_r|^2 + |v-v_r|^2 + eps |u|^2) / 2, summed over
+    the last axis: rows of points give one cost per row, bit for bit the
+    cost of that row alone."""
     if eps <= 0.0:
         raise SingularProblemError("eps must be positive")
     q_r, v_r = r
     u = np.asarray(u, dtype=float)
     return 0.5 * (
-        float(np.sum((s.q - q_r) ** 2))
-        + float(np.sum((s.v - v_r) ** 2))
-        + eps * float(np.sum(u**2))
+        np.sum((s.q - q_r) ** 2, axis=-1)
+        + np.sum((s.v - v_r) ** 2, axis=-1)
+        + eps * np.sum(u**2, axis=-1)
     )
 
 
@@ -442,84 +453,71 @@ def integrate_coupled(prob: TrackingProblem, alpha: Array) -> Trajectory:
     """Flow of the coupled system from (s0, alpha) over [0, T], by the
     particle's C RK4 kernel (`coupled_field` is its generic oracle)."""
     states = kernels.rollout_coupled(*_kernel_args(prob, alpha))
-    return Trajectory(times=prob.h * np.arange(prob.N + 1), states=states)
+    return Trajectory(times=prob.times, states=states)
 
 
 def shooting_residual(alpha: Array, prob: TrackingProblem) -> Array:
-    """Terminal defect of the coupled flow started at costate alpha.
-
-    With full_transversality (default), the rows are the transversality
-    defects lam(T) - 2*omega*(q(T)-q_r(T)) and mu(T) - 2*omega*(v(T)-v_r(T)).
-    Otherwise the simplified rows lam(T) + omega*(q(T)-q_r(T)) and mu(T)
-    are used verbatim.
-    """
+    """Terminal defect of the coupled flow started at costate alpha: the
+    rows of `_terminal_rows` at z(T), against the reference at T."""
     traj = integrate_coupled(prob, alpha)
     return residual_from_trajectory(traj, prob)
 
 
+def _terminal_rows(prob: TrackingProblem, z: Array, q_r=0.0, v_r=0.0) -> Array:
+    """Transversality rows of the coupled state z at T against (q_r, v_r):
+    lam - 2*omega*(q - q_r) and mu - 2*omega*(v - v_r) with
+    full_transversality, else lam + omega*(q - q_r) and mu. Given a block
+    dz/dalpha and the default zero reference, the same affine map gives the
+    Jacobian rows (subtracting 0.0 changes no value)."""
+    n, k = prob.sys.n, prob.sys.k
+    q, v = z[:n], z[n : n + k]
+    lam, mu = z[n + k : 2 * n + k], z[2 * n + k :]
+    w = prob.omega
+    if prob.full_transversality:
+        return np.concatenate([lam - 2.0 * w * (q - q_r), mu - 2.0 * w * (v - v_r)])
+    return np.concatenate([lam + w * (q - q_r), mu])
+
+
 def residual_from_trajectory(traj: Trajectory, prob: TrackingProblem) -> Array:
     """Assemble the shooting residual from an already-integrated flow."""
-    n, k = prob.sys.n, prob.sys.k
-    zT = traj.final_state()
-    qT, vT = zT[:n], zT[n : n + k]
-    lamT, muT = zT[n + k : 2 * n + k], zT[2 * n + k :]
-    q_rT, v_rT = prob._ref_final
-    if prob.full_transversality:
-        rows_q = lamT - 2.0 * prob.omega * (qT - q_rT)
-        rows_v = muT - 2.0 * prob.omega * (vT - v_rT)
-    else:
-        rows_q = lamT + prob.omega * (qT - q_rT)
-        rows_v = muT.copy()
-    return np.concatenate([rows_q, rows_v])
+    return _terminal_rows(prob, traj.final_state(), *prob._ref_final)
 
 
 def shooting_jacobian(prob: TrackingProblem, alpha: Array) -> Array:
     """Exact Jacobian dr/dalpha of the shooting residual of the discrete flow.
 
     One rollout carries the sensitivity S_N = dz_N/dalpha (see
-    `kernels.rollout_coupled_sensitivity`), and each row below is the
-    derivative of the matching row of `residual_from_trajectory`. Raises
-    DomainError when the flow or S_N is not finite.
+    `kernels.rollout_coupled_sensitivity`), and `_terminal_rows` maps it
+    as it maps z_N in the residual. Raises DomainError when the flow or
+    S_N is not finite.
     """
     _, S = kernels.rollout_coupled_sensitivity(*_kernel_args(prob, alpha))
     if not np.all(np.isfinite(S)):
         raise DomainError("the sensitivity of the coupled flow is not finite")
-    n, k = prob.sys.n, prob.sys.k
-    dq, dv = S[:n], S[n : n + k]
-    dlam, dmu = S[n + k : 2 * n + k], S[2 * n + k :]
-    if prob.full_transversality:
-        rows_q = dlam - 2.0 * prob.omega * dq
-        rows_v = dmu - 2.0 * prob.omega * dv
-    else:
-        rows_q = dlam + prob.omega * dq
-        rows_v = dmu
-    return np.concatenate([rows_q, rows_v])
+    return _terminal_rows(prob, S)
 
 
 def controls_along(traj: Trajectory, prob: TrackingProblem) -> Array:
     """Stationary control -mu/eps recovered at every grid point."""
     n, k = prob.sys.n, prob.sys.k
-    mu = traj.states[:, 2 * n + k :]
-    return -mu / prob.epsilon
+    p = Costate(lam=traj.states[:, n + k : 2 * n + k], mu=traj.states[:, 2 * n + k :])
+    return stationary_control(p, prob.epsilon)
 
 
 def _cost(prob: TrackingProblem, times: Array, body: Array, u: Array) -> float:
     """Composite-trapezoid running cost of the rows body = [q, v] with
     controls u on the problem grid, plus the omega-weighted terminal cost.
 
-    Row for row the same arithmetic as running_cost, so the result is
-    bit-identical to summing running_cost over the grid. The reference is
-    read from the half-grid table, whose even rows are the grid times.
+    `running_cost` evaluates all rows at once. times must equal the
+    problem grid `prob.times`; the reference is read from the half-grid
+    table, whose even rows are the grid times.
     """
     n = prob.sys.n
-    if not np.array_equal(times, prob.h * np.arange(prob.N + 1)):
+    if times is not prob.times and not np.array_equal(times, prob.times):
         raise ContractError("cost is evaluated on the problem's time grid only")
-    err = body - prob._ref_table[::2]
-    values = 0.5 * (
-        np.sum(err[:, :n] ** 2, axis=1)
-        + np.sum(err[:, n:] ** 2, axis=1)
-        + prob.epsilon * np.sum(u**2, axis=1)
-    )
+    ref = prob._ref_table[::2]
+    s = AdaptedState(q=body[:, :n], v=body[:, n:])
+    values = running_cost(s, (ref[:, :n], ref[:, n:]), u, prob.epsilon)
     integral = float(np.trapezoid(values, times))
     sT = AdaptedState(q=body[-1, :n], v=body[-1, n:])
     return integral + prob.omega * terminal_cost(sT, prob._ref_final)
@@ -536,7 +534,7 @@ def uncontrolled_trajectory(prob: TrackingProblem) -> Trajectory:
     """Free (u = 0) flow of the state alone from s0 on the problem grid."""
     x0 = np.concatenate([prob.s0.q, prob.s0.v])
     states = kernels.rollout_reduced(x0, prob.h, prob.N)
-    return Trajectory(times=prob.h * np.arange(prob.N + 1), states=states)
+    return Trajectory(times=prob.times, states=states)
 
 
 def uncontrolled_cost(prob: TrackingProblem) -> float:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from nhtrack import checks
 from nhtrack.errors import ContractError, DomainError
 from nhtrack.geometry import (
     AdaptedFrame,
@@ -56,10 +55,6 @@ class TestAdmissibleVelocity:
         with pytest.raises(ContractError):
             admissible_velocity(sys_, AdaptedState(q=[0.0, 0.0, 0.0], v=[1.0]))
 
-    def test_result_lies_in_distribution(self):
-        r = checks.check_frame_annihilation()
-        assert r.passed, r.detail
-
 
 class TestNhAcceleration:
     def test_hand_checked_value(self):
@@ -81,10 +76,6 @@ class TestNhAcceleration:
         sys_ = particle_system()
         s = AdaptedState(q=[0.3, 0.0, -0.7], v=[1.2, -0.4])
         np.testing.assert_array_equal(nh_acceleration(sys_, s), [0.0, 0.0])
-
-    def test_quadratic_in_velocity(self):
-        r = checks.check_drift_quadratic()
-        assert r.passed, r.detail
 
     def test_domain_error_outside_declared_domain(self):
         sys_ = particle_system()
@@ -122,10 +113,6 @@ class TestControlledAcceleration:
         got = controlled_acceleration(sys_, s, np.array([0.1, 0.1]))
         np.testing.assert_allclose(got, [0.1, 0.1 - (0.2 / 1.04) * 0.5 * 0.4], rtol=1e-15)
 
-    def test_additivity_exact(self):
-        r = checks.check_control_additivity()
-        assert r.passed, r.detail
-
     def test_control_dimension_checked(self):
         sys_ = particle_system()
         with pytest.raises(ContractError):
@@ -133,10 +120,6 @@ class TestControlledAcceleration:
 
 
 class TestChristoffelFromStructure:
-    def test_zero_structure(self):
-        r = checks.check_structure_zero()
-        assert r.passed, r.detail
-
     def test_single_constant_against_index_oracle(self):
         """Direct index substitution, one entry at a time."""
         c = 0.37

@@ -5,12 +5,24 @@ import warnings
 import numpy as np
 import pytest
 
-from nhtrack import checks
+from nhtrack import cli
 from nhtrack.errors import ContractError, DegenerateFitError, DomainError
 from nhtrack.geometry import AdaptedState, admissible_velocity, nh_acceleration
-from nhtrack.integrators import Trajectory, VectorField, convergence_order, integrate, rk4_step
+from nhtrack.integrators import (
+    Trajectory,
+    VectorField,
+    convergence_order,
+    integrate,
+    rk4_step,
+    time_grid,
+)
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
-from nhtrack.tracking import benchmark_problem, coupled_field
+from nhtrack.tracking import (
+    benchmark_problem,
+    coupled_field,
+    integrate_coupled,
+    uncontrolled_trajectory,
+)
 
 S0 = np.array([0.5, 0.2, 0.7, 0.5, 0.4])
 
@@ -91,13 +103,23 @@ class TestIntegrate:
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
 
-    def test_grid_hits_endpoint(self):
-        r = checks.check_grid_endpoint()
-        assert r.passed, r.detail
+    def test_every_grid_is_time_grid(self, tmp_path):
+        """integrate, the tracking problem with its trajectories, and
+        simulate.csv all carry time_grid's times bit for bit; the problem's
+        grid is one read-only array that its trajectories share."""
 
-    def test_cubic_polynomial_integrated_exactly(self):
-        r = checks.check_cubic_exactness()
-        assert r.passed, r.detail
+        def bits(a):
+            return a.shape, a.tobytes()
+
+        assert bits(integrate(reduced_field(), 0.25, S0, 3.0, 300).times) == bits(time_grid(0.25, 3.0, 300))
+        prob = benchmark_problem(N=400)
+        assert bits(prob.times) == bits(time_grid(0.0, 4.0, 400))
+        assert not prob.times.flags.writeable
+        assert integrate_coupled(prob, np.zeros(5)).times is prob.times
+        assert uncontrolled_trajectory(prob).times is prob.times
+        assert cli.main(["simulate", "--out", str(tmp_path), "--T", "2.5", "--steps", "333"]) == 0
+        t = cli.read_csv(tmp_path / "simulate.csv")["t"]
+        assert bits(t) == bits(time_grid(0.0, 2.5, 333))
 
     def test_deterministic(self):
         a = integrate(reduced_field(), 0.0, S0, 4.0, 500)
@@ -206,7 +228,8 @@ def _coupled_case(mode):
 
 
 BIT_IDENTICAL_CASES = {
-    # the fields of the grid-endpoint and cubic-exactness checks
+    # a zero field on the grid-endpoint check's grid, and the field of the
+    # cubic-exactness check
     "grid-endpoint": lambda: (VectorField(dim=1, f=lambda t, x: np.zeros(1)), 0.25, np.zeros(1), 4.0, 4000),
     "cubic-exactness": lambda: (
         VectorField(dim=1, f=lambda t, x: np.array([3.0 * t**2 - 2.0 * t + 0.5])),

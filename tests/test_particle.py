@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nhtrack import checks, kernels
+from nhtrack import kernels
 from nhtrack.errors import ConstraintViolationError
 from nhtrack.geometry import AdaptedState, frame_annihilation_defect
 from nhtrack.particle import (
@@ -110,14 +110,6 @@ class TestAnalyticFlow:
             s = analytic_flow(p, t)
             np.testing.assert_allclose(states[i], flat(s), rtol=0, atol=1e-8)
 
-    def test_ode_residual_by_central_differences(self):
-        r = checks.check_flow_ode_residual()
-        assert r.passed, r.detail
-
-    def test_branch_continuity(self):
-        r = checks.check_branch_continuity()
-        assert r.passed, r.detail
-
     @pytest.mark.parametrize("c1", [0.8, 1e-8, 0.0], ids=["generic", "small-c1", "c1-zero"])
     def test_time_array_rows_equal_scalar_samples(self, c1):
         p = AnalyticParams(c1=c1, c2=-1.1, x0=0.2, y0=-0.4, z0=3.0)
@@ -182,18 +174,6 @@ class TestEmbedProject:
 
 
 class TestConservation:
-    def test_energy_conserved_along_free_flow(self):
-        r = checks.check_energy_conservation()
-        assert r.passed, r.detail
-
-    def test_v1_constant_along_free_flow(self):
-        r = checks.check_v1_constant()
-        assert r.passed, r.detail
-
-    def test_reduced_matches_projected_unreduced(self):
-        r = checks.check_oracle_equivalence()
-        assert r.passed, r.detail
-
     def test_energy_rows_equal_scalar_values(self):
         """Rows of states give one energy each, equal to the scalar call."""
         q, v = RNG.uniform(-2, 2, (7, 3)), RNG.uniform(-2, 2, (7, 2))

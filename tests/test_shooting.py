@@ -185,6 +185,11 @@ class TestNewtonSolve:
         with pytest.raises(ValueError):
             NewtonConfig(max_iters=0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_rejects_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            NewtonConfig(tol_residual=tol)
+
 
 class TestSolveTracking:
     def test_benchmark_converges(self):
