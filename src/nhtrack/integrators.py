@@ -109,8 +109,10 @@ def integrate(vf: VectorField, t0: float, x0: Array, T: float, N: int) -> Trajec
     """
     if N < 1:
         raise ContractError("step count must be at least 1")
-    if T <= 0.0:
-        raise ContractError("horizon must be positive")
+    if not 0.0 < T < np.inf:
+        raise ContractError("horizon must be finite and positive")
+    if not isfinite(t0):
+        raise ContractError("start time must be finite")
     x0 = np.asarray(x0, dtype=float)
     dim = vf.dim
     if x0.shape != (dim,):

@@ -288,8 +288,8 @@ def running_cost(s: AdaptedState, r: RefSample, u: Array, eps: float) -> Union[f
     """Instantaneous cost (|q-q_r|^2 + |v-v_r|^2 + eps |u|^2) / 2, summed over
     the last axis: rows of points give one cost per row, bit for bit the
     cost of that row alone."""
-    if eps <= 0.0:
-        raise SingularProblemError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise SingularProblemError("eps must be finite and positive")
     q_r, v_r = r
     u = np.asarray(u, dtype=float)
     return 0.5 * (
@@ -321,9 +321,10 @@ def hamiltonian(
 
 def stationary_control(p: Costate, eps: float) -> Array:
     """Control minimizing the Hamiltonian: u = -mu/eps (exact quadratic)."""
-    if eps <= 0.0:
+    if not 0.0 < eps < np.inf:
         raise SingularProblemError(
-            "eps must be positive: the stationary condition degenerates at eps = 0"
+            "eps must be finite and positive: the stationary condition degenerates "
+            "at eps = 0"
         )
     return -p.mu / eps
 

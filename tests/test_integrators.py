@@ -136,6 +136,16 @@ class TestIntegrate:
         with pytest.raises(ContractError):
             integrate(vf, 0.0, S0[:3], 4.0, 10)
 
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ContractError, match="horizon must be finite"):
+            integrate(reduced_field(), 0.0, S0, T, 4)
+
+    @pytest.mark.parametrize("t0", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_start_time(self, t0):
+        with pytest.raises(ContractError, match="start time must be finite"):
+            integrate(reduced_field(), t0, S0, 4.0, 4)
+
     def test_step_error_carries_index(self):
         def f(t, x):
             return np.array([np.nan]) if t > 0.5 else np.ones(1)

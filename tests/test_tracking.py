@@ -83,6 +83,12 @@ class TestRunningCost:
         with pytest.raises(SingularProblemError):
             running_cost(s, (np.zeros(3), np.zeros(2)), np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_rejects_non_finite_eps(self, eps):
+        s = AdaptedState(q=np.zeros(3), v=np.zeros(2))
+        with pytest.raises(SingularProblemError, match="finite"):
+            running_cost(s, (np.zeros(3), np.zeros(2)), np.zeros(2), eps)
+
 
 class TestTerminalCost:
     def test_zero_on_reference(self):
@@ -154,6 +160,11 @@ class TestStationaryControl:
             stationary_control(p, 0.0)
         with pytest.raises(SingularProblemError):
             stationary_control(p, -1.0)
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_rejects_non_finite_weight(self, eps):
+        with pytest.raises(SingularProblemError, match="finite"):
+            stationary_control(random_costate(), eps)
 
     def test_global_minimizer_quadratic_expansion(self):
         """H(u* + d) - H(u*) == eps |d|^2 / 2 for every perturbation."""
