@@ -12,12 +12,8 @@ from .errors import (
     SingularProblemError,
 )
 from .geometry import (
-    AdaptedFrame,
     AdaptedState,
-    ChristoffelField,
     NonholonomicSystem,
-    PotentialGradient,
-    RestrictedMetricField,
     admissible_velocity,
     christoffel_from_structure,
     constraint_residual,

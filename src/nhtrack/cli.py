@@ -57,7 +57,9 @@ CSV_CHUNK_ROWS = 256
 REFERENCE_KINDS = (KIND_LINE, KIND_FREE_FLOW, KIND_TABULATED)
 
 # keys that only the track command reads
-_TRACK_ONLY_KEYS = ("epsilon", "omega")
+_TRACK_ONLY_KEYS = (
+    "epsilon", "omega", "adjoint_mode", "full_transversality", "newton.tol", "newton.max_iters"
+)
 
 
 @dataclass(frozen=True)
@@ -286,11 +288,15 @@ def read_csv(path) -> dict:
     """Parse a comma-separated table under a header line into named float
     arrays: a CSV written by write_csv, or a tabulated reference file.
 
-    Raises ValueError on a token that is not a number, on a row whose
-    length is not the header's, and on a table with no rows.
+    Raises ValueError on a header that repeats a name, on a token that is
+    not a number, on a row whose length is not the header's, and on a table
+    with no rows.
     """
     with open(path, "r", newline="") as fh:
         names = fh.readline().strip().split(",")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"the header repeats the name {', '.join(repeated)}")
         rows = [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
     if not rows:
         raise ValueError("the table has no rows")
@@ -377,17 +383,15 @@ def _build_reference(cfg: ExperimentConfig) -> ReferenceTrajectory:
     except OSError as err:
         raise ConfigError(f"cannot read reference file {path}: {err}") from err
     except (ValueError, ContractError) as err:
-        # a token that is not a number, a short or long row, no rows at all,
-        # a missing column, a non-finite value or times that do not increase
+        # a repeated header name, a token that is not a number, a short or
+        # long row, no rows at all, a missing column, a non-finite value or
+        # times that do not increase
         raise ConfigError(f"bad reference file {path}: {err}") from err
 
 
 def _build_problem(cfg: ExperimentConfig) -> TrackingProblem:
-    from .particle import particle_system
-
     s0 = AdaptedState(q=np.array(cfg.initial_state[:3]), v=np.array(cfg.initial_state[3:]))
     return TrackingProblem(
-        sys=particle_system(),
         ref=_build_reference(cfg),
         epsilon=cfg.epsilon,
         omega=cfg.omega,
@@ -415,28 +419,33 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.output_dir)
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
-    x0 = np.array(cfg.initial_state)
-    states = kernels.rollout_reduced(x0, cfg.T / cfg.steps, cfg.steps)
+def _write_flow(cfg: ExperimentConfig, name: str, flow) -> int:
+    """Write the (N+1, 5) states flow(times) on the command's time grid,
+    with the reference beside them, to the CSV file `name`."""
     times = time_grid(0.0, cfg.T, cfg.steps)
-    traj = Trajectory(times=times, states=states)
+    traj = Trajectory(times=times, states=flow(times))
     ref = sample_reference(_build_reference(cfg), times)
-    out = _output_dir(cfg) / "simulate.csv"
+    out = _output_dir(cfg) / name
     write_csv(traj, None, ref, out)
     print(f"wrote {out}")
     return 0
+
+
+def cmd_simulate(cfg: ExperimentConfig) -> int:
+    x0 = np.array(cfg.initial_state)
+    return _write_flow(
+        cfg, "simulate.csv", lambda _: kernels.rollout_reduced(x0, cfg.T / cfg.steps, cfg.steps)
+    )
 
 
 def cmd_analytic(cfg: ExperimentConfig) -> int:
-    times = time_grid(0.0, cfg.T, cfg.steps)
     s0 = AdaptedState(q=np.array(cfg.initial_state[:3]), v=np.array(cfg.initial_state[3:]))
-    s = analytic_flow(analytic_constants(s0), times)
-    traj = Trajectory(times=times, states=np.concatenate([s.q, s.v], axis=1))
-    ref = sample_reference(_build_reference(cfg), times)
-    out = _output_dir(cfg) / "analytic.csv"
-    write_csv(traj, None, ref, out)
-    print(f"wrote {out}")
-    return 0
+
+    def flow(times):
+        s = analytic_flow(analytic_constants(s0), times)
+        return np.concatenate([s.q, s.v], axis=1)
+
+    return _write_flow(cfg, "analytic.csv", flow)
 
 
 def cmd_track(cfg: ExperimentConfig) -> int:

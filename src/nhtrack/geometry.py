@@ -7,8 +7,8 @@ in the induced coordinates (q, v): q moves along the frame with fiber
 velocity v, and v is driven by the connection coefficients Gamma(q) plus
 the potential force pulled back through the restricted metric.
 
-All objects are plain immutable containers around closed-form callables;
-every operation is a pure function of its inputs.
+The system is one immutable record of closed-form callables; every
+operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -24,68 +24,33 @@ Array = np.ndarray
 
 
 @dataclass(frozen=True)
-class AdaptedFrame:
-    """Spanning frame of the constraint distribution.
+class NonholonomicSystem:
+    """A mechanical system constrained to a velocity distribution.
 
-    rho(q) returns a (k, n) array whose row A holds the coefficients of the
-    A-th frame field in the coordinate basis. Rows must stay linearly
-    independent on the declared domain.
+    The configuration space has dimension n and the distribution rank k,
+    1 <= k <= n. rho(q) returns a (k, n) array whose row A holds the
+    coefficients of the A-th frame field in the coordinate basis; rows must
+    stay linearly independent on the declared domain. gamma(q) returns the
+    (k, k, k) connection coefficients, indexed [C, A, B]. g(q) is the (k, k)
+    symmetric positive-definite restricted metric in the frame basis and
+    g_inv(q) its inverse. dV(q) is the (n,) coordinate gradient of the
+    potential energy. constraint_annihilator(q) returns an (m, n) array of
+    one-form coefficients that vanish on the frame: mu(q) @ rho(q).T == 0.
+
+    The optional derivative callables (d_rho, d_gamma, d_pforce) supply the
+    closed-form q-derivatives needed by the analytically derived adjoint
+    equations; `tracking.adjoint_field` rejects systems without them in
+    derived mode. ``domain`` declares where the closed forms are valid
+    (connection singularities must be excluded here).
     """
 
     n: int
     k: int
     rho: Callable[[Array], Array]
-
-    def __post_init__(self):
-        if not (1 <= self.k <= self.n):
-            raise ContractError(f"frame needs 1 <= k <= n, got k={self.k}, n={self.n}")
-
-
-@dataclass(frozen=True)
-class ChristoffelField:
-    """Connection coefficients gamma(q) -> (k, k, k), indexed [C, A, B]."""
-
     gamma: Callable[[Array], Array]
-
-
-@dataclass(frozen=True)
-class RestrictedMetricField:
-    """Kinetic-energy metric restricted to the distribution.
-
-    g(q) is the (k, k) symmetric positive-definite coefficient matrix in
-    the frame basis; g_inv(q) its inverse.
-    """
-
     g: Callable[[Array], Array]
     g_inv: Callable[[Array], Array]
-
-
-@dataclass(frozen=True)
-class PotentialGradient:
-    """Coordinate gradient dV(q) -> (n,) of the potential energy."""
-
     dV: Callable[[Array], Array]
-
-
-@dataclass(frozen=True)
-class NonholonomicSystem:
-    """A mechanical system constrained to a velocity distribution.
-
-    constraint_annihilator(q) returns an (m, n) array of one-form
-    coefficients that vanish on the frame: mu(q) @ rho(q).T == 0.
-
-    The optional derivative callables (d_rho, d_gamma, d_pforce) supply the
-    closed-form q-derivatives needed by the analytically derived adjoint
-    equations; `tracking.adjoint_field` rejects systems without them in
-    derived mode. Only the bundled particle can be tracked (see
-    `tracking.TrackingProblem`). ``domain`` declares where the closed forms
-    are valid (connection singularities must be excluded here).
-    """
-
-    frame: AdaptedFrame
-    christoffel: ChristoffelField
-    metric: RestrictedMetricField
-    potential: PotentialGradient
     constraint_annihilator: Callable[[Array], Array]
     domain: Callable[[Array], bool] = field(default=lambda q: True)
     d_rho: Optional[Callable[[Array], Array]] = None  # (k, n, n): [A, i, j] = d rho_A^i / d q^j
@@ -93,13 +58,9 @@ class NonholonomicSystem:
     d_pforce: Optional[Callable[[Array], Array]] = None  # (k, n): [C, j] = d force^C / d q^j
     name: str = ""
 
-    @property
-    def n(self) -> int:
-        return self.frame.n
-
-    @property
-    def k(self) -> int:
-        return self.frame.k
+    def __post_init__(self):
+        if not (1 <= self.k <= self.n):
+            raise ContractError(f"frame needs 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -129,12 +90,12 @@ def admissible_velocity(sys: NonholonomicSystem, s: AdaptedState) -> Array:
     residual of the returned velocity is zero up to roundoff.
     """
     _check_state(sys, s)
-    return sys.frame.rho(s.q).T @ s.v
+    return sys.rho(s.q).T @ s.v
 
 
 def potential_force(sys: NonholonomicSystem, q: Array) -> Array:
     """Force term g_inv(q) @ rho(q) @ dV(q) entering the fiber acceleration."""
-    return sys.metric.g_inv(q) @ (sys.frame.rho(q) @ sys.potential.dV(q))
+    return sys.g_inv(q) @ (sys.rho(q) @ sys.dV(q))
 
 
 def nh_acceleration(sys: NonholonomicSystem, s: AdaptedState) -> Array:
@@ -146,7 +107,7 @@ def nh_acceleration(sys: NonholonomicSystem, s: AdaptedState) -> Array:
     _check_state(sys, s)
     if not sys.domain(s.q):
         raise DomainError(f"base point {s.q} outside declared system domain", x=s.q)
-    gam = sys.christoffel.gamma(s.q)
+    gam = sys.gamma(s.q)
     quad = np.einsum("cab,a,b->c", gam, s.v, s.v)
     return -quad - potential_force(sys, s.q)
 
@@ -188,4 +149,4 @@ def christoffel_from_structure(C: Array) -> Array:
 def frame_annihilation_defect(sys: NonholonomicSystem, q: Array) -> float:
     """Max-norm of mu(q) @ rho(q).T, zero for a consistent system."""
     q = np.asarray(q, dtype=float)
-    return float(np.max(np.abs(sys.constraint_annihilator(q) @ sys.frame.rho(q).T)))
+    return float(np.max(np.abs(sys.constraint_annihilator(q) @ sys.rho(q).T)))

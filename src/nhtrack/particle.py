@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolationError
-from .geometry import (
-    AdaptedFrame,
-    AdaptedState,
-    ChristoffelField,
-    NonholonomicSystem,
-    PotentialGradient,
-    RestrictedMetricField,
-)
+from .geometry import AdaptedState, NonholonomicSystem
 
 Array = np.ndarray
 
@@ -93,16 +86,15 @@ def _d_pforce(q: Array) -> Array:
 
 
 def particle_system() -> NonholonomicSystem:
-    """Construct the constrained-particle system (n=3, k=2, V=0).
-
-    Every callable is a function of this module, so two calls give equal
-    systems: dataclass equality compares the callables by identity.
-    """
+    """Construct the constrained-particle system (n=3, k=2, V=0)."""
     return NonholonomicSystem(
-        frame=AdaptedFrame(n=3, k=2, rho=_rho),
-        christoffel=ChristoffelField(gamma=_gamma),
-        metric=RestrictedMetricField(g=_metric, g_inv=_metric_inv),
-        potential=PotentialGradient(dV=_dV),
+        n=3,
+        k=2,
+        rho=_rho,
+        gamma=_gamma,
+        g=_metric,
+        g_inv=_metric_inv,
+        dV=_dV,
         constraint_annihilator=_annihilator,
         d_rho=_d_rho,
         d_gamma=_d_gamma,

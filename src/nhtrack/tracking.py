@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Tuple, Union
+from typing import Callable, ClassVar, Tuple, Union
 
 import numpy as np
 
@@ -185,21 +185,21 @@ def reference_admissibility_defect(
         q_m, _ = ref.sample(float(t) - fd_step)
         q_dot = (q_p - q_m) / (2.0 * fd_step)
         q_r, v_r = ref.sample(float(t))
-        worst = float(np.maximum(worst, np.max(np.abs(q_dot - sys.frame.rho(q_r).T @ v_r))))
+        worst = float(np.maximum(worst, np.max(np.abs(q_dot - sys.rho(q_r).T @ v_r))))
     return worst
 
 
 @dataclass(frozen=True)
 class TrackingProblem:
-    """A complete tracking instance over a fixed horizon, for the bundled
-    particle only: the rollouts run the particle's C RK4 kernel, so any
-    system but `particle_system()`, one that carries the particle's name
-    with other callables among them, is rejected with ContractError.
+    """A complete tracking instance over a fixed horizon for the bundled
+    particle: the rollouts run the particle's C RK4 kernel, so the system is
+    the class constant `sys = particle_system()`, not a field.
 
     epsilon > 0 weights the control effort (zero is rejected: the
     stationary condition would no longer determine the control), omega > 0
     weights the terminal error; both and the horizon T must be finite. N is
-    the integration step count.
+    the integration step count, a Python or numpy int of at least 1, and
+    the start s0 must be finite.
 
     full_transversality selects the terminal rows of the shooting
     residual. True (default) imposes the gradient of the terminal cost on
@@ -211,7 +211,7 @@ class TrackingProblem:
     is a non-minimizing extremal kept for comparison.
     """
 
-    sys: NonholonomicSystem
+    sys: ClassVar[NonholonomicSystem] = particle_system()
     ref: ReferenceTrajectory
     epsilon: float
     T: float
@@ -222,15 +222,6 @@ class TrackingProblem:
     full_transversality: bool = True
 
     def __post_init__(self):
-        if self.sys.name != PARTICLE_NAME:
-            raise ContractError(f"only {PARTICLE_NAME} can be tracked, not {self.sys.name!r}")
-        # equality compares the callables by identity, the particle's own
-        # module functions: the kernel hard-codes their right-hand side
-        if self.sys != particle_system():
-            raise ContractError(
-                f"a system named {PARTICLE_NAME} must be particle_system(): the C kernel "
-                "integrates the particle's own right-hand side and Jacobian"
-            )
         if not 0.0 < self.epsilon < np.inf:
             raise SingularProblemError(
                 "epsilon must be finite and positive; epsilon = 0 makes the tracking "
@@ -240,12 +231,16 @@ class TrackingProblem:
             raise ContractError("omega must be finite and positive")
         if not 0.0 < self.T < np.inf:
             raise ContractError("horizon T must be finite and positive")
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
+            raise ContractError(f"step count N must be an integer, not {self.N!r}")
         if self.N < 1:
             raise ContractError("step count N must be at least 1")
         if self.adjoint_mode not in ADJOINT_MODES:
             raise ContractError(f"adjoint_mode must be one of {ADJOINT_MODES}")
         if self.s0.q.shape != (self.sys.n,) or self.s0.v.shape != (self.sys.k,):
             raise ContractError("initial state dimensions do not match system")
+        if not (np.all(np.isfinite(self.s0.q)) and np.all(np.isfinite(self.s0.v))):
+            raise ContractError("initial state s0 must be finite")
         if self.ref.kind in (KIND_LINE, KIND_FREE_FLOW):
             # sample away from the endpoints so the FD probe stays in [0, T]
             probe = np.linspace(0.01 * self.T, 0.99 * self.T, 7)
@@ -349,8 +344,8 @@ def _adjoint_derived(
         )
     q, v = s.q, s.v
     q_r, v_r = r
-    rho = sys.frame.rho(q)
-    gam = sys.christoffel.gamma(q)
+    rho = sys.rho(q)
+    gam = sys.gamma(q)
     d_rho = sys.d_rho(q)
     d_gam = sys.d_gamma(q)
     d_pf = sys.d_pforce(q)
@@ -555,7 +550,6 @@ def benchmark_problem(
     """The bundled benchmark: particle from ((0.5, 0.2, 0.7), (0.5, 0.4))
     tracking the constant-z-line reference (1, 0, t+1, 0, 1)."""
     return TrackingProblem(
-        sys=particle_system(),
         ref=constant_z_line(x_r=1.0, z_offset=1.0, speed=1.0),
         epsilon=epsilon,
         omega=omega,

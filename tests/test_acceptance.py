@@ -18,11 +18,10 @@ from nhtrack import checks, kernels
 from nhtrack.cli import main, read_csv
 from nhtrack.geometry import AdaptedState
 from nhtrack.integrators import VectorField, convergence_order
-from nhtrack.particle import analytic_constants, analytic_flow, particle_system
+from nhtrack.particle import analytic_constants, analytic_flow
 from nhtrack.shooting import solve_tracking
 from nhtrack.tracking import TrackingProblem, benchmark_problem, free_flow, uncontrolled_cost
 
-SYS = particle_system()
 S0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
 X0 = np.concatenate([S0.q, S0.v])
 
@@ -159,7 +158,7 @@ def test_criterion_5_benchmark_experiment():
 
 def test_criterion_6_self_tracking_equilibrium():
     """Tracking a reference generated by the free flow needs no control."""
-    prob = TrackingProblem(sys=SYS, ref=free_flow(S0), epsilon=7.0, T=4.0, s0=S0)
+    prob = TrackingProblem(ref=free_flow(S0), epsilon=7.0, T=4.0, s0=S0)
     report = solve_tracking(prob)
     max_u = float(np.max(np.abs(report.controls)))
     ok = report.converged and max_u <= 1e-6

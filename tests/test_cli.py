@@ -249,7 +249,8 @@ class TestBadReferenceFile:
         (["t,x,y,z,v1,v2"], "has no rows"),
         ([CSV_HEADER], "has no rows"),
         (["t,x,y,z,v1,w", "0,1,0,1,0,1"], "no column v2"),
-    ], ids=["header-only", "header-only-track-csv", "column-missing"])
+        (["t,x,y,z,v1,v2,x", "0,1,0,1,0,1,5"], "repeats the name x"),
+    ], ids=["header-only", "header-only-track-csv", "column-missing", "name-repeated"])
     def test_unusable_table(self, tmp_path, capsys, rows, message):
         rc, err, table, out = self.run(tmp_path, capsys, rows)
         assert rc == 1
@@ -414,13 +415,21 @@ class TestCommands:
         assert len(data["t"]) == 11
         assert data["t"][-1] == 1.0
 
-    def test_epsilon_warned_for_simulate(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", "3"),
+        ("omega", "2"),
+        ("adjoint_mode", "paper-literal"),
+        ("full_transversality", "false"),
+        ("newton.tol", "1e-8"),
+        ("newton.max_iters", "5"),
+    ])
+    def test_epsilon_warned_for_simulate(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("epsilon = 3\nsteps = 10\nT = 1\n")
+        cfg.write_text(f"{key} = {value}\nsteps = 10\nT = 1\n")
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         err = capsys.readouterr().err
-        assert "epsilon" in err and "ignored" in err
+        assert f"key '{key}' is ignored" in err
 
     def test_check_passes_on_fresh_build(self, tmp_path, capsys):
         assert main(["check", "--out", str(tmp_path)]) == 0

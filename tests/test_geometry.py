@@ -1,16 +1,14 @@
 """Tests for the frame-based system description and its operations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nhtrack.errors import ContractError, DomainError
 from nhtrack.geometry import (
-    AdaptedFrame,
     AdaptedState,
-    ChristoffelField,
     NonholonomicSystem,
-    PotentialGradient,
-    RestrictedMetricField,
     admissible_velocity,
     christoffel_from_structure,
     constraint_residual,
@@ -79,14 +77,7 @@ class TestNhAcceleration:
 
     def test_domain_error_outside_declared_domain(self):
         sys_ = particle_system()
-        restricted = NonholonomicSystem(
-            frame=sys_.frame,
-            christoffel=sys_.christoffel,
-            metric=sys_.metric,
-            potential=sys_.potential,
-            constraint_annihilator=sys_.constraint_annihilator,
-            domain=lambda q: bool(abs(q[1]) < 1.0),
-        )
+        restricted = dataclasses.replace(sys_, domain=lambda q: bool(abs(q[1]) < 1.0))
         with pytest.raises(DomainError):
             nh_acceleration(restricted, AdaptedState(q=[0.0, 2.0, 0.0], v=[1.0, 1.0]))
 
@@ -176,24 +167,30 @@ class TestSystemConsistency:
         sys_ = particle_system()
         for _ in range(20):
             q = RNG.uniform(-3, 3, 3)
-            assert np.linalg.matrix_rank(sys_.frame.rho(q)) == sys_.k
+            assert np.linalg.matrix_rank(sys_.rho(q)) == sys_.k
 
     def test_metric_symmetric_and_inverse_consistent(self):
         sys_ = particle_system()
         for _ in range(20):
             q = RNG.uniform(-3, 3, 3)
-            g = sys_.metric.g(q)
+            g = sys_.g(q)
             np.testing.assert_array_equal(g, g.T)
-            np.testing.assert_allclose(g @ sys_.metric.g_inv(q), np.eye(2), atol=1e-12)
+            np.testing.assert_allclose(g @ sys_.g_inv(q), np.eye(2), atol=1e-12)
+
+    def test_rank_above_dimension_rejected(self):
+        with pytest.raises(ContractError, match="1 <= k <= n"):
+            dataclasses.replace(particle_system(), k=4)
 
     def test_custom_system_with_potential(self):
         """The metric-weighted potential force enters with a minus sign."""
-        frame = AdaptedFrame(n=2, k=2, rho=lambda q: np.eye(2))
         sys_ = NonholonomicSystem(
-            frame=frame,
-            christoffel=ChristoffelField(gamma=lambda q: np.zeros((2, 2, 2))),
-            metric=RestrictedMetricField(g=lambda q: np.eye(2), g_inv=lambda q: np.eye(2)),
-            potential=PotentialGradient(dV=lambda q: np.array([2.0 * q[0], 3.0])),
+            n=2,
+            k=2,
+            rho=lambda q: np.eye(2),
+            gamma=lambda q: np.zeros((2, 2, 2)),
+            g=lambda q: np.eye(2),
+            g_inv=lambda q: np.eye(2),
+            dV=lambda q: np.array([2.0 * q[0], 3.0]),
             constraint_annihilator=lambda q: np.zeros((0, 2)),
         )
         s = AdaptedState(q=[1.5, 0.0], v=[0.0, 0.0])

@@ -33,12 +33,12 @@ class TestParticleSystem:
         """Restricted kinetic energy: (v1^2 + (1+y^2) v2^2)/2."""
         sys_ = particle_system()
         np.testing.assert_array_equal(
-            sys_.metric.g(np.array([0.0, 0.2, 0.0])), np.diag([1.0, 1.04])
+            sys_.g(np.array([0.0, 0.2, 0.0])), np.diag([1.0, 1.04])
         )
 
     def test_connection_odd_in_y(self):
         sys_ = particle_system()
-        assert sys_.christoffel.gamma(np.array([1.0, 0.0, 2.0]))[1, 0, 1] == 0.0
+        assert sys_.gamma(np.array([1.0, 0.0, 2.0]))[1, 0, 1] == 0.0
 
     def test_annihilator_kills_frame(self):
         sys_ = particle_system()
@@ -53,9 +53,9 @@ class TestParticleSystem:
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                d_rho_fd = (sys_.frame.rho(q + e) - sys_.frame.rho(q - e)) / (2 * h)
+                d_rho_fd = (sys_.rho(q + e) - sys_.rho(q - e)) / (2 * h)
                 np.testing.assert_allclose(sys_.d_rho(q)[:, :, j], d_rho_fd, atol=1e-8)
-                d_gam_fd = (sys_.christoffel.gamma(q + e) - sys_.christoffel.gamma(q - e)) / (2 * h)
+                d_gam_fd = (sys_.gamma(q + e) - sys_.gamma(q - e)) / (2 * h)
                 np.testing.assert_allclose(sys_.d_gamma(q)[:, :, :, j], d_gam_fd, atol=1e-8)
 
 

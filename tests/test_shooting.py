@@ -20,7 +20,6 @@ from nhtrack.tracking import (
     free_flow,
     shooting_residual,
 )
-from nhtrack.particle import particle_system
 
 RNG = np.random.default_rng(3)
 
@@ -225,9 +224,7 @@ class TestSolveTracking:
     def test_self_tracking_equilibrium(self):
         """Reference generated by the free flow: alpha* ~ 0, controls ~ 0."""
         s0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
-        prob = TrackingProblem(
-            sys=particle_system(), ref=free_flow(s0), epsilon=7.0, T=4.0, s0=s0
-        )
+        prob = TrackingProblem(ref=free_flow(s0), epsilon=7.0, T=4.0, s0=s0)
         report = solve_tracking(prob)
         assert report.converged
         assert np.max(np.abs(report.alpha_star)) <= 1e-8
@@ -270,7 +267,6 @@ class TestSolveTracking:
     def test_singular_problem_rejected_before_solving(self):
         with pytest.raises(SingularProblemError):
             TrackingProblem(
-                sys=particle_system(),
                 ref=constant_z_line(),
                 epsilon=0.0,
                 T=4.0,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nhtrack.errors import ContractError, SingularProblemError
-from nhtrack.geometry import AdaptedState, ChristoffelField, NonholonomicSystem, PotentialGradient
+from nhtrack.geometry import AdaptedState
 from nhtrack.integrators import Trajectory, VectorField, integrate
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
 from nhtrack.shooting import fd_jacobian
@@ -209,24 +209,12 @@ class TestAdjointField:
         np.testing.assert_allclose(a.mu, b.mu, atol=1e-15)
 
     def test_paper_literal_requires_particle(self):
-        other = NonholonomicSystem(
-            frame=SYS.frame,
-            christoffel=SYS.christoffel,
-            metric=SYS.metric,
-            potential=SYS.potential,
-            constraint_annihilator=SYS.constraint_annihilator,
-        )
+        other = dataclasses.replace(SYS, name="")
         with pytest.raises(ContractError):
             adjoint_field(other, S0, random_costate(), random_sample(), 7.0, "paper-literal")
 
     def test_derived_requires_derivative_hooks(self):
-        bare = NonholonomicSystem(
-            frame=SYS.frame,
-            christoffel=SYS.christoffel,
-            metric=SYS.metric,
-            potential=SYS.potential,
-            constraint_annihilator=SYS.constraint_annihilator,
-        )
+        bare = dataclasses.replace(SYS, d_rho=None, d_gamma=None, d_pforce=None)
         with pytest.raises(ContractError):
             adjoint_field(bare, S0, random_costate(), random_sample(), 7.0, "derived")
 
@@ -264,7 +252,7 @@ class TestCoupledField:
 
     def test_equilibrium_on_self_generated_reference(self):
         """On-reference state with zero costate follows the reference."""
-        prob = TrackingProblem(sys=SYS, ref=free_flow(S0), epsilon=7.0, T=4.0, s0=S0, N=10)
+        prob = TrackingProblem(ref=free_flow(S0), epsilon=7.0, T=4.0, s0=S0, N=10)
         params = analytic_constants(S0)
         t = 1.3
         st = analytic_flow(params, t)
@@ -341,7 +329,7 @@ class TestReferenceKinds:
         ref = constant_z_line(x_r=np.nan)
         assert np.isnan(reference_admissibility_defect(SYS, ref, np.array([1.0, 2.0])))
         with pytest.raises(ContractError, match="not an admissible curve"):
-            TrackingProblem(sys=SYS, ref=ref, epsilon=7.0, T=4.0, s0=S0, N=10)
+            TrackingProblem(ref=ref, epsilon=7.0, T=4.0, s0=S0, N=10)
 
     def test_problem_rejects_inadmissible_reference(self):
         """Frozen base point with nonzero fiber velocity is not a curve on
@@ -351,70 +339,66 @@ class TestReferenceKinds:
             sample=lambda t: (np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0])),
         )
         with pytest.raises(ContractError):
-            TrackingProblem(sys=SYS, ref=bad, epsilon=7.0, T=4.0, s0=S0, N=10)
+            TrackingProblem(ref=bad, epsilon=7.0, T=4.0, s0=S0, N=10)
 
 
 class TestTrackingProblem:
     def test_rejects_singular_epsilon(self):
         ref = constant_z_line()
         with pytest.raises(SingularProblemError):
-            TrackingProblem(sys=SYS, ref=ref, epsilon=0.0, T=4.0, s0=S0)
+            TrackingProblem(ref=ref, epsilon=0.0, T=4.0, s0=S0)
 
     def test_rejects_bad_scalars(self):
         ref = constant_z_line()
         with pytest.raises(ContractError):
-            TrackingProblem(sys=SYS, ref=ref, epsilon=7.0, T=-1.0, s0=S0)
+            TrackingProblem(ref=ref, epsilon=7.0, T=-1.0, s0=S0)
         with pytest.raises(ContractError):
-            TrackingProblem(sys=SYS, ref=ref, epsilon=7.0, T=4.0, s0=S0, omega=0.0)
+            TrackingProblem(ref=ref, epsilon=7.0, T=4.0, s0=S0, omega=0.0)
         with pytest.raises(ContractError):
-            TrackingProblem(sys=SYS, ref=ref, epsilon=7.0, T=4.0, s0=S0, N=0)
+            TrackingProblem(ref=ref, epsilon=7.0, T=4.0, s0=S0, N=0)
         with pytest.raises(ContractError):
-            TrackingProblem(sys=SYS, ref=ref, epsilon=7.0, T=4.0, s0=S0, adjoint_mode="exact")
+            TrackingProblem(ref=ref, epsilon=7.0, T=4.0, s0=S0, adjoint_mode="exact")
 
     @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
     def test_rejects_non_finite_epsilon(self, epsilon):
         with pytest.raises(SingularProblemError, match="finite"):
-            TrackingProblem(sys=SYS, ref=constant_z_line(), epsilon=epsilon, T=4.0, s0=S0, N=10)
+            TrackingProblem(ref=constant_z_line(), epsilon=epsilon, T=4.0, s0=S0, N=10)
 
     @pytest.mark.parametrize("omega", [np.inf, np.nan])
     def test_rejects_non_finite_omega(self, omega):
         with pytest.raises(ContractError, match="omega must be finite"):
-            TrackingProblem(sys=SYS, ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0, N=10, omega=omega)
+            TrackingProblem(ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0, N=10, omega=omega)
 
     @pytest.mark.parametrize("T", [np.inf, np.nan])
     def test_rejects_non_finite_horizon(self, T):
         with pytest.raises(ContractError, match="horizon T must be finite"):
-            TrackingProblem(sys=SYS, ref=constant_z_line(), epsilon=7.0, T=T, s0=S0, N=10)
+            TrackingProblem(ref=constant_z_line(), epsilon=7.0, T=T, s0=S0, N=10)
 
-    def test_rejects_other_system(self):
-        """Only the particle has a C kernel; another system is not tracked
-        with the particle's right-hand side."""
-        other = NonholonomicSystem(
-            frame=SYS.frame,
-            christoffel=SYS.christoffel,
-            metric=SYS.metric,
-            potential=SYS.potential,
-            constraint_annihilator=SYS.constraint_annihilator,
-            d_rho=SYS.d_rho,
-            d_gamma=SYS.d_gamma,
-            d_pforce=SYS.d_pforce,
-        )
-        with pytest.raises(ContractError, match="only nonholonomic-particle can be tracked"):
-            TrackingProblem(sys=other, ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0)
+    @pytest.mark.parametrize("q, v", [
+        ([np.nan, 0.2, 0.7], [0.5, 0.4]),
+        ([0.5, 0.2, 0.7], [0.5, np.inf]),
+    ], ids=["nan-q", "inf-v"])
+    def test_rejects_non_finite_start(self, q, v):
+        s0 = AdaptedState(q=q, v=v)
+        with pytest.raises(ContractError, match="s0 must be finite"):
+            TrackingProblem(ref=constant_z_line(), epsilon=7.0, T=4.0, s0=s0, N=10)
 
-    @pytest.mark.parametrize("field, value", [
-        ("d_rho", lambda q: 2.0 * SYS.d_rho(q)),
-        ("christoffel", ChristoffelField(gamma=lambda q: 2.0 * SYS.christoffel.gamma(q))),
-        ("potential", PotentialGradient(dV=lambda q: np.ones(3))),
-    ])
-    def test_rejects_particle_name_with_other_callables(self, field, value):
-        """The C kernel integrates the particle's own right-hand side, so a
-        system that keeps the particle's name but swaps a callable is not
-        tracked with it."""
-        other = dataclasses.replace(SYS, **{field: value})
-        assert other.name == SYS.name
-        with pytest.raises(ContractError, match="must be particle_system"):
-            TrackingProblem(sys=other, ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0)
+    @pytest.mark.parametrize(
+        "N", [400.0, True, np.float64(10.0), "10"], ids=["float", "bool", "numpy-float", "str"]
+    )
+    def test_rejects_non_integer_step_count(self, N):
+        with pytest.raises(ContractError, match="N must be an integer"):
+            TrackingProblem(ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0, N=N)
+
+    def test_numpy_int_step_count_gives_the_int_problem(self):
+        prob = TrackingProblem(ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0, N=np.int64(10))
+        same = TrackingProblem(ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0, N=10)
+        alpha = np.full(5, 0.1)
+        np.testing.assert_array_equal(shooting_residual(alpha, prob), shooting_residual(alpha, same))
+
+    def test_system_is_the_particle_and_not_a_field(self):
+        assert TrackingProblem.sys == particle_system()
+        assert "sys" not in {f.name for f in dataclasses.fields(TrackingProblem)}
 
     def test_reference_table_matches_samples(self):
         prob = benchmark_problem(N=8)
@@ -444,7 +428,7 @@ class TestRefTableBitExact:
     ], ids=["generic", "c1-zero"])
     def test_free_flow_n4000(self, v, digest):
         s0 = AdaptedState(q=np.array([0.5, 0.2, 0.7]), v=np.array(v))
-        prob = TrackingProblem(sys=SYS, ref=free_flow(s0), epsilon=7.0, T=4.0, s0=s0, N=4000)
+        prob = TrackingProblem(ref=free_flow(s0), epsilon=7.0, T=4.0, s0=s0, N=4000)
         assert _sha256(prob._ref_table) == digest
 
     def test_tabulated_n400(self):
@@ -452,7 +436,7 @@ class TestRefTableBitExact:
         rng = np.random.default_rng(7)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.2, 24))])
         ref = tabulated(times, rng.uniform(-1.0, 1.0, (25, 5)))
-        prob = TrackingProblem(sys=SYS, ref=ref, epsilon=7.0, T=4.0, s0=S0, N=400)
+        prob = TrackingProblem(ref=ref, epsilon=7.0, T=4.0, s0=S0, N=400)
         assert _sha256(prob._ref_table) == "cd55e7852ec50bf75049b9350bc307c3cdb1066056f49a563bf2a317aa839188"
 
     @pytest.mark.parametrize("sample", [
@@ -461,7 +445,7 @@ class TestRefTableBitExact:
     ], ids=["scalar-only", "transposed"])
     def test_wrong_sample_shapes_rejected(self, sample):
         prob = TrackingProblem(
-            sys=SYS, ref=ReferenceTrajectory(kind="user", sample=sample),
+            ref=ReferenceTrajectory(kind="user", sample=sample),
             epsilon=7.0, T=4.0, s0=S0, N=10,
         )
         with pytest.raises(ContractError, match="reference sample of 21 times"):
