@@ -7,11 +7,10 @@ is the one grid formula, t0 + i*h with h = T/N computed once, never
 accumulated; the reference half grid j*(h/2) of `TrackingProblem` holds
 the same times in its even rows.
 
-The RK4 formula has two copies, pinned bit-identical by the tests.
-`rk4_step` runs `_rk4` on arrays and checks every stage for finiteness.
-`integrate` runs each step on Python floats, where numpy's dispatch on
-small arrays would cost more than most fields, and re-runs a step that
-fails any of its checks through `rk4_step`.
+The RK4 formula is written once, in `_step`, on Python floats: `rk4_step`
+takes one step with it and `integrate` loops it over the grid. Every
+stage's slope must have shape (dim,) and be finite, and so must the
+update, or the step raises ContractError or DomainError.
 """
 
 from __future__ import annotations
@@ -61,52 +60,68 @@ def time_grid(t0: float, T: float, N: int) -> Array:
     return t0 + (T / N) * np.arange(N + 1)
 
 
-def _stage(vf: VectorField, t: float, x: Array) -> Array:
-    k = np.asarray(vf.f(t, x), dtype=float)
-    if not np.all(np.isfinite(k)):
-        raise DomainError("vector field returned a non-finite value", t=t, x=x)
+def _slope(f: Callable[[float, Array], Array], dim: int, t: float, y: list) -> list:
+    """The slope f(t, y) as dim Python floats.
+
+    Raises ContractError unless the field returns shape (dim,), and
+    DomainError, with this stage's t and y, at a non-finite slope.
+    """
+    k = np.asarray(f(t, np.array(y)), dtype=float)
+    if k.shape != (dim,):
+        raise ContractError(f"vector field returned shape {k.shape}, expected ({dim},)")
+    k = k.tolist()
+    if not all(map(isfinite, k)):
+        raise DomainError("vector field returned a non-finite value", t=t, x=np.array(y))
     return k
 
 
-def _rk4(stage: Callable[[float, Array], Array], t: float, x: Array, h: float) -> Array:
-    """The classical 4-stage update of x at t, with stage(t, x) the slope.
+def _step(f: Callable[[float, Array], Array], dim: int, t: float, x: list, h: float) -> list:
+    """The classical 4-stage update of the float list x at t.
 
-    The update is grouped as x + h*((k1 + 2k2 + 2k3 + k4)/6) so constant
-    fields advance by exactly h per step (the (h/6)*sum grouping re-rounds).
+    Python floats, not arrays: numpy's dispatch on small arrays would cost
+    more than most fields. The update is grouped as
+    x + h*((k1 + 2k2 + 2k3 + k4)/6) so constant fields advance by exactly h
+    per step (the (h/6)*sum grouping re-rounds). Finite slopes can still
+    give a non-finite update, which raises DomainError with the step's t, x.
     """
-    k1 = stage(t, x)
-    k2 = stage(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = stage(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = stage(t + h, x + h * k3)
-    return x + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    hh = 0.5 * h
+    k1 = _slope(f, dim, t, x)
+    k2 = _slope(f, dim, t + hh, [a + hh * b for a, b in zip(x, k1)])
+    k3 = _slope(f, dim, t + hh, [a + hh * b for a, b in zip(x, k2)])
+    k4 = _slope(f, dim, t + h, [a + h * b for a, b in zip(x, k3)])
+    x_next = [a + h * ((b + 2.0 * c + 2.0 * d + e) / 6.0) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+    if not all(map(isfinite, x_next)):
+        raise DomainError("RK4 update overflowed", t=t, x=np.array(x))
+    return x_next
 
 
 def rk4_step(vf: VectorField, t: float, x: Array, h: float) -> Array:
-    """One classical 4-stage step from (t, x) with step size h > 0.
+    """One classical 4-stage step from (t, x) with step size h.
 
-    Each stage is checked: the first non-finite slope raises DomainError
-    with the time and state that stage was evaluated at.
+    h must be finite and positive, t finite and x of shape (dim,). Each
+    slope must have shape (dim,); the first non-finite one raises
+    DomainError with the time and state its stage was evaluated at, and a
+    non-finite update raises DomainError with t and x.
     """
-    if h <= 0.0:
-        raise ContractError("step size must be positive")
-    return _rk4(lambda s, y: _stage(vf, s, y), t, x, h)
+    if not 0.0 < h < np.inf:
+        raise ContractError("step size must be finite and positive")
+    if not isfinite(t):
+        raise ContractError("time must be finite")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (vf.dim,):
+        raise ContractError(f"state shape {x.shape} does not match dim {vf.dim}")
+    return np.array(_step(vf.f, vf.dim, float(t), x.tolist(), float(h)))
 
 
 def integrate(vf: VectorField, t0: float, x0: Array, T: float, N: int) -> Trajectory:
     """Integrate over [t0, t0+T] with N uniform steps; returns N+1 rows.
 
-    Each step runs on Python floats: the field gets a Python float t and a
-    fresh array, its slope becomes a list, and the stage inputs and the
-    update are formed element by element with the grouping of `_rk4`, so
-    this loop is a second copy of the formula, pinned bit-identical to a
-    loop of `rk4_step` by the tests. A step goes through the checked path
-    instead, rk4_step (calling the field again), when it raised or set
-    numpy's overflow, invalid or divide flag, when a slope does not have
-    exactly dim entries, or when a stage input or the result is not
-    finite. The error is then "step i: " plus rk4_step's, with the failing
-    stage's t and x, or the field's own exception, and the broadcasting
-    and warnings are rk4_step's.
+    Step i is `rk4_step`'s update from time_grid(t0, T, N)[i], with its
+    checks; a ContractError or DomainError it raises is prefixed with
+    "step i: ", and an exception of the field itself propagates unchanged.
     """
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ContractError(f"step count must be an integer, not {N!r}")
     if N < 1:
         raise ContractError("step count must be at least 1")
     if not 0.0 < T < np.inf:
@@ -117,48 +132,18 @@ def integrate(vf: VectorField, t0: float, x0: Array, T: float, N: int) -> Trajec
     dim = vf.dim
     if x0.shape != (dim,):
         raise ContractError(f"initial state shape {x0.shape} does not match dim {dim}")
-    h = T / N
-    hh = 0.5 * h
+    h = float(T / N)
     times = time_grid(t0, T, N)
     states = np.empty((N + 1, dim))
     states[0] = x0
-    ts = times.tolist()
     x = x0.tolist()
-
-    def slope(t, y):
-        if not all(map(isfinite, y)):
-            raise FloatingPointError("non-finite stage input")
-        k = np.asarray(vf.f(t, np.array(y)), dtype=float).tolist()
-        if len(k) != dim:  # a 0-d slope raises TypeError here
-            raise ValueError("slope length does not match dim")
-        return k
-
-    caller = np.geterr()
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for i in range(N):
-            t = ts[i]
-            try:
-                k1 = slope(t, x)
-                k2 = slope(t + hh, [a + hh * b for a, b in zip(x, k1)])
-                k3 = slope(t + hh, [a + hh * b for a, b in zip(x, k2)])
-                k4 = slope(t + h, [a + h * b for a, b in zip(x, k3)])
-                x_next = [
-                    a + h * ((b + 2.0 * c + 2.0 * d + e) / 6.0)
-                    for a, b, c, d, e in zip(x, k1, k2, k3, k4)
-                ]
-                ok = all(map(isfinite, x_next))
-            except Exception:  # the checked re-run raises it again, or an earlier stage's error
-                ok = False
-            if ok:
-                states[i + 1] = x = x_next
-                continue
-            try:
-                with np.errstate(**caller):
-                    x_next = rk4_step(vf, times[i], np.array(x), h)
-            except DomainError as err:
-                raise DomainError(f"step {i}: {err}", t=err.t, x=err.x) from err
-            states[i + 1] = x_next
-            x = states[i + 1].tolist()
+    for i, t in enumerate(times[:-1].tolist()):
+        try:
+            states[i + 1] = x = _step(vf.f, dim, t, x, h)
+        except DomainError as err:
+            raise DomainError(f"step {i}: {err}", t=err.t, x=err.x) from err
+        except ContractError as err:
+            raise ContractError(f"step {i}: {err}") from err
     return Trajectory(times=times, states=states)
 
 

@@ -49,6 +49,8 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0.0 < self.tol_residual < np.inf:
             raise ValueError("tol_residual must be finite and positive")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, not {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

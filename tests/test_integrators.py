@@ -1,5 +1,6 @@
 """Tests for the fixed-step integrator and its convergence diagnostics."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -71,6 +72,22 @@ class TestRk4Step:
         with pytest.raises(ContractError):
             rk4_step(vf, 0.0, np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize(
+        "t, x, h",
+        [
+            pytest.param(0.0, [1.0], np.nan, id="h-nan"),
+            pytest.param(0.0, [1.0], np.inf, id="h-inf"),
+            pytest.param(np.nan, [1.0], 0.1, id="t-nan"),
+            pytest.param(np.inf, [1.0], 0.1, id="t-inf"),
+            pytest.param(0.0, [1.0, 2.0], 0.1, id="x-too-long"),
+            pytest.param(0.0, [[1.0]], 0.1, id="x-2d"),
+        ],
+    )
+    def test_invalid_input_rejected(self, t, x, h):
+        vf = VectorField(dim=1, f=lambda t, x: np.zeros(1))
+        with pytest.raises(ContractError):
+            rk4_step(vf, t, np.array(x), h)
+
     def test_non_finite_stage_raises_domain_error(self):
         vf = VectorField(dim=1, f=lambda t, x: np.array([np.inf]))
         with pytest.raises(DomainError) as err:
@@ -135,6 +152,17 @@ class TestIntegrate:
             integrate(vf, 0.0, S0, -1.0, 10)
         with pytest.raises(ContractError):
             integrate(vf, 0.0, S0[:3], 4.0, 10)
+
+    @pytest.mark.parametrize("N", [2.5, 4.0, True])
+    def test_rejects_non_integer_step_count(self, N):
+        with pytest.raises(ContractError, match="step count must be an integer"):
+            integrate(reduced_field(), 0.0, S0, 4.0, N)
+
+    def test_numpy_int_step_count_gives_the_int_trajectory(self):
+        a = integrate(reduced_field(), 0.0, S0, 4.0, np.int64(40))
+        b = integrate(reduced_field(), 0.0, S0, 4.0, 40)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
 
     @pytest.mark.parametrize("T", [np.inf, np.nan])
     def test_rejects_non_finite_horizon(self, T):
@@ -201,9 +229,8 @@ class TestIntegrate:
         assert type(err) is ValueError and str(err) == "field undefined"
 
     def test_failing_step_warns_as_rk4_step_does(self):
-        """The unchecked attempt at a failing step adds no numpy warning:
-        its update would add inf to -inf, but the stage check stops at the
-        first infinite slope."""
+        """A failing step adds no numpy warning: its update would add inf
+        to -inf, but the stage check stops at the first infinite slope."""
 
         def f(t, x):
             if t <= 0.42:
@@ -219,16 +246,6 @@ class TestIntegrate:
     def test_trajectory_row_count_validated(self):
         with pytest.raises(ContractError):
             Trajectory(times=np.arange(3.0), states=np.zeros((2, 1)))
-
-
-def rk4_step_loop(vf, t0, x0, T, N):
-    """Times and states of N plain rk4_step calls: the reference formula."""
-    h = T / N
-    times = t0 + h * np.arange(N + 1)
-    states = [np.asarray(x0, dtype=float)]
-    for i in range(N):
-        states.append(rk4_step(vf, times[i], states[-1], h))
-    return times, np.array(states)
 
 
 def _coupled_case(mode):
@@ -255,37 +272,51 @@ BIT_IDENTICAL_CASES = {
 }
 
 
-class TestIntegrateMatchesRk4Step:
-    """integrate's float loop is a second copy of the RK4 formula; these
-    pin it bit for bit to the checked per-step path."""
+# SHA-256 of times.tobytes() + states.tobytes() for each case: a change to
+# the grid, the RK4 arithmetic or its grouping changes them
+DIGESTS = {
+    "coupled-derived": "58a49308dd020dda6ec371d99ee7836a30eead7100754bc74f0045186a344057",
+    "coupled-paper-literal": "f1c5a8717bc82584b77834254e4a3655a7b3de666539e33c90c6ab741e4e5e94",
+    "cubic-exactness": "758f122c8c6ba8f0c622940058d9bdcc8614ef98f87b69afb87e22a5f732250c",
+    "grid-endpoint": "37f4af5ad4bdb6fdef3797998afbd8277cca452380baabfacedada5b5a163dc4",
+    "list-slope": "cd74fa3be01c4e0951f84b552648b710ee0298290e48454872606dfae56abcf9",
+    "reduced-particle": "5170ddccc5a44a4a3dbd5809ab22246a750cb33b520ae3e8caa7b90e5a021b82",
+}
 
+
+class TestIntegrateBitExact:
     @pytest.mark.parametrize("case", sorted(BIT_IDENTICAL_CASES))
-    def test_bit_identical_to_rk4_step_loop(self, case):
-        vf, t0, x0, T, N = BIT_IDENTICAL_CASES[case]()
-        traj = integrate(vf, t0, x0, T, N)
-        times, states = rk4_step_loop(vf, t0, x0, T, N)
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states, states)
+    def test_outputs_match_recorded_digest(self, case):
+        traj = integrate(*BIT_IDENTICAL_CASES[case]())
+        assert hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest() == DIGESTS[case]
 
-    def test_slope_longer_than_dim_raises_broadcast_error(self):
-        vf = VectorField(dim=2, f=lambda t, x: np.ones(3))
-        with pytest.raises(ValueError) as err:
+    @pytest.mark.parametrize("slope", [1.5, np.ones(1), np.ones(3)], ids=["shape-()", "shape-(1,)", "shape-(3,)"])
+    def test_slope_of_wrong_shape_rejected(self, slope):
+        vf = VectorField(dim=2, f=lambda t, x: slope)
+        with pytest.raises(ContractError, match=r"step 0: vector field returned shape"):
             integrate(vf, 0.0, np.zeros(2), 1.0, 2)
-        assert str(err.value) == "operands could not be broadcast together with shapes (2,) (3,) "
+        with pytest.raises(ContractError, match=r"vector field returned shape"):
+            rk4_step(vf, 0.0, np.zeros(2), 0.5)
 
-    def test_scalar_slope_broadcasts(self):
-        traj = integrate(VectorField(dim=2, f=lambda t, x: 1.5), 0.0, np.zeros(2), 1.0, 2)
-        assert traj.states.tolist() == [[0.0, 0.0], [0.75, 0.75], [1.5, 1.5]]
-
-    def test_overflowing_stage_input_takes_checked_path(self):
-        """Stage 2's input overflows to inf, yet the step's result is
-        finite; the step still goes through rk4_step, which warns once."""
+    def test_overflowing_stage_input_is_not_an_error(self):
+        """Stage 2's input overflows to inf, yet every slope and the step's
+        result are finite: the step succeeds without a warning."""
         vf = VectorField(dim=1, f=lambda t, x: np.array([1e308 if t == 0.0 else 0.0]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             traj = integrate(vf, 0.0, np.zeros(1), 4.0, 1)
         assert traj.states[1].tolist() == [6.666666666666666e307]
-        assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
+        assert [str(w.message) for w in caught] == []
+
+    def test_overflowing_update_raises_domain_error(self):
+        """Every slope is finite, but the update of step 1 overflows."""
+        vf = VectorField(dim=1, f=lambda t, x: np.array([1e307]))
+        with pytest.raises(DomainError, match="step 1: RK4 update overflowed") as err:
+            integrate(vf, 0.0, np.zeros(1), 32.0, 2)
+        assert err.value.t == 16.0
+        assert err.value.x.tolist() == [1.6e308]
+        with pytest.raises(DomainError, match="RK4 update overflowed"):
+            rk4_step(vf, 16.0, np.array([1.6e308]), 16.0)
 
 
 class TestConvergenceOrder:

@@ -189,6 +189,11 @@ class TestNewtonSolve:
         with pytest.raises(ValueError, match="finite"):
             NewtonConfig(tol_residual=tol)
 
+    @pytest.mark.parametrize("max_iters", [np.nan, 2.5, 3.0, True])
+    def test_rejects_non_integer_max_iters(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            NewtonConfig(max_iters=max_iters)
+
 
 class TestSolveTracking:
     def test_benchmark_converges(self):
