@@ -414,8 +414,12 @@ def _warn_ignored(cfg: ExperimentConfig, command: str) -> None:
 
 def _output_dir(cfg: ExperimentConfig) -> Path:
     """The output directory, created on first use: only once a command's
-    inputs are built, so a config error leaves no directory behind."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    inputs are built, so a config error leaves no directory behind. A path
+    that cannot be a directory is a config error."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {cfg.output_dir!r}: {err}") from err
     return Path(cfg.output_dir)
 
 
@@ -451,8 +455,8 @@ def cmd_analytic(cfg: ExperimentConfig) -> int:
 def cmd_track(cfg: ExperimentConfig) -> int:
     prob = _build_problem(cfg)
     newton = NewtonConfig(tol_residual=cfg.newton_tol, max_iters=cfg.newton_max_iters)
-    report = solve_tracking(prob, cfg=newton)
     out_dir = _output_dir(cfg)
+    report = solve_tracking(prob, cfg=newton)
     lines = [
         "tracking report",
         "===============",
@@ -470,7 +474,7 @@ def cmd_track(cfg: ExperimentConfig) -> int:
         # the even rows of the half-grid reference table are the grid times
         write_csv(report.trajectory, report.controls, prob._ref_table[::2], written[0])
         write_plot_script(written[1], "track.csv")
-        terminal = report.trajectory.final_state()[:5] - np.concatenate(prob._ref_final)
+        terminal = report.trajectory.final_state()[:5] - prob._ref_final
         lines += [
             f"cost J: {report.cost!r}",
             f"cost of u=0 rollout: {uncontrolled_cost(prob)!r}",

@@ -9,9 +9,12 @@ replaced, in the same evaluation order, and the file is compiled without
 floating-point contraction, so its IEEE double outputs are bit-identical to
 those of a Python-float loop.
 
-The same loop can carry the forward sensitivity S = dz/dalpha of the
-coupled flow, from the hand-written Jacobian of the coupled rhs in
-`_rk4.c`; the states it writes are those of a plain rollout, bit for bit.
+`rollout_coupled` is the one coupled entry point. Given a (10, 5) block
+that the caller owns and seeds, such as S = dz/dalpha = [0; I] for the
+initial costate, the same loop advances it in place as the forward
+sensitivity of the coupled flow, from the hand-written Jacobian of the
+coupled rhs in `_rk4.c`; the states it writes are those of a plain
+rollout, bit for bit.
 
 The same library formats float64 tables as CSV text (`format_csv`), each
 value exactly as Python's repr writes it, from the C++17 file `_csv.cc`.
@@ -20,8 +23,10 @@ Both sources are compiled by one call of the system compiler `cc` on first
 use (which must also compile C++17 with a floating-point std::to_chars) and
 cached as `__pycache__/_rk4-<CRC-32 of sources and flags>.so` beside this
 module (in a private temporary directory when `__pycache__` is not
-writable). This module allocates every array, checks its shape and passes
-it to the library through ctypes.
+writable). This module checks every array and step argument before a
+pointer reaches the library, and calls it through ctypes. It allocates
+every array but the two the caller owns: a sensitivity block and
+`format_csv`'s output buffer.
 
 State layouts (matching the CSV column order):
     reduced   [x, y, z, v1, v2]
@@ -33,11 +38,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -137,12 +143,27 @@ def _library() -> ctypes.CDLL:
     return _build(cache)
 
 
-def _rk4(system, x0, h: float, n_steps: int, label: str, ref=None, eps=0.0, literal=False, sens=None):
-    """Integrate one flow from x0; returns (n_steps+1, dim).
+def _grid(h, n_steps):
+    """Check a rollout's step size and count; returns (float h, int n_steps).
 
-    sens, if given, is the (10, 5) sensitivity block at x0, advanced in
-    place to the last step. Raises DomainError at the first step whose
-    result is not finite, with the last finite state as payload.
+    h must be finite and n_steps a non-negative int (numpy ints too, not
+    bools): anything else raises ValueError before the library sees it.
+    """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise ValueError(f"n_steps must be a non-negative int, not {n_steps!r}")
+    h = float(h)
+    if not math.isfinite(h):
+        raise ValueError(f"step size h must be finite, not {h!r}")
+    return h, int(n_steps)
+
+
+def _rk4(system, x0, h: float, n_steps: int, label: str, ref=None, eps=0.0, literal=False, sens=None):
+    """Integrate one flow from x0 with n_steps steps of size h, both checked
+    by `_grid`; returns (n_steps+1, dim).
+
+    ref and sens, if given, are checked by the caller. Raises DomainError
+    at the first step whose result is not finite, with the last finite
+    state as payload.
     """
     kind, dim = system
     x0 = np.asarray(x0, dtype=float)
@@ -152,9 +173,7 @@ def _rk4(system, x0, h: float, n_steps: int, label: str, ref=None, eps=0.0, lite
     states[0] = x0
     ref_ptr = None if ref is None else ref.ctypes.data
     sens_ptr = None if sens is None else sens.ctypes.data
-    i = _library().nh_rk4(
-        kind, states.ctypes.data, states.shape[0] - 1, float(h), ref_ptr, float(eps), int(literal), sens_ptr
-    )
+    i = _library().nh_rk4(kind, states.ctypes.data, n_steps, h, ref_ptr, float(eps), int(literal), sens_ptr)
     if i >= 0:
         raise DomainError(f"{label} rollout left the finite domain at step {i}", x=states[i])
     return states
@@ -162,19 +181,12 @@ def _rk4(system, x0, h: float, n_steps: int, label: str, ref=None, eps=0.0, lite
 
 def rollout_reduced(x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """Integrate the uncontrolled reduced flow; returns (n_steps+1, 5)."""
-    return _rk4(_REDUCED, x0, h, n_steps, "reduced")
+    return _rk4(_REDUCED, x0, *_grid(h, n_steps), "reduced")
 
 
 def rollout_unreduced(x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """Integrate the ambient multiplier flow; returns (n_steps+1, 6)."""
-    return _rk4(_UNREDUCED, x0, h, n_steps, "unreduced")
-
-
-def _coupled(z0, h, n_steps, ref_half, eps, literal, sens=None):
-    if ref_half.shape != (2 * n_steps + 1, 5):
-        raise ValueError("reference table does not cover the half grid")
-    ref = np.ascontiguousarray(ref_half, dtype=float)
-    return _rk4(_COUPLED, z0, h, n_steps, "coupled", ref, eps, literal, sens)
+    return _rk4(_UNREDUCED, x0, *_grid(h, n_steps), "unreduced")
 
 
 def rollout_coupled(
@@ -184,35 +196,33 @@ def rollout_coupled(
     ref_half: np.ndarray,
     eps: float,
     literal: bool,
+    sens: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Integrate the state-costate flow with u = -mu/eps; returns (n_steps+1, 10).
 
     ref_half must hold reference samples (x_r, y_r, z_r, v1_r, v2_r) on the
     half grid t0 + j*(h/2), shape (2*n_steps + 1, 5). literal selects the
     paper-literal adjoint instead of the derived one.
+
+    sens, if given, is a caller-owned block dz/dp at z0 for some parameter
+    p of the start, a writeable C-contiguous float64 array of shape (10, 5).
+    It is advanced in place to dz_N/dp, the exact derivative of the
+    discrete RK4 map, and is not checked for finiteness; the states are
+    bit-identical to a rollout without it.
     """
-    return _coupled(z0, h, n_steps, ref_half, eps, literal)
-
-
-def rollout_coupled_sensitivity(
-    z0: np.ndarray,
-    h: float,
-    n_steps: int,
-    ref_half: np.ndarray,
-    eps: float,
-    literal: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """rollout_coupled together with S_N = dz_N/dalpha, shape (10, 5).
-
-    alpha is the initial costate, entries 5..9 of z0, so S starts as
-    [0; I]. S_N is the exact derivative of the discrete RK4 map, and the
-    states are bit-identical to rollout_coupled's. S_N is not checked for
-    finiteness here.
-    """
-    sens = np.zeros((10, 5))
-    sens[5:] = np.eye(5)
-    states = _coupled(z0, h, n_steps, ref_half, eps, literal, sens)
-    return states, sens
+    h, n_steps = _grid(h, n_steps)
+    if ref_half.shape != (2 * n_steps + 1, 5):
+        raise ValueError("reference table does not cover the half grid")
+    if sens is not None and not (
+        isinstance(sens, np.ndarray)
+        and sens.shape == (10, 5)
+        and sens.dtype == np.float64
+        and sens.flags.c_contiguous
+        and sens.flags.writeable
+    ):
+        raise ValueError("sens must be a writeable C-contiguous float64 array of shape (10, 5)")
+    ref = np.ascontiguousarray(ref_half, dtype=float)
+    return _rk4(_COUPLED, z0, h, n_steps, "coupled", ref, eps, literal, sens)
 
 
 def format_csv(table: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -204,7 +204,7 @@ def newton_solve(
                 break
             s *= 0.5
         if not accepted:
-            message = "line search stalled: no damping factor reduced the residual"
+            message = f"line search stalled: no damping factor reduced the residual max-norm {norm:.3e}"
             break
         iterations += 1
         norms.append(norm)

@@ -176,14 +176,17 @@ def reference_admissibility_defect(
     """Worst kinematic defect |d/dt q_r - rho(q_r)^T v_r| over the times.
 
     An admissible reference curve must move its base point exactly as its
-    fiber velocities dictate; this differentiates the base path centrally
-    and compares. A non-finite defect at any time makes the result NaN.
+    fiber velocities dictate; this differentiates the base path centrally,
+    with the step fd_step*max(1, |t|) so that t +- step stays resolvable in
+    double precision at large t, and compares. A non-finite defect at any
+    time makes the result NaN.
     """
     worst = 0.0
     for t in np.asarray(times, dtype=float):
-        q_p, _ = ref.sample(float(t) + fd_step)
-        q_m, _ = ref.sample(float(t) - fd_step)
-        q_dot = (q_p - q_m) / (2.0 * fd_step)
+        step = fd_step * max(1.0, abs(float(t)))
+        q_p, _ = ref.sample(float(t) + step)
+        q_m, _ = ref.sample(float(t) - step)
+        q_dot = (q_p - q_m) / (2.0 * step)
         q_r, v_r = ref.sample(float(t))
         worst = float(np.maximum(worst, np.max(np.abs(q_dot - sys.rho(q_r).T @ v_r))))
     return worst
@@ -269,9 +272,9 @@ class TrackingProblem:
         return reference_rows(self.ref, half_grid, self.sys.n, self.sys.k)
 
     @cached_property
-    def _ref_final(self) -> RefSample:
-        """Reference sample (q_r, v_r) at the horizon T."""
-        return self.ref.sample(self.T)
+    def _ref_final(self) -> Array:
+        """Reference row [q_r, v_r] at the horizon T."""
+        return np.concatenate(self.ref.sample(self.T))
 
 
 # ---------------------------------------------------------------------------
@@ -459,37 +462,45 @@ def shooting_residual(alpha: Array, prob: TrackingProblem) -> Array:
     return residual_from_trajectory(traj, prob)
 
 
-def _terminal_rows(prob: TrackingProblem, z: Array, q_r=0.0, v_r=0.0) -> Array:
-    """Transversality rows of the coupled state z at T against (q_r, v_r):
-    lam - 2*omega*(q - q_r) and mu - 2*omega*(v - v_r) with
-    full_transversality, else lam + omega*(q - q_r) and mu. Given a block
-    dz/dalpha and the default zero reference, the same affine map gives the
-    Jacobian rows (subtracting 0.0 changes no value)."""
-    n, k = prob.sys.n, prob.sys.k
-    q, v = z[:n], z[n : n + k]
-    lam, mu = z[n + k : 2 * n + k], z[2 * n + k :]
+def _terminal_rows(prob: TrackingProblem, z: Array, ref=0.0) -> Array:
+    """Transversality rows of the coupled state z = [q, v, lam, mu] at T
+    against the reference row ref = [q_r, v_r]: lam - 2*omega*(q - q_r) and
+    mu - 2*omega*(v - v_r) with full_transversality, else
+    lam + omega*(q - q_r) and mu. Given a block dz/dalpha and the default
+    zero reference, the same affine map gives the Jacobian rows
+    (subtracting 0.0 changes no value). Raises DomainError, with no
+    floating-point warning, when a row is not finite, as when a large
+    omega overflows it."""
+    n, d = prob.sys.n, prob.sys.n + prob.sys.k
     w = prob.omega
-    if prob.full_transversality:
-        return np.concatenate([lam - 2.0 * w * (q - q_r), mu - 2.0 * w * (v - v_r)])
-    return np.concatenate([lam + w * (q - q_r), mu])
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = z[:d] - ref
+        if prob.full_transversality:
+            rows = z[d:] - 2.0 * w * err
+        else:
+            rows = np.concatenate([z[d : d + n] + w * err[:n], z[d + n :]])
+    if not np.isfinite(rows).all():
+        raise DomainError(f"the transversality rows are not finite (omega = {w:g})")
+    return rows
 
 
 def residual_from_trajectory(traj: Trajectory, prob: TrackingProblem) -> Array:
     """Assemble the shooting residual from an already-integrated flow."""
-    return _terminal_rows(prob, traj.final_state(), *prob._ref_final)
+    return _terminal_rows(prob, traj.final_state(), prob._ref_final)
 
 
 def shooting_jacobian(prob: TrackingProblem, alpha: Array) -> Array:
     """Exact Jacobian dr/dalpha of the shooting residual of the discrete flow.
 
-    One rollout carries the sensitivity S_N = dz_N/dalpha (see
-    `kernels.rollout_coupled_sensitivity`), and `_terminal_rows` maps it
-    as it maps z_N in the residual. Raises DomainError when the flow or
-    S_N is not finite.
+    alpha is the last n+k entries of the kernel's start z0 (`_kernel_args`),
+    so the sensitivity S = dz/dalpha starts as [0; I]. One rollout advances
+    it to S_N = dz_N/dalpha (`kernels.rollout_coupled`), and
+    `_terminal_rows` maps it as it maps z_N in the residual. Raises
+    DomainError when the flow or the Jacobian rows are not finite.
     """
-    _, S = kernels.rollout_coupled_sensitivity(*_kernel_args(prob, alpha))
-    if not np.all(np.isfinite(S)):
-        raise DomainError("the sensitivity of the coupled flow is not finite")
+    d = prob.sys.n + prob.sys.k
+    S = np.eye(2 * d, d, -d)
+    kernels.rollout_coupled(*_kernel_args(prob, alpha), sens=S)
     return _terminal_rows(prob, S)
 
 
@@ -516,7 +527,8 @@ def _cost(prob: TrackingProblem, times: Array, body: Array, u: Array) -> float:
     values = running_cost(s, (ref[:, :n], ref[:, n:]), u, prob.epsilon)
     integral = float(np.trapezoid(values, times))
     sT = AdaptedState(q=body[-1, :n], v=body[-1, n:])
-    return integral + prob.omega * terminal_cost(sT, prob._ref_final)
+    ref_T = prob._ref_final
+    return integral + prob.omega * terminal_cost(sT, (ref_T[:n], ref_T[n:]))
 
 
 def total_cost(traj: Trajectory, prob: TrackingProblem) -> float:

@@ -312,6 +312,28 @@ class TestBadValuesExitOne:
         assert not (out / "report.txt").exists()
 
 
+class TestUnusableOutputDirectory:
+    """An output path that cannot be a directory exits 1 with a config
+    error; track reports it before solving."""
+
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    @pytest.mark.parametrize("where", ["empty", "file", "under-file"])
+    def test_exits_one(self, tmp_path, capsys, monkeypatch, command, where):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = {"empty": "", "file": str(afile), "under-file": str(afile / "sub")}[where]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(cli, "solve_tracking", no_solve)
+        assert main([command, "--steps", "10", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out!r}: [Errno ")
+        assert afile.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 class TestCommands:
     def test_simulate_and_analytic_agree(self, tmp_path):
         """Integrated and closed-form flows agree row by row."""

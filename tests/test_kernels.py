@@ -60,6 +60,49 @@ class TestCoupledRollout:
         with pytest.raises(ValueError):
             kernels.rollout_coupled(np.zeros(10), 0.1, 10, np.zeros((5, 5)), 7.0, False)
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            np.zeros((10, 6)),
+            np.zeros(50),
+            np.zeros((10, 5), dtype=np.float32),
+            np.asfortranarray(np.zeros((10, 5))),
+            np.zeros((10, 10))[:, ::2],
+            np.broadcast_to(0.0, (10, 5)),
+            np.zeros((10, 5)).tolist(),
+        ],
+        ids=["shape", "flat", "float32", "fortran", "strided", "read-only", "list"],
+    )
+    def test_malformed_sensitivity_block_rejected_before_the_library(self, block, monkeypatch):
+        """A block the kernel would read or write out of bounds never
+        reaches it: the library is not called and the block is untouched."""
+        from nhtrack.tracking import _kernel_args, benchmark_problem
+
+        args = _kernel_args(benchmark_problem(N=10), np.zeros(5))
+        before = np.array(block, copy=True)
+
+        def no_library():
+            raise AssertionError("the library was called")
+
+        monkeypatch.setattr(kernels, "_library", no_library)
+        with pytest.raises(ValueError, match="sens must be a writeable C-contiguous float64"):
+            kernels.rollout_coupled(*args, sens=block)
+        assert np.array_equal(np.asarray(block), before)
+
+    def test_sensitivity_block_view_advanced_in_place(self):
+        """A C-contiguous view into a larger caller array is a valid block:
+        the kernel writes exactly that slice."""
+        from nhtrack.tracking import _kernel_args, benchmark_problem
+
+        args = _kernel_args(benchmark_problem(N=40), np.zeros(5))
+        whole = np.zeros((3, 10, 5))
+        whole[1] = _seed()
+        own = _seed()
+        kernels.rollout_coupled(*args, sens=own)
+        kernels.rollout_coupled(*args, sens=whole[1])
+        assert np.array_equal(whole[1], own)
+        assert not whole[0].any() and not whole[2].any()
+
     def test_blowup_raises_domain_error(self):
         """A wildly wrong costate drives the flow out of double range.
 
@@ -73,6 +116,46 @@ class TestCoupledRollout:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="at step 6$"):
                 integrate_coupled(prob, np.array([0.0, 0.0, 0.0, 0.0, 1e9]))
+
+
+class TestStepArguments:
+    """Each rollout rejects a bad step count or step size by name, before
+    the library sees it."""
+
+    @staticmethod
+    def _rollouts():
+        from nhtrack.tracking import benchmark_problem
+
+        prob = benchmark_problem(N=4)
+        z0 = np.concatenate([X0, np.zeros(5)])
+        return {
+            "reduced": lambda h, n: kernels.rollout_reduced(X0, h, n),
+            "unreduced": lambda h, n: kernels.rollout_unreduced(np.zeros(6), h, n),
+            "coupled": lambda h, n: kernels.rollout_coupled(z0, h, n, prob._ref_table, 7.0, False),
+        }
+
+    @pytest.mark.parametrize("kind", ["reduced", "unreduced", "coupled"])
+    @pytest.mark.parametrize("n_steps", [-1, 2.5, True, np.float64(4.0), "4", None])
+    def test_bad_step_count(self, kind, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be a non-negative int"):
+            self._rollouts()[kind](0.01, n_steps)
+
+    @pytest.mark.parametrize("kind", ["reduced", "unreduced", "coupled"])
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_non_finite_step_size(self, kind, h):
+        with pytest.raises(ValueError, match="step size h must be finite"):
+            self._rollouts()[kind](h, 4)
+
+    @pytest.mark.parametrize("kind", ["reduced", "unreduced", "coupled"])
+    def test_numpy_step_arguments_accepted(self, kind):
+        rollout = self._rollouts()[kind]
+        assert np.array_equal(rollout(0.01, np.int64(4)), rollout(0.01, 4))
+        assert np.array_equal(rollout(np.float32(0.25), 4), rollout(0.25, 4))
+
+    def test_zero_steps_return_the_start(self):
+        z0 = np.concatenate([X0, np.ones(5)])
+        assert np.array_equal(kernels.rollout_reduced(X0, 0.01, 0), [X0])
+        assert np.array_equal(kernels.rollout_coupled(z0, 0.01, 0, np.zeros((1, 5)), 7.0, False), [z0])
 
 
 def _sha256(states):
@@ -161,6 +244,11 @@ COUPLED_DIGESTS = {
 }
 
 
+def _seed():
+    """S = dz/dalpha at the start, [0; I]: alpha is the costate, z[5:]."""
+    return np.eye(10, 5, -5)
+
+
 class TestSensitivity:
     """The forward sensitivity S_N = dz_N/dalpha carried by the RK4 kernel,
     and the exact shooting Jacobian built from it."""
@@ -170,16 +258,18 @@ class TestSensitivity:
         from nhtrack.tracking import _kernel_args, benchmark_problem
 
         prob = benchmark_problem(N=400, adjoint_mode=mode)
-        states, sens = kernels.rollout_coupled_sensitivity(*_kernel_args(prob, TRACK_ALPHA))
+        sens = _seed()
+        states = kernels.rollout_coupled(*_kernel_args(prob, TRACK_ALPHA), sens=sens)
         assert _sha256(states) == COUPLED_DIGESTS[mode]
-        assert sens.shape == (10, 5)
+        assert not np.array_equal(sens, _seed())
 
     @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
     def test_every_row_matches_central_differences(self, mode):
         from nhtrack.tracking import _kernel_args, benchmark_problem
 
         prob = benchmark_problem(N=400, adjoint_mode=mode)
-        _, sens = kernels.rollout_coupled_sensitivity(*_kernel_args(prob, TRACK_ALPHA))
+        sens = _seed()
+        kernels.rollout_coupled(*_kernel_args(prob, TRACK_ALPHA), sens=sens)
         fd = np.empty((10, 5))
         for j in range(5):
             e = np.zeros(5)

@@ -51,3 +51,31 @@ def test_install_and_restore_on_nhtrack_modules():
     for (owner, attr), original in before.items():
         assert getattr(owner, attr) is original, attr
     assert nh.checks.ALL_CHECKS == checks_before
+
+
+def test_traced_track_counts(tmp_path):
+    """One traced `track` records the layer counts the benchmark reports:
+    steps per rollout, Newton iterations, CSV bytes, and the rollout-count
+    identity 1 initial + line-search trials + 1 final, where the trials
+    include the exact-Jacobian rollouts."""
+    spans = _load_spans()
+    nh = types.SimpleNamespace(**{
+        name: sys.modules["nhtrack." + name]
+        for name in ("cli", "checks", "geometry", "kernels", "shooting", "tracking")
+    })
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, nh)
+        tracer.op, tracer.active = 0, True
+        assert nh.cli.main(["track", "--steps", "40", "--out", str(tmp_path)]) == 0
+        tracer.active = False
+    finally:
+        tracer.restore()
+    m = {name: value for name, (value, _) in spans.per_layer(tracer, 1, []).items()}
+    calls = m["kernels.rollout_coupled.calls"]
+    assert calls > 0
+    assert m["kernels.rollout_coupled.steps"] == 40 * calls
+    report = (tmp_path / "report.txt").read_text()
+    assert f"\niterations: {m['shooting.newton_iterations']:g}\n" in report
+    assert m["cli.write_csv.bytes"] == (tmp_path / "track.csv").stat().st_size
+    assert calls == 1 + spans.line_search(tracer) + 1

@@ -254,14 +254,15 @@ class TestSolveTracking:
 
     def test_non_finite_sensitivity_reported_not_raised(self, monkeypatch):
         """A non-finite S_N ends the solve with a Jacobian report."""
-        rollout = kernels.rollout_coupled_sensitivity
+        rollout = kernels.rollout_coupled
 
-        def nan_sensitivity(*args):
-            states, sens = rollout(*args)
-            sens[0, 0] = np.nan
-            return states, sens
+        def nan_sensitivity(*args, sens=None):
+            states = rollout(*args, sens=sens)
+            if sens is not None:
+                sens[0, 0] = np.nan
+            return states
 
-        monkeypatch.setattr(kernels, "rollout_coupled_sensitivity", nan_sensitivity)
+        monkeypatch.setattr(kernels, "rollout_coupled", nan_sensitivity)
         report = solve_tracking(benchmark_problem(N=400))
         assert not report.converged
         assert report.iterations == 0

@@ -6,16 +6,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from nhtrack.errors import ContractError, SingularProblemError
+from nhtrack.errors import ContractError, DomainError, SingularProblemError
 from nhtrack.geometry import AdaptedState
 from nhtrack.integrators import Trajectory, VectorField, integrate
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
-from nhtrack.shooting import fd_jacobian
+from nhtrack.shooting import fd_jacobian, solve_tracking
 from nhtrack.tracking import (
     Costate,
     CoupledState,
     ReferenceTrajectory,
     TrackingProblem,
+    _terminal_rows,
     adjoint_field,
     benchmark_problem,
     constant_z_line,
@@ -331,6 +332,30 @@ class TestReferenceKinds:
         with pytest.raises(ContractError, match="not an admissible curve"):
             TrackingProblem(ref=ref, epsilon=7.0, T=4.0, s0=S0, N=10)
 
+    def test_problem_rejects_off_distribution_line(self):
+        """The z-line moved to y = 0.5 moves its base as a line does, but the
+        constraint there couples x to z: rho(q)^T v = (-0.5, 0, 1), so the
+        defect is 0.5."""
+        line = constant_z_line()
+
+        def sample(t):
+            q_r, v_r = line.sample(t)
+            q_r[..., 1] = 0.5
+            return q_r, v_r
+
+        off = ReferenceTrajectory(kind=line.kind, sample=sample)
+        assert reference_admissibility_defect(SYS, off, np.linspace(0.04, 3.96, 7)) == pytest.approx(0.5)
+        with pytest.raises(ContractError, match=r"not an admissible curve \(kinematic defect 5\.000e-01\)"):
+            TrackingProblem(ref=off, epsilon=7.0, T=4.0, s0=S0, N=10)
+
+    @pytest.mark.parametrize("make", [constant_z_line, lambda: free_flow(S0)], ids=["line", "free-flow"])
+    def test_long_horizon_builtin_references_admissible(self, make):
+        """The FD probe step grows with |t|: at t ~ 1e7 a fixed 1e-4 step
+        loses most of its digits to rounding and reads a false defect."""
+        prob = TrackingProblem(ref=make(), epsilon=7.0, T=1e7, s0=S0, N=10)
+        times = np.linspace(0.01 * prob.T, 0.99 * prob.T, 7)
+        assert reference_admissibility_defect(SYS, prob.ref, times) <= 1e-9
+
     def test_problem_rejects_inadmissible_reference(self):
         """Frozen base point with nonzero fiber velocity is not a curve on
         the distribution: the base must move as the fibers dictate."""
@@ -498,6 +523,35 @@ class TestShootingResidual:
         sv = np.linalg.svd(J, compute_uv=False)
         assert np.sum(sv > 1e-10 * sv[0]) == 5
         np.testing.assert_allclose(sv[0] / sv[-1], 20.9599358, rtol=1e-4)
+
+
+class TestLargeOmega:
+    """A terminal weight that overflows the transversality rows is a
+    DomainError with a reason, never a floating-point warning."""
+
+    def test_overflowing_rows_raise_domain_error(self):
+        prob = benchmark_problem(omega=1e300, N=10)
+        z = np.zeros(10)
+        z[0] = 1e10
+        with pytest.raises(DomainError, match=r"transversality rows are not finite \(omega = 1e\+300\)"):
+            _terminal_rows(prob, z)
+
+    def test_weight_overflowing_at_the_start_named_in_the_report(self):
+        report = solve_tracking(benchmark_problem(omega=1e308, N=10))
+        assert not report.converged and report.iterations == 0
+        assert report.message == (
+            "residual at the starting guess left the domain: "
+            "the transversality rows are not finite (omega = 1e+308)"
+        )
+
+    def test_huge_weight_stalls_with_a_report(self):
+        """At omega = 1e300 every trial that overflows is rejected, and the
+        residual stops at the rounding floor of its omega-scaled rows."""
+        report = solve_tracking(benchmark_problem(omega=1e300, N=10))
+        assert not report.converged
+        assert report.message.startswith("line search stalled: no damping factor reduced the residual max-norm")
+        assert report.message.endswith(f"{report.residual_norms[-1]:.3e}")
+        assert report.residual_norms[-1] < 1e-10 * report.residual_norms[0]
 
 
 class TestTotalCost:
