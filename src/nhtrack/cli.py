@@ -46,6 +46,7 @@ from .tracking import (
     constant_z_line,
     free_flow,
     reference_rows,
+    require_finite_rows,
     tabulated,
     uncontrolled_cost,
 )
@@ -425,9 +426,14 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
 
 def _write_flow(cfg: ExperimentConfig, name: str, flow) -> int:
     """Write the (N+1, 5) states flow(times) on the command's time grid,
-    with the reference beside them, to the CSV file `name`."""
+    with the reference beside them, to the CSV file `name`. A row of either
+    that is not finite raises DomainError, with no floating-point warning,
+    before any file is written."""
     times = time_grid(0.0, cfg.T, cfg.steps)
-    traj = Trajectory(times=times, states=flow(times))
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = flow(times)
+    require_finite_rows(states, times, "the flow")
+    traj = Trajectory(times=times, states=states)
     ref = sample_reference(_build_reference(cfg), times)
     out = _output_dir(cfg) / name
     write_csv(traj, None, ref, out)
@@ -469,22 +475,28 @@ def cmd_track(cfg: ExperimentConfig) -> int:
         f"alpha*: {' '.join(repr(float(v)) for v in report.alpha_star)}",
     ]
     written = []
+    notes = [report.message] if report.message else []
     if report.trajectory is not None:
         written = [out_dir / "track.csv", out_dir / "plot.gp"]
         # the even rows of the half-grid reference table are the grid times
         write_csv(report.trajectory, report.controls, prob._ref_table[::2], written[0])
         write_plot_script(written[1], "track.csv")
         terminal = report.trajectory.final_state()[:5] - prob._ref_final
+        free_cost = uncontrolled_cost(prob)
         lines += [
             f"cost J: {report.cost!r}",
-            f"cost of u=0 rollout: {uncontrolled_cost(prob)!r}",
+            f"cost of u=0 rollout: {free_cost!r}",
             "terminal errors (x, y, z, v1, v2): "
             + " ".join("%.6e" % abs(v) for v in terminal),
         ]
+        if not (math.isfinite(report.cost) and math.isfinite(free_cost)):
+            notes.append(
+                "a cost is not finite: the omega-weighted terminal cost overflows "
+                f"(omega = {cfg.omega:g})"
+            )
     else:
         lines.append("no trajectory: the flow at alpha* leaves the finite domain")
-    if report.message:
-        lines.append(f"note: {report.message}")
+    lines += [f"note: {note}" for note in notes]
     written.append(out_dir / "report.txt")
     written[-1].write_text("\n".join(lines) + "\n")
     for path in written:

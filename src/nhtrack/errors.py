@@ -10,7 +10,7 @@ class ContractError(NhtrackError):
 
 
 class DomainError(NhtrackError):
-    """Evaluation left the declared domain (singularity, non-finite value).
+    """Evaluation left the finite domain (singularity, non-finite value).
 
     Carries the offending time and state when raised inside an integration.
     """

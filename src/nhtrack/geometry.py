@@ -4,8 +4,7 @@ A system lives on an n-dimensional configuration space carrying a rank-k
 velocity distribution. The distribution is spanned by k frame fields with
 coefficients rho(q) (a k x n array), and the reduced dynamics are written
 in the induced coordinates (q, v): q moves along the frame with fiber
-velocity v, and v is driven by the connection coefficients Gamma(q) plus
-the potential force pulled back through the restricted metric.
+velocity v, and v is driven by the connection coefficients Gamma(q).
 
 The system is one immutable record of closed-form callables; every
 operation is a pure function of its inputs.
@@ -13,12 +12,12 @@ operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError
 
 Array = np.ndarray
 
@@ -30,33 +29,20 @@ class NonholonomicSystem:
     The configuration space has dimension n and the distribution rank k,
     1 <= k <= n. rho(q) returns a (k, n) array whose row A holds the
     coefficients of the A-th frame field in the coordinate basis; rows must
-    stay linearly independent on the declared domain. gamma(q) returns the
-    (k, k, k) connection coefficients, indexed [C, A, B]. g(q) is the (k, k)
-    symmetric positive-definite restricted metric in the frame basis and
-    g_inv(q) its inverse. dV(q) is the (n,) coordinate gradient of the
-    potential energy. constraint_annihilator(q) returns an (m, n) array of
-    one-form coefficients that vanish on the frame: mu(q) @ rho(q).T == 0.
-
-    The optional derivative callables (d_rho, d_gamma, d_pforce) supply the
-    closed-form q-derivatives needed by the analytically derived adjoint
-    equations; `tracking.adjoint_field` rejects systems without them in
-    derived mode. ``domain`` declares where the closed forms are valid
-    (connection singularities must be excluded here).
+    stay linearly independent. gamma(q) returns the (k, k, k) connection
+    coefficients, indexed [C, A, B]. constraint_annihilator(q) returns an
+    (m, n) array of one-form coefficients that vanish on the frame:
+    mu(q) @ rho(q).T == 0. d_rho and d_gamma are the closed-form
+    q-derivatives of rho and gamma that the derived adjoint equations read.
     """
 
     n: int
     k: int
     rho: Callable[[Array], Array]
     gamma: Callable[[Array], Array]
-    g: Callable[[Array], Array]
-    g_inv: Callable[[Array], Array]
-    dV: Callable[[Array], Array]
     constraint_annihilator: Callable[[Array], Array]
-    domain: Callable[[Array], bool] = field(default=lambda q: True)
-    d_rho: Optional[Callable[[Array], Array]] = None  # (k, n, n): [A, i, j] = d rho_A^i / d q^j
-    d_gamma: Optional[Callable[[Array], Array]] = None  # (k, k, k, n): [C, A, B, j]
-    d_pforce: Optional[Callable[[Array], Array]] = None  # (k, n): [C, j] = d force^C / d q^j
-    name: str = ""
+    d_rho: Callable[[Array], Array]  # (k, n, n): [A, i, j] = d rho_A^i / d q^j
+    d_gamma: Callable[[Array], Array]  # (k, k, k, n): [C, A, B, j]
 
     def __post_init__(self):
         if not (1 <= self.k <= self.n):
@@ -93,23 +79,10 @@ def admissible_velocity(sys: NonholonomicSystem, s: AdaptedState) -> Array:
     return sys.rho(s.q).T @ s.v
 
 
-def potential_force(sys: NonholonomicSystem, q: Array) -> Array:
-    """Force term g_inv(q) @ rho(q) @ dV(q) entering the fiber acceleration."""
-    return sys.g_inv(q) @ (sys.rho(q) @ sys.dV(q))
-
-
 def nh_acceleration(sys: NonholonomicSystem, s: AdaptedState) -> Array:
-    """Uncontrolled fiber acceleration.
-
-    vdot^C = -Gamma^C_AB(q) v^A v^B - (g_inv rho dV)^C. Raises DomainError
-    outside the system's declared domain.
-    """
+    """Uncontrolled fiber acceleration vdot^C = -Gamma^C_AB(q) v^A v^B."""
     _check_state(sys, s)
-    if not sys.domain(s.q):
-        raise DomainError(f"base point {s.q} outside declared system domain", x=s.q)
-    gam = sys.gamma(s.q)
-    quad = np.einsum("cab,a,b->c", gam, s.v, s.v)
-    return -quad - potential_force(sys, s.q)
+    return -np.einsum("cab,a,b->c", sys.gamma(s.q), s.v, s.v)
 
 
 def controlled_acceleration(sys: NonholonomicSystem, s: AdaptedState, u: Array) -> Array:

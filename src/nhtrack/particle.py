@@ -63,43 +63,20 @@ def _d_gamma(q: Array) -> Array:
     return d
 
 
-def _metric(q: Array) -> Array:
-    y = q[1]
-    return np.array([[1.0, 0.0], [0.0, 1.0 + y * y]])
-
-
-def _metric_inv(q: Array) -> Array:
-    y = q[1]
-    return np.array([[1.0, 0.0], [0.0, 1.0 / (1.0 + y * y)]])
-
-
 def _annihilator(q: Array) -> Array:
     return np.array([[1.0, 0.0, q[1]]])
 
 
-def _dV(q: Array) -> Array:
-    return np.zeros(3)
-
-
-def _d_pforce(q: Array) -> Array:
-    return np.zeros((2, 3))
-
-
 def particle_system() -> NonholonomicSystem:
-    """Construct the constrained-particle system (n=3, k=2, V=0)."""
+    """Construct the constrained-particle system (n=3, k=2)."""
     return NonholonomicSystem(
         n=3,
         k=2,
         rho=_rho,
         gamma=_gamma,
-        g=_metric,
-        g_inv=_metric_inv,
-        dV=_dV,
         constraint_annihilator=_annihilator,
         d_rho=_d_rho,
         d_gamma=_d_gamma,
-        d_pforce=_d_pforce,
-        name=PARTICLE_NAME,
     )
 
 
@@ -130,12 +107,27 @@ class AnalyticParams:
     z0: float
 
 
+def _radius(y):
+    """sqrt(y^2 + 1) of a scalar or an array y, with no overflow: where
+    y^2 + 1 overflows it is |y|, which equals sqrt(y^2 + 1) in float64
+    there. Where it does not, the bits are those of sqrt(y * y + 1.0), and
+    an input with no overflow costs no extra pass."""
+    y = np.asarray(y, dtype=float)
+    try:
+        with np.errstate(over="raise"):
+            return np.sqrt(y * y + 1.0)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            r = np.sqrt(y * y + 1.0)
+        return np.where(np.isfinite(r), r, np.abs(y))
+
+
 def analytic_constants(s0: AdaptedState) -> AnalyticParams:
     """Constants reproducing s0 at t=0: c1 = v1(0), c2 = v2(0) sqrt(y0^2+1)."""
     x0, y0, z0 = s0.q
     return AnalyticParams(
         c1=float(s0.v[0]),
-        c2=float(s0.v[1]) * float(np.sqrt(y0 * y0 + 1.0)),
+        c2=float(s0.v[1]) * float(_radius(y0)),
         x0=float(x0),
         y0=float(y0),
         z0=float(z0),
@@ -161,15 +153,15 @@ def analytic_flow(p: AnalyticParams, t) -> AdaptedState:
     v = np.empty(t.shape + (2,))
     if abs(p.c1) > C1_SWITCH:
         y = p.y0 + p.c1 * t
-        r0 = np.sqrt(p.y0 * p.y0 + 1.0)
-        r = np.sqrt(y * y + 1.0)
+        r0 = _radius(p.y0)
+        r = _radius(y)
         q[..., 0] = p.x0 + (p.c2 / p.c1) * (r0 - r)
         q[..., 1] = y
         q[..., 2] = p.z0 + (p.c2 / p.c1) * (np.arcsinh(y) - np.arcsinh(p.y0))
         v[..., 0] = p.c1
         v[..., 1] = p.c2 / r
     else:
-        v2 = p.c2 / np.sqrt(p.y0 * p.y0 + 1.0)
+        v2 = p.c2 / _radius(p.y0)
         q[..., 0] = p.x0 - p.y0 * v2 * t
         q[..., 1] = p.y0
         q[..., 2] = p.z0 + v2 * t

@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .integrators import Trajectory, time_grid
 from .integrators import integrate  # noqa: F401 - perfbench/spans.py rebinds tracking.integrate
-from .particle import PARTICLE_NAME, analytic_constants, analytic_flow, particle_system
+from .particle import analytic_constants, analytic_flow, particle_system
 
 Array = np.ndarray
 RefSample = Tuple[Array, Array]
@@ -97,9 +97,13 @@ class ReferenceTrajectory:
 
 
 def reference_rows(ref: ReferenceTrajectory, times: Array, n: int, k: int) -> Array:
-    """Rows [q_r, v_r] of ref at a 1-D array of times, from one sample call."""
+    """Rows [q_r, v_r] of ref at a 1-D array of times, from one sample call.
+
+    Raises DomainError, with no floating-point warning, naming the first
+    time whose row is not finite, as when a large speed overflows it."""
     times = np.asarray(times, dtype=float)
-    q_r, v_r = ref.sample(times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_r, v_r = ref.sample(times)
     q_r = np.asarray(q_r, dtype=float)
     v_r = np.asarray(v_r, dtype=float)
     m = times.shape[0]
@@ -108,7 +112,17 @@ def reference_rows(ref: ReferenceTrajectory, times: Array, n: int, k: int) -> Ar
             f"reference sample of {m} times gave shapes {q_r.shape}/{v_r.shape}, "
             f"expected ({m}, {n})/({m}, {k})"
         )
-    return np.concatenate([q_r, v_r], axis=1)
+    rows = np.concatenate([q_r, v_r], axis=1)
+    require_finite_rows(rows, times, "the reference")
+    return rows
+
+
+def require_finite_rows(rows: Array, times: Array, what: str) -> None:
+    """Raise DomainError naming the first of times whose row of rows (one
+    row per time) is not finite."""
+    if not np.isfinite(rows).all():
+        t = float(times[np.argmin(np.isfinite(rows).all(axis=1))])
+        raise DomainError(f"{what} is not finite at t = {t!r}", t=t)
 
 
 def constant_z_line(x_r: float = 1.0, z_offset: float = 1.0, speed: float = 1.0) -> ReferenceTrajectory:
@@ -179,16 +193,17 @@ def reference_admissibility_defect(
     fiber velocities dictate; this differentiates the base path centrally,
     with the step fd_step*max(1, |t|) so that t +- step stays resolvable in
     double precision at large t, and compares. A non-finite defect at any
-    time makes the result NaN.
+    time makes the result NaN, with no floating-point warning.
     """
     worst = 0.0
-    for t in np.asarray(times, dtype=float):
-        step = fd_step * max(1.0, abs(float(t)))
-        q_p, _ = ref.sample(float(t) + step)
-        q_m, _ = ref.sample(float(t) - step)
-        q_dot = (q_p - q_m) / (2.0 * step)
-        q_r, v_r = ref.sample(float(t))
-        worst = float(np.maximum(worst, np.max(np.abs(q_dot - sys.rho(q_r).T @ v_r))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in np.asarray(times, dtype=float):
+            step = fd_step * max(1.0, abs(float(t)))
+            q_p, _ = ref.sample(float(t) + step)
+            q_m, _ = ref.sample(float(t) - step)
+            q_dot = (q_p - q_m) / (2.0 * step)
+            q_r, v_r = ref.sample(float(t))
+            worst = float(np.maximum(worst, np.max(np.abs(q_dot - sys.rho(q_r).T @ v_r))))
     return worst
 
 
@@ -340,24 +355,17 @@ def hamiltonian_control_gradient(p: Costate, u: Array, eps: float) -> Array:
 def _adjoint_derived(
     sys: NonholonomicSystem, s: AdaptedState, p: Costate, r: RefSample
 ) -> Costate:
-    if sys.d_rho is None or sys.d_gamma is None or sys.d_pforce is None:
-        raise ContractError(
-            "derived adjoint mode needs the system's closed-form derivatives "
-            "(d_rho, d_gamma, d_pforce)"
-        )
     q, v = s.q, s.v
     q_r, v_r = r
     rho = sys.rho(q)
     gam = sys.gamma(q)
     d_rho = sys.d_rho(q)
     d_gam = sys.d_gamma(q)
-    d_pf = sys.d_pforce(q)
-    # dH/dq_j = (q-q_r)_j + lam_i d_rho[A,i,j] v^A - mu_C (d_gam[C,A,B,j] v^A v^B + d_pf[C,j])
+    # dH/dq_j = (q-q_r)_j + lam_i d_rho[A,i,j] v^A - mu_C d_gam[C,A,B,j] v^A v^B
     dH_dq = (
         (q - q_r)
         + np.einsum("i,aij,a->j", p.lam, d_rho, v)
         - np.einsum("c,cabj,a,b->j", p.mu, d_gam, v, v)
-        - p.mu @ d_pf
     )
     # dH/dv_A = (v-v_r)_A + lam_i rho[A,i] - mu_C (gam[C,A,B] + gam[C,B,A]) v^B
     dH_dv = (
@@ -414,8 +422,6 @@ def adjoint_field(
     if mode == "derived":
         return _adjoint_derived(sys, s, p, r)
     if mode == "paper-literal":
-        if sys.name != PARTICLE_NAME:
-            raise ContractError("paper-literal adjoint mode is specific to the particle")
         return _adjoint_paper_literal(s, p, r, eps)
     raise ContractError(f"unknown adjoint mode {mode!r}")
 

@@ -334,6 +334,71 @@ class TestUnusableOutputDirectory:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
+class TestNonFiniteOutputs:
+    """Huge inputs give a finite file or an exit-3 reason, never an inf or
+    nan cell with exit 0, and never a floating-point warning (tier-1 turns
+    a RuntimeWarning into a failure)."""
+
+    def _cfg(self, tmp_path, text):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        return str(path)
+
+    def test_closed_form_flow_at_large_y(self, tmp_path):
+        """Past |y| = 1.3e154, y*y + 1 overflows; x keeps its closed form
+        x0 + (c2/c1)(sqrt(y0^2 + 1) - |y|)."""
+        out = tmp_path / "out"
+        assert main(["analytic", "--T", "1e200", "--steps", "2", "--out", str(out)]) == 0
+        data = read_csv(out / "analytic.csv")
+        assert all(np.isfinite(column).all() for column in data.values())
+        r0 = np.sqrt(0.2 * 0.2 + 1.0)
+        c1, c2 = 0.5, 0.4 * r0
+        # the rows after t = 0 have |y| >= 2.5e199
+        expected = 0.5 + (c2 / c1) * (r0 - np.abs(data["y"][1:]))
+        np.testing.assert_allclose(data["x"][1:], expected, rtol=1e-15, atol=0.0)
+        assert data["x"][-1] < -4e199
+
+    def test_closed_form_start_at_large_y(self, tmp_path):
+        """c2 = v2(0) sqrt(y0^2 + 1) is v2(0) |y0| once y0^2 overflows."""
+        out = tmp_path / "out"
+        cfg = self._cfg(tmp_path, "initial_state = 0 1e200 0 1 1\n")
+        assert main(["analytic", "--config", cfg, "--steps", "2", "--out", str(out)]) == 0
+        data = read_csv(out / "analytic.csv")
+        for name, value in (("x", 0.0), ("y", 1e200), ("z", 0.0), ("v1", 1.0), ("v2", 1.0)):
+            assert np.all(data[name] == value), name
+
+    @pytest.mark.parametrize("command, reason", [
+        ("simulate", "error: the reference is not finite at t = 2.0"),
+        ("analytic", "error: the reference is not finite at t = 2.0"),
+        ("track", "error: reference is not an admissible curve (kinematic defect nan)"),
+    ], ids=["simulate", "analytic", "track"])
+    def test_overflowing_reference_exits_three(self, tmp_path, capsys, command, reason):
+        out = tmp_path / "out"
+        cfg = self._cfg(tmp_path, "reference.speed = 1e308\n")
+        assert main([command, "--config", cfg, "--steps", "4", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.strip() == reason
+        assert not out.exists()
+
+    def test_overflowing_flow_exits_three(self, tmp_path, capsys):
+        """y = y0 + v1*t overflows at t = 1e300 when v1 = 1e10."""
+        out = tmp_path / "out"
+        cfg = self._cfg(tmp_path, "initial_state = 0 0 0 1e10 1\n")
+        assert main(["analytic", "--config", cfg, "--T", "1e300", "--steps", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.strip() == "error: the flow is not finite at t = 5e+299"
+        assert not out.exists()
+
+    def test_overflowing_cost_named(self, tmp_path):
+        """report.txt says why both costs read inf; exit 2 still reports the
+        overflowing transversality rows."""
+        assert main(["track", "--omega", "1e308", "--steps", "10", "--out", str(tmp_path)]) == 2
+        report = (tmp_path / "report.txt").read_text()
+        assert "cost J: inf\ncost of u=0 rollout: inf\n" in report
+        assert report.endswith(
+            "note: a cost is not finite: the omega-weighted terminal cost overflows "
+            "(omega = 1e+308)\n"
+        )
+
+
 class TestCommands:
     def test_simulate_and_analytic_agree(self, tmp_path):
         """Integrated and closed-form flows agree row by row."""

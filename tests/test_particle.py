@@ -29,13 +29,6 @@ def flat(s: AdaptedState) -> np.ndarray:
 
 
 class TestParticleSystem:
-    def test_metric_coefficients(self):
-        """Restricted kinetic energy: (v1^2 + (1+y^2) v2^2)/2."""
-        sys_ = particle_system()
-        np.testing.assert_array_equal(
-            sys_.g(np.array([0.0, 0.2, 0.0])), np.diag([1.0, 1.04])
-        )
-
     def test_connection_odd_in_y(self):
         sys_ = particle_system()
         assert sys_.gamma(np.array([1.0, 0.0, 2.0]))[1, 0, 1] == 0.0

@@ -209,15 +209,6 @@ class TestAdjointField:
         np.testing.assert_allclose(a.lam, b.lam, atol=1e-15)
         np.testing.assert_allclose(a.mu, b.mu, atol=1e-15)
 
-    def test_paper_literal_requires_particle(self):
-        other = dataclasses.replace(SYS, name="")
-        with pytest.raises(ContractError):
-            adjoint_field(other, S0, random_costate(), random_sample(), 7.0, "paper-literal")
-
-    def test_derived_requires_derivative_hooks(self):
-        bare = dataclasses.replace(SYS, d_rho=None, d_gamma=None, d_pforce=None)
-        with pytest.raises(ContractError):
-            adjoint_field(bare, S0, random_costate(), random_sample(), 7.0, "derived")
 
 
 class TestCoupledState:
