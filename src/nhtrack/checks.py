@@ -5,15 +5,19 @@ Each check re-verifies one contract of the library on the bundled
 particle: frame algebra, conservation laws, oracle agreement between the
 reduced and unreduced dynamics, adjoint-gradient consistency, residual
 smoothness, and solver behavior. Everything is deterministic (fixed RNG
-seeds). The suite takes about 0.2 s on a 2-vCPU Xeon VM, and `nhtrack
-check` about 0.5 s with interpreter start-up. The slowest checks are
-adjoint-gradient (0.05-0.07 s, both adjoint modes against one FD
-gradient) and cubic-exactness (0.04-0.06 s: 4000 steps of the generic
-integrator, which runs on Python floats); the 4000-step shooting solve of
-solver-behavior, with exact Newton Jacobians, takes 0.03-0.04 s.
-grid-endpoint reads `integrators.time_grid` directly and integrates
-nothing. The closed-form flow and the references are sampled on whole
-time grids, one call per grid.
+seeds). The suite takes about 0.1 s on a 2-vCPU Xeon VM, and `nhtrack
+check` about 0.4 s with interpreter start-up. The slowest checks are
+cubic-exactness (0.05-0.07 s: 4000 steps of the generic integrator, which
+runs on Python floats) and the 4000-step shooting solve of
+solver-behavior, with exact Newton Jacobians (0.03-0.06 s);
+oracle-equivalence, 40,000 steps of each C kernel, takes 0.014-0.016 s.
+A check that evaluates the geometry, the Hamiltonian or the adjoint at
+random points draws them as stacked rows and calls each library function
+once on all of them: adjoint-gradient, 100 points and their 1,000
+Hamiltonian probes, takes about 1.3 ms. grid-endpoint reads
+`integrators.time_grid` directly and integrates nothing. The closed-form
+flow and the references are sampled on whole time grids, one call per
+grid.
 """
 
 from __future__ import annotations
@@ -62,31 +66,37 @@ class CheckResult:
     detail: str
 
 
-def _random_states(rng, count):
-    for _ in range(count):
-        q = rng.uniform(-2.0, 2.0, 3)
-        v = rng.uniform(-2.0, 2.0, 2)
-        yield AdaptedState(q=q, v=v)
+def _uniform_rows(rng, count, *blocks):
+    """count rows of uniform draws from rng, each row the columns of the
+    blocks in order: a block (low, high, width) gives width columns in
+    [low, high). Bit for bit the values of drawing, row after row, each
+    block as rng.uniform(low, high, width): one draw of the unit interval
+    scaled per column takes the same stream and the same arithmetic."""
+    low = np.concatenate([np.full(w, lo, dtype=float) for lo, _, w in blocks])
+    high = np.concatenate([np.full(w, hi, dtype=float) for _, hi, w in blocks])
+    return low + (high - low) * rng.uniform(size=(count, low.shape[0]))
+
+
+def _states(x) -> AdaptedState:
+    """The particle states in the first five entries of the last axis of
+    x: q, then v."""
+    return AdaptedState(q=x[..., :3], v=x[..., 3:5])
 
 
 def check_frame_annihilation() -> CheckResult:
     sys_ = particle_system()
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for s in _random_states(rng, 50):
-        qdot = admissible_velocity(sys_, s)
-        worst = max(worst, float(np.max(np.abs(constraint_residual(sys_, s.q, qdot)))))
+    s = _states(_uniform_rows(np.random.default_rng(11), 50, (-2.0, 2.0, 5)))
+    qdot = admissible_velocity(sys_, s)
+    worst = float(np.max(np.abs(constraint_residual(sys_, s.q, qdot))))
     return CheckResult("frame-annihilation", worst <= 1e-12, f"max residual {worst:.2e}")
 
 
 def check_drift_quadratic() -> CheckResult:
     sys_ = particle_system()
-    rng = np.random.default_rng(12)
-    worst = 0.0
-    for s in _random_states(rng, 50):
-        a1 = nh_acceleration(sys_, s)
-        a2 = nh_acceleration(sys_, AdaptedState(q=s.q, v=2.0 * s.v))
-        worst = max(worst, float(np.max(np.abs(a2 - 4.0 * a1))))
+    s = _states(_uniform_rows(np.random.default_rng(12), 50, (-2.0, 2.0, 5)))
+    a1 = nh_acceleration(sys_, s)
+    a2 = nh_acceleration(sys_, AdaptedState(q=s.q, v=2.0 * s.v))
+    worst = float(np.max(np.abs(a2 - 4.0 * a1)))
     return CheckResult("drift-quadratic-in-v", worst <= 1e-13, f"max defect {worst:.2e}")
 
 
@@ -94,16 +104,14 @@ def check_control_additivity() -> CheckResult:
     # exact form of the additive-control contract: controlled == drift + u
     # bitwise; the subtracted form (a+u)-a re-rounds, so it gets 1e-15
     sys_ = particle_system()
-    rng = np.random.default_rng(13)
-    ok = True
-    worst = 0.0
-    for s in _random_states(rng, 50):
-        u = rng.uniform(-3.0, 3.0, 2)
-        drift = nh_acceleration(sys_, s)
-        lhs = controlled_acceleration(sys_, s, u)
-        ok = ok and bool(np.all(lhs == drift + u))
-        ok = ok and bool(np.all(controlled_acceleration(sys_, s, np.zeros(2)) == drift))
-        worst = max(worst, float(np.max(np.abs(lhs - drift - u))))
+    rows = _uniform_rows(np.random.default_rng(13), 50, (-2.0, 2.0, 5), (-3.0, 3.0, 2))
+    s = _states(rows)
+    u = rows[:, 5:]
+    drift = nh_acceleration(sys_, s)
+    lhs = controlled_acceleration(sys_, s, u)
+    ok = bool(np.all(lhs == drift + u))
+    ok = ok and bool(np.all(controlled_acceleration(sys_, s, np.zeros_like(u)) == drift))
+    worst = float(np.max(np.abs(lhs - drift - u)))
     return CheckResult(
         "control-additivity",
         ok and worst <= 1e-15,
@@ -168,11 +176,8 @@ def check_flow_ode_residual() -> CheckResult:
     sp = analytic_flow(p, times + fd)
     ds = (np.concatenate([sp.q, sp.v], axis=1) - np.concatenate([sm.q, sm.v], axis=1)) / (2.0 * fd)
     flow = analytic_flow(p, times)
-    worst = 0.0
-    for j in range(times.shape[0]):
-        s = AdaptedState(q=flow.q[j], v=flow.v[j])
-        rhs = np.concatenate([admissible_velocity(sys_, s), nh_acceleration(sys_, s)])
-        worst = max(worst, float(np.max(np.abs(ds[j] - rhs))))
+    rhs = np.concatenate([admissible_velocity(sys_, flow), nh_acceleration(sys_, flow)], axis=1)
+    worst = float(np.max(np.abs(ds - rhs)))
     return CheckResult("flow-ode-residual", worst <= 1e-6, f"max residual {worst:.2e}")
 
 
@@ -206,15 +211,13 @@ def check_determinism() -> CheckResult:
 
 
 def check_stationarity() -> CheckResult:
-    rng = np.random.default_rng(14)
-    worst = 0.0
-    for _ in range(100):
-        p = Costate(lam=rng.uniform(-2, 2, 3), mu=rng.uniform(-2, 2, 2))
-        eps = float(rng.uniform(0.5, 10.0))
-        u = stationary_control(p, eps)
-        g = hamiltonian_control_gradient(p, u, eps)
-        scale = max(1.0, float(np.max(np.abs(p.mu))))
-        worst = max(worst, float(np.max(np.abs(g))) / scale)
+    rows = _uniform_rows(np.random.default_rng(14), 100, (-2.0, 2.0, 5), (0.5, 10.0, 1))
+    p = Costate(lam=rows[:, :3], mu=rows[:, 3:5])
+    eps = rows[:, 5:]
+    u = stationary_control(p, eps)
+    g = hamiltonian_control_gradient(p, u, eps)
+    scale = np.maximum(1.0, np.max(np.abs(p.mu), axis=1))
+    worst = float(np.max(np.max(np.abs(g), axis=1) / scale))
     return CheckResult("stationarity", worst <= 1e-15, f"max |dH/du| {worst:.2e}")
 
 
@@ -222,29 +225,31 @@ def check_adjoint_gradient() -> CheckResult:
     # derived adjoint == -grad H by central differences; the paper-literal
     # one fails the same test in exactly its lam2, mu1 and mu2 rows
     sys_ = particle_system()
-    rng = np.random.default_rng(15)
+    rows = _uniform_rows(np.random.default_rng(15), 100, (-2.0, 2.0, 10), (-1.0, 1.0, 5))
+    s = _states(rows)
+    p = Costate(lam=rows[:, 5:8], mu=rows[:, 8:10])
+    r = (rows[:, 10:13], rows[:, 13:15])
     eps = 7.0
     step = 1e-6
-    worst = 0.0
-    literal_bad = np.zeros(5, dtype=bool)
-    for _ in range(100):
-        s = AdaptedState(q=rng.uniform(-2, 2, 3), v=rng.uniform(-2, 2, 2))
-        p = Costate(lam=rng.uniform(-2, 2, 3), mu=rng.uniform(-2, 2, 2))
-        r = (rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2))
-        u = stationary_control(p, eps)
-        grad = np.empty(5)
-        for j, e in enumerate(step * np.eye(5)):
-            sp = AdaptedState(q=s.q + e[:3], v=s.v + e[3:])
-            sm = AdaptedState(q=s.q - e[:3], v=s.v - e[3:])
-            grad[j] = (hamiltonian(sys_, sp, p, u, r, eps) - hamiltonian(sys_, sm, p, u, r, eps)) / (2 * step)
-        scale = np.maximum(1.0, np.abs(grad))
-        derived = adjoint_field(sys_, s, p, r, eps, "derived")
-        gap = np.abs(np.concatenate([derived.lam, derived.mu]) + grad) / scale
-        worst = max(worst, float(np.max(gap)))
-        literal = adjoint_field(sys_, s, p, r, eps, "paper-literal")
-        literal_bad |= np.abs(np.concatenate([literal.lam, literal.mu]) + grad) / scale > 1e-5
-    rows = ("lam1", "lam2", "lam3", "mu1", "mu2")
-    bad_rows = [row for row, bad in zip(rows, literal_bad) if bad]
+    u = stationary_control(p, eps)
+    # all 5 +- probes of every point in one call per sign: axis 1 is the
+    # probed coordinate, and u takes the probes' shape, as v's
+    e = step * np.eye(5)
+    x = rows[:, None, :5]
+    p_probe = Costate(lam=p.lam[:, None], mu=p.mu[:, None])
+    u_probe = np.repeat(u[:, None], 5, axis=1)
+    r_probe = (r[0][:, None], r[1][:, None])
+    h_plus = hamiltonian(sys_, _states(x + e), p_probe, u_probe, r_probe, eps)
+    h_minus = hamiltonian(sys_, _states(x - e), p_probe, u_probe, r_probe, eps)
+    grad = (h_plus - h_minus) / (2 * step)
+    scale = np.maximum(1.0, np.abs(grad))
+    derived = adjoint_field(sys_, s, p, r, eps, "derived")
+    worst = float(np.max(np.abs(np.concatenate([derived.lam, derived.mu], axis=1) + grad) / scale))
+    literal = adjoint_field(sys_, s, p, r, eps, "paper-literal")
+    literal_gap = np.abs(np.concatenate([literal.lam, literal.mu], axis=1) + grad) / scale
+    literal_bad = np.any(literal_gap > 1e-5, axis=0)
+    names = ("lam1", "lam2", "lam3", "mu1", "mu2")
+    bad_rows = [name for name, bad in zip(names, literal_bad) if bad]
     return CheckResult(
         "adjoint-gradient",
         worst <= 1e-5 and bad_rows == ["lam2", "mu1", "mu2"],
@@ -256,11 +261,9 @@ def check_constraint_invariance() -> CheckResult:
     sys_ = particle_system()
     prob = benchmark_problem(N=2000)
     traj = integrate_coupled(prob, np.array([0.1, -0.2, 0.3, 0.05, -0.4]))
-    defect = 0.0
-    for i in range(0, traj.states.shape[0], 50):
-        s = AdaptedState(q=traj.states[i, :3], v=traj.states[i, 3:5])
-        qdot = admissible_velocity(sys_, s)
-        defect = max(defect, float(np.max(np.abs(constraint_residual(sys_, s.q, qdot)))))
+    s = _states(traj.states[::50])
+    qdot = admissible_velocity(sys_, s)
+    defect = float(np.max(np.abs(constraint_residual(sys_, s.q, qdot))))
     return CheckResult("constraint-invariance", defect <= 1e-12, f"max |vx + y vz| {defect:.2e}")
 
 

@@ -7,7 +7,10 @@ in the induced coordinates (q, v): q moves along the frame with fiber
 velocity v, and v is driven by the connection coefficients Gamma(q).
 
 The system is one immutable record of closed-form callables; every
-operation is a pure function of its inputs.
+operation is a pure function of its inputs. Points may be stacked along
+leading axes: q of shape (..., n) with v of shape (..., k) gives one
+result per point, each row equal bit for bit to the call on that point
+alone.
 """
 
 from __future__ import annotations
@@ -27,13 +30,18 @@ class NonholonomicSystem:
     """A mechanical system constrained to a velocity distribution.
 
     The configuration space has dimension n and the distribution rank k,
-    1 <= k <= n. rho(q) returns a (k, n) array whose row A holds the
-    coefficients of the A-th frame field in the coordinate basis; rows must
-    stay linearly independent. gamma(q) returns the (k, k, k) connection
-    coefficients, indexed [C, A, B]. constraint_annihilator(q) returns an
-    (m, n) array of one-form coefficients that vanish on the frame:
-    mu(q) @ rho(q).T == 0. d_rho and d_gamma are the closed-form
-    q-derivatives of rho and gamma that the derived adjoint equations read.
+    1 <= k <= n. Each callable takes points q of shape (..., n) stacked
+    along any leading axes and returns one block per point:
+
+    - rho(q), (..., k, n): row A holds the coefficients of the A-th frame
+      field in the coordinate basis; rows must stay linearly independent;
+    - gamma(q), (..., k, k, k): the connection coefficients, indexed
+      [C, A, B];
+    - constraint_annihilator(q), (..., m, n): one-form coefficients that
+      vanish on the frame, mu(q) rho(q)^T == 0;
+    - d_rho(q), (..., k, n, n), and d_gamma(q), (..., k, k, k, n): the
+      closed-form q-derivatives of rho and gamma that the derived adjoint
+      equations read.
     """
 
     n: int
@@ -41,8 +49,8 @@ class NonholonomicSystem:
     rho: Callable[[Array], Array]
     gamma: Callable[[Array], Array]
     constraint_annihilator: Callable[[Array], Array]
-    d_rho: Callable[[Array], Array]  # (k, n, n): [A, i, j] = d rho_A^i / d q^j
-    d_gamma: Callable[[Array], Array]  # (k, k, k, n): [C, A, B, j]
+    d_rho: Callable[[Array], Array]  # (..., k, n, n): [A, i, j] = d rho_A^i / d q^j
+    d_gamma: Callable[[Array], Array]  # (..., k, k, k, n): [C, A, B, j]
 
     def __post_init__(self):
         if not (1 <= self.k <= self.n):
@@ -51,7 +59,8 @@ class NonholonomicSystem:
 
 @dataclass(frozen=True)
 class AdaptedState:
-    """Point of the distribution: base point q (n,) and fiber velocity v (k,)."""
+    """Point of the distribution: base point q (n,) and fiber velocity v (k,),
+    or M points stacked as (M, n) and (M, k), and so on for more leading axes."""
 
     q: Array
     v: Array
@@ -62,44 +71,56 @@ class AdaptedState:
 
 
 def _check_state(sys: NonholonomicSystem, s: AdaptedState) -> None:
-    if s.q.shape != (sys.n,) or s.v.shape != (sys.k,):
+    if (
+        s.q.shape[-1:] != (sys.n,)
+        or s.v.shape[-1:] != (sys.k,)
+        or s.q.shape[:-1] != s.v.shape[:-1]
+    ):
         raise ContractError(
             f"state dimensions {s.q.shape}/{s.v.shape} do not match system "
-            f"(n={sys.n}, k={sys.k})"
+            f"(n={sys.n}, k={sys.k}) with one leading shape"
         )
 
 
 def admissible_velocity(sys: NonholonomicSystem, s: AdaptedState) -> Array:
-    """Base velocity qdot = rho(q).T @ v induced by the fiber velocity.
+    """Base velocity qdot = rho(q)^T v induced by the fiber velocity, (..., n).
 
     The result lies in the distribution by construction: the constraint
     residual of the returned velocity is zero up to roundoff.
     """
     _check_state(sys, s)
-    return sys.rho(s.q).T @ s.v
+    return np.einsum("...ai,...a->...i", sys.rho(s.q), s.v)
 
 
 def nh_acceleration(sys: NonholonomicSystem, s: AdaptedState) -> Array:
-    """Uncontrolled fiber acceleration vdot^C = -Gamma^C_AB(q) v^A v^B."""
+    """Uncontrolled fiber acceleration vdot^C = -Gamma^C_AB(q) v^A v^B, (..., k)."""
     _check_state(sys, s)
-    return -np.einsum("cab,a,b->c", sys.gamma(s.q), s.v, s.v)
+    return -np.einsum("...cab,...a,...b->...c", sys.gamma(s.q), s.v, s.v)
 
 
 def controlled_acceleration(sys: NonholonomicSystem, s: AdaptedState, u: Array) -> Array:
-    """Fiber acceleration with a fully actuated input added componentwise."""
+    """Fiber acceleration with a fully actuated input added componentwise;
+    u has the shape of the fiber velocity v."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (sys.k,):
-        raise ContractError(f"control dimension {u.shape} does not match k={sys.k}")
+    if u.shape != s.v.shape or u.shape[-1:] != (sys.k,):
+        raise ContractError(
+            f"control dimension {u.shape} does not match k={sys.k} and the "
+            f"velocity shape {s.v.shape}"
+        )
     return nh_acceleration(sys, s) + u
 
 
 def constraint_residual(sys: NonholonomicSystem, q: Array, qdot: Array) -> Array:
-    """Per-constraint value mu(q) @ qdot; zero iff qdot is admissible at q."""
+    """Per-constraint value mu(q) qdot, (..., m); zero iff qdot is
+    admissible at q."""
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    if q.shape != (sys.n,) or qdot.shape != (sys.n,):
-        raise ContractError("q/qdot dimensions do not match system")
-    return sys.constraint_annihilator(q) @ qdot
+    if q.shape[-1:] != (sys.n,) or qdot.shape != q.shape:
+        raise ContractError(
+            f"q/qdot dimensions {q.shape}/{qdot.shape} do not match system (n={sys.n}) "
+            "with one leading shape"
+        )
+    return np.einsum("...mi,...i->...m", sys.constraint_annihilator(q), qdot)
 
 
 def christoffel_from_structure(C: Array) -> Array:
@@ -120,6 +141,8 @@ def christoffel_from_structure(C: Array) -> Array:
 
 
 def frame_annihilation_defect(sys: NonholonomicSystem, q: Array) -> float:
-    """Max-norm of mu(q) @ rho(q).T, zero for a consistent system."""
+    """Max-norm of mu(q) rho(q)^T over the points q, zero for a consistent
+    system."""
     q = np.asarray(q, dtype=float)
-    return float(np.max(np.abs(sys.constraint_annihilator(q) @ sys.rho(q).T)))
+    products = np.einsum("...mi,...ai->...ma", sys.constraint_annihilator(q), sys.rho(q))
+    return float(np.max(np.abs(products)))

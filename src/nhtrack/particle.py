@@ -38,33 +38,40 @@ DRIFT_TOL = 1e-8
 
 
 def _rho(q: Array) -> Array:
-    y = q[1]
-    return np.array([[0.0, 1.0, 0.0], [-y, 0.0, 1.0]])
+    y = q[..., 1]
+    r = np.zeros(q.shape[:-1] + (2, 3))
+    r[..., 0, 1] = 1.0
+    r[..., 1, 0] = -y
+    r[..., 1, 2] = 1.0
+    return r
 
 
 def _d_rho(q: Array) -> Array:
-    d = np.zeros((2, 3, 3))
-    d[1, 0, 1] = -1.0  # d rho_2^x / dy
+    d = np.zeros(q.shape[:-1] + (2, 3, 3))
+    d[..., 1, 0, 1] = -1.0  # d rho_2^x / dy
     return d
 
 
 def _gamma(q: Array) -> Array:
-    y = q[1]
-    g = np.zeros((2, 2, 2))
-    g[1, 0, 1] = y / (1.0 + y * y)
+    y = q[..., 1]
+    g = np.zeros(q.shape[:-1] + (2, 2, 2))
+    g[..., 1, 0, 1] = y / (1.0 + y * y)
     return g
 
 
 def _d_gamma(q: Array) -> Array:
-    y = q[1]
+    y = q[..., 1]
     w = 1.0 + y * y
-    d = np.zeros((2, 2, 2, 3))
-    d[1, 0, 1, 1] = (1.0 - y * y) / (w * w)
+    d = np.zeros(q.shape[:-1] + (2, 2, 2, 3))
+    d[..., 1, 0, 1, 1] = (1.0 - y * y) / (w * w)
     return d
 
 
 def _annihilator(q: Array) -> Array:
-    return np.array([[1.0, 0.0, q[1]]])
+    a = np.zeros(q.shape[:-1] + (1, 3))
+    a[..., 0, 0] = 1.0
+    a[..., 0, 2] = q[..., 1]
+    return a
 
 
 def particle_system() -> NonholonomicSystem:

@@ -192,19 +192,20 @@ def reference_admissibility_defect(
     An admissible reference curve must move its base point exactly as its
     fiber velocities dictate; this differentiates the base path centrally,
     with the step fd_step*max(1, |t|) so that t +- step stays resolvable in
-    double precision at large t, and compares. A non-finite defect at any
-    time makes the result NaN, with no floating-point warning.
+    double precision at large t, and compares with `admissible_velocity`.
+    The reference is sampled once per offset, at all times together. A
+    non-finite defect at any time makes the result NaN, with no
+    floating-point warning.
     """
-    worst = 0.0
+    times = np.asarray(times, dtype=float)
+    step = fd_step * np.maximum(1.0, np.abs(times))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in np.asarray(times, dtype=float):
-            step = fd_step * max(1.0, abs(float(t)))
-            q_p, _ = ref.sample(float(t) + step)
-            q_m, _ = ref.sample(float(t) - step)
-            q_dot = (q_p - q_m) / (2.0 * step)
-            q_r, v_r = ref.sample(float(t))
-            worst = float(np.maximum(worst, np.max(np.abs(q_dot - sys.rho(q_r).T @ v_r))))
-    return worst
+        q_p, _ = ref.sample(times + step)
+        q_m, _ = ref.sample(times - step)
+        q_dot = (q_p - q_m) / (2.0 * step)[..., None]
+        q_r, v_r = ref.sample(times)
+        defect = q_dot - admissible_velocity(sys, AdaptedState(q=q_r, v=v_r))
+        return float(np.max(np.abs(defect), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -325,16 +326,29 @@ def hamiltonian(
     u: Array,
     r: RefSample,
     eps: float,
-) -> float:
-    """Pointwise Hamiltonian: running cost plus costates paired with dynamics."""
+) -> Union[float, Array]:
+    """Pointwise Hamiltonian: running cost plus costates paired with dynamics.
+
+    Points may be stacked along leading axes (u of the shape of s.v; p and
+    r broadcast against s): one value per point, bit for bit the value of
+    that point alone."""
     qdot = admissible_velocity(sys, s)
     vdot = controlled_acceleration(sys, s, u)
-    return running_cost(s, r, u, eps) + float(p.lam @ qdot) + float(p.mu @ vdot)
+    return (
+        running_cost(s, r, u, eps)
+        + np.einsum("...i,...i->...", p.lam, qdot)
+        + np.einsum("...a,...a->...", p.mu, vdot)
+    )
 
 
-def stationary_control(p: Costate, eps: float) -> Array:
-    """Control minimizing the Hamiltonian: u = -mu/eps (exact quadratic)."""
-    if not 0.0 < eps < np.inf:
+def stationary_control(p: Costate, eps) -> Array:
+    """Control minimizing the Hamiltonian: u = -mu/eps (exact quadratic).
+
+    eps is a scalar or an array broadcastable against mu, such as one
+    weight per row of stacked costates; every entry must be finite and
+    positive."""
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((0.0 < eps) & (eps < np.inf)):
         raise SingularProblemError(
             "eps must be finite and positive: the stationary condition degenerates "
             "at eps = 0"
@@ -342,8 +356,9 @@ def stationary_control(p: Costate, eps: float) -> Array:
     return -p.mu / eps
 
 
-def hamiltonian_control_gradient(p: Costate, u: Array, eps: float) -> Array:
-    """Gradient of the Hamiltonian in the control: eps*u + mu."""
+def hamiltonian_control_gradient(p: Costate, u: Array, eps) -> Array:
+    """Gradient of the Hamiltonian in the control: eps*u + mu, with eps a
+    scalar or an array broadcastable against mu."""
     return eps * np.asarray(u, dtype=float) + p.mu
 
 
@@ -364,14 +379,14 @@ def _adjoint_derived(
     # dH/dq_j = (q-q_r)_j + lam_i d_rho[A,i,j] v^A - mu_C d_gam[C,A,B,j] v^A v^B
     dH_dq = (
         (q - q_r)
-        + np.einsum("i,aij,a->j", p.lam, d_rho, v)
-        - np.einsum("c,cabj,a,b->j", p.mu, d_gam, v, v)
+        + np.einsum("...i,...aij,...a->...j", p.lam, d_rho, v)
+        - np.einsum("...c,...cabj,...a,...b->...j", p.mu, d_gam, v, v)
     )
     # dH/dv_A = (v-v_r)_A + lam_i rho[A,i] - mu_C (gam[C,A,B] + gam[C,B,A]) v^B
     dH_dv = (
         (v - v_r)
-        + rho @ p.lam
-        - np.einsum("c,cab,b->a", p.mu, gam + gam.transpose(0, 2, 1), v)
+        + np.einsum("...ai,...i->...a", rho, p.lam)
+        - np.einsum("...c,...cab,...b->...a", p.mu, gam + np.swapaxes(gam, -1, -2), v)
     )
     return Costate(lam=-dH_dq, mu=-dH_dv)
 
@@ -379,27 +394,26 @@ def _adjoint_derived(
 def _adjoint_paper_literal(
     s: AdaptedState, p: Costate, r: RefSample, eps: float
 ) -> Costate:
-    x, y, z = s.q
-    v1, v2 = s.v
-    l1, l2, l3 = p.lam
-    m1, m2 = p.mu
-    q_r, v_r = r
+    x, y, z = np.moveaxis(s.q, -1, 0)
+    v1, v2 = np.moveaxis(s.v, -1, 0)
+    l1, l2, l3 = np.moveaxis(p.lam, -1, 0)
+    m1, m2 = np.moveaxis(p.mu, -1, 0)
+    q_r, v_r = (np.moveaxis(np.asarray(a, dtype=float), -1, 0) for a in r)
     w = 1.0 + y * y
     f = y / w
-    lam_dot = np.array(
-        [
-            -(x - q_r[0]),
-            l1 * v2 - (y - q_r[1]) + eps * v1 * v2 * m2 * (y * y - 1.0) / (w * w),
-            -(z - q_r[2]),
-        ]
+    lam_dot = [
+        -(x - q_r[0]),
+        l1 * v2 - (y - q_r[1]) + eps * v1 * v2 * m2 * (y * y - 1.0) / (w * w),
+        -(z - q_r[2]),
+    ]
+    mu_dot = [
+        -l2 - (v1 - v_r[0]) - m2 * f * v2,
+        -l3 + l1 * y - (v2 - v_r[1]) - m2 * f * v1,
+    ]
+    return Costate(
+        lam=np.stack(np.broadcast_arrays(*lam_dot), axis=-1),
+        mu=np.stack(np.broadcast_arrays(*mu_dot), axis=-1),
     )
-    mu_dot = np.array(
-        [
-            -l2 - (v1 - v_r[0]) - m2 * f * v2,
-            -l3 + l1 * y - (v2 - v_r[1]) - m2 * f * v1,
-        ]
-    )
-    return Costate(lam=lam_dot, mu=mu_dot)
 
 
 def adjoint_field(
@@ -417,7 +431,8 @@ def adjoint_field(
     'paper-literal' is the as-printed variant for the bundled particle;
     it deviates from the gradient in the lam_2 coupling term (an extra
     eps factor and an opposite sign) and in the sign of both mu coupling
-    terms.
+    terms. Points may be stacked along leading axes, as for
+    `hamiltonian`: one row per point.
     """
     if mode == "derived":
         return _adjoint_derived(sys, s, p, r)

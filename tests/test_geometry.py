@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from nhtrack.errors import ContractError
 from nhtrack.geometry import (
@@ -17,6 +18,7 @@ from nhtrack.geometry import (
     nh_acceleration,
 )
 from nhtrack.particle import particle_system
+from stacked_points import assert_rows_are_single_calls, stacked
 
 RNG = np.random.default_rng(0)
 
@@ -103,6 +105,46 @@ class TestControlledAcceleration:
         sys_ = particle_system()
         with pytest.raises(ContractError):
             controlled_acceleration(sys_, random_state(), np.zeros(3))
+
+
+class TestStackedPoints:
+    """q of shape (..., n) and v of shape (..., k): one result per point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacked(3, 2, 2))
+    def test_rows_equal_single_point_calls(self, qvu):
+        sys_ = particle_system()
+
+        def evaluate(q, v, u):
+            s = AdaptedState(q=q, v=v)
+            qdot = admissible_velocity(sys_, s)
+            return {
+                "rho": sys_.rho(q),
+                "gamma": sys_.gamma(q),
+                "constraint_annihilator": sys_.constraint_annihilator(q),
+                "d_rho": sys_.d_rho(q),
+                "d_gamma": sys_.d_gamma(q),
+                "admissible_velocity": qdot,
+                "nh_acceleration": nh_acceleration(sys_, s),
+                "controlled_acceleration": controlled_acceleration(sys_, s, u),
+                "constraint_residual": constraint_residual(sys_, q, qdot),
+            }
+
+        assert_rows_are_single_calls(evaluate, *qvu)
+
+    def test_mismatched_leading_shapes_rejected(self):
+        sys_ = particle_system()
+        mismatched = AdaptedState(q=np.zeros((4, 3)), v=np.zeros((5, 2)))
+        with pytest.raises(ContractError, match="one leading shape"):
+            admissible_velocity(sys_, mismatched)
+        with pytest.raises(ContractError, match="one leading shape"):
+            nh_acceleration(sys_, mismatched)
+        s = AdaptedState(q=np.zeros((4, 3)), v=np.zeros((4, 2)))
+        for u in (np.zeros((5, 2)), np.zeros(2), np.zeros((1, 2)), np.zeros((4, 1, 2))):
+            with pytest.raises(ContractError, match="velocity shape"):
+                controlled_acceleration(sys_, s, u)
+        with pytest.raises(ContractError, match="one leading shape"):
+            constraint_residual(sys_, np.zeros((4, 3)), np.zeros((5, 3)))
 
 
 class TestChristoffelFromStructure:

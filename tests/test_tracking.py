@@ -5,6 +5,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhtrack.errors import ContractError, DomainError, SingularProblemError
 from nhtrack.geometry import AdaptedState
@@ -35,6 +37,7 @@ from nhtrack.tracking import (
     total_cost,
     uncontrolled_cost,
 )
+from stacked_points import assert_rows_are_single_calls, stacked
 
 RNG = np.random.default_rng(2)
 
@@ -178,6 +181,47 @@ class TestStationaryControl:
             d = RNG.uniform(-2, 2, 2)
             gap = hamiltonian(SYS, s, p, u + d, r, eps) - hamiltonian(SYS, s, p, u, r, eps)
             np.testing.assert_allclose(gap, 0.5 * eps * (d @ d), rtol=1e-9, atol=1e-12)
+
+
+class TestStackedPoints:
+    """States, costates, references and per-row weights stacked along
+    leading axes: one value or one row per point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacked(3, 2, 3, 2, 3, 2, 1), st.floats(0.1, 50.0))
+    def test_rows_equal_single_point_calls(self, arrays_, eps):
+        def evaluate(q, v, lam, mu, q_r, v_r, w):
+            s, p, r = AdaptedState(q=q, v=v), Costate(lam=lam, mu=mu), (q_r, v_r)
+            u = stationary_control(p, 0.5 + w * w)  # one positive weight per row
+            derived = adjoint_field(SYS, s, p, r, eps, "derived")
+            literal = adjoint_field(SYS, s, p, r, eps, "paper-literal")
+            return {
+                "stationary_control": u,
+                "hamiltonian": hamiltonian(SYS, s, p, u, r, eps),
+                "derived.lam": derived.lam,
+                "derived.mu": derived.mu,
+                "paper-literal.lam": literal.lam,
+                "paper-literal.mu": literal.mu,
+            }
+
+        assert_rows_are_single_calls(evaluate, *arrays_)
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_one_bad_row_weight_rejected(self, bad):
+        p = Costate(lam=np.zeros((3, 3)), mu=np.ones((3, 2)))
+        eps = np.array([[1.0], [bad], [2.0]])
+        with pytest.raises(SingularProblemError, match="stationary condition degenerates"):
+            stationary_control(p, eps)
+
+    def test_row_weights_give_row_controls(self):
+        p = Costate(lam=np.zeros((2, 3)), mu=[[-7.0, 14.0], [3.0, -6.0]])
+        np.testing.assert_array_equal(
+            stationary_control(p, np.array([[7.0], [3.0]])), [[1.0, -2.0], [-1.0, 2.0]]
+        )
+        np.testing.assert_array_equal(
+            hamiltonian_control_gradient(p, [[1.0, -2.0], [-1.0, 2.0]], np.array([[7.0], [3.0]])),
+            np.zeros((2, 2)),
+        )
 
 
 class TestAdjointField:
@@ -346,6 +390,19 @@ class TestReferenceKinds:
         prob = TrackingProblem(ref=make(), epsilon=7.0, T=1e7, s0=S0, N=10)
         times = np.linspace(0.01 * prob.T, 0.99 * prob.T, 7)
         assert reference_admissibility_defect(SYS, prob.ref, times) <= 1e-9
+
+    def test_admissibility_samples_once_per_offset(self):
+        """t + step, t - step and t: three sample calls over all the times."""
+        line = constant_z_line()
+        calls = []
+
+        def sample(t):
+            calls.append(np.shape(t))
+            return line.sample(t)
+
+        ref = ReferenceTrajectory(kind=line.kind, sample=sample)
+        assert reference_admissibility_defect(SYS, ref, np.linspace(0.04, 3.96, 7)) <= 1e-9
+        assert calls == [(7,)] * 3
 
     def test_problem_rejects_inadmissible_reference(self):
         """Frozen base point with nonzero fiber velocity is not a curve on
