@@ -2,7 +2,6 @@
 
 from .errors import (
     ConfigError,
-    ConstraintViolationError,
     ContractError,
     DegenerateFitError,
     DomainError,
@@ -20,7 +19,7 @@ from .geometry import (
     controlled_acceleration,
     nh_acceleration,
 )
-from .integrators import Trajectory, VectorField, convergence_order, integrate, rk4_step
+from .integrators import Trajectory, VectorField, convergence_order, integrate
 from .particle import (
     AmbientState,
     AnalyticParams,
@@ -28,13 +27,11 @@ from .particle import (
     analytic_flow,
     embed,
     particle_system,
-    project,
     unreduced_field,
 )
 from .shooting import NewtonConfig, ShootingReport, fd_jacobian, newton_solve, solve_tracking
 from .tracking import (
     Costate,
-    CoupledState,
     ReferenceTrajectory,
     TrackingProblem,
     adjoint_field,

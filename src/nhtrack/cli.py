@@ -405,8 +405,11 @@ def _build_problem(cfg: ExperimentConfig) -> TrackingProblem:
 
 
 def _warn_ignored(cfg: ExperimentConfig, command: str) -> None:
-    for key in _TRACK_ONLY_KEYS:
-        if key in cfg.provided:
+    """Warn, in `_KEYS` order, about each provided key the command does not
+    read: check reads none, and only track reads the track-only keys."""
+    for key in _KEYS:
+        ignored = command == "check" or (command != "track" and key in _TRACK_ONLY_KEYS)
+        if ignored and key in cfg.provided:
             print(
                 f"warning: key '{key}' is ignored by command '{command}'",
                 file=sys.stderr,
@@ -531,8 +534,7 @@ def run(command: str, cfg: ExperimentConfig) -> int:
     """Execute one command against a validated config; returns exit status."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
-    if command != "track":
-        _warn_ignored(cfg, command)
+    _warn_ignored(cfg, command)
     return COMMANDS[command](cfg)
 
 

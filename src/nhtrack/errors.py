@@ -21,10 +21,6 @@ class DomainError(NhtrackError):
         self.x = x
 
 
-class ConstraintViolationError(NhtrackError):
-    """An ambient velocity lies too far off the constraint distribution."""
-
-
 class SingularProblemError(NhtrackError):
     """The control-effort weight is zero or negative; the stationary
     condition no longer determines the control."""

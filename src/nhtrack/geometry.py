@@ -138,11 +138,3 @@ def christoffel_from_structure(C: Array) -> Array:
         raise ContractError("structure constants must be antisymmetric in the lower indices")
     # Gamma[c,a,b] = (C[b,c,a] + C[a,c,b] + C[c,a,b]) / 2
     return 0.5 * (C.transpose(1, 2, 0) + C.transpose(1, 0, 2) + C)
-
-
-def frame_annihilation_defect(sys: NonholonomicSystem, q: Array) -> float:
-    """Max-norm of mu(q) rho(q)^T over the points q, zero for a consistent
-    system."""
-    q = np.asarray(q, dtype=float)
-    products = np.einsum("...mi,...ai->...ma", sys.constraint_annihilator(q), sys.rho(q))
-    return float(np.max(np.abs(products)))

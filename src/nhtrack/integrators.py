@@ -7,10 +7,10 @@ is the one grid formula, t0 + i*h with h = T/N computed once, never
 accumulated; the reference half grid j*(h/2) of `TrackingProblem` holds
 the same times in its even rows.
 
-The RK4 formula is written once, in `_step`, on Python floats: `rk4_step`
-takes one step with it and `integrate` loops it over the grid. Every
-stage's slope must have shape (dim,) and be finite, and so must the
-update, or the step raises ContractError or DomainError.
+The RK4 formula is written once, in `_step`, on Python floats, and
+`integrate` loops it over the grid; `integrate(vf, t, x, h, 1)` takes a
+single step. Every stage's slope must have shape (dim,) and be finite,
+and so must the update, or the step raises ContractError or DomainError.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class Trajectory:
         object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
         if self.states.shape[0] != self.times.shape[0]:
             raise ContractError("trajectory row count does not match time grid")
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
     def final_state(self) -> Array:
         return self.states[-1]
@@ -95,30 +91,13 @@ def _step(f: Callable[[float, Array], Array], dim: int, t: float, x: list, h: fl
     return x_next
 
 
-def rk4_step(vf: VectorField, t: float, x: Array, h: float) -> Array:
-    """One classical 4-stage step from (t, x) with step size h.
-
-    h must be finite and positive, t finite and x of shape (dim,). Each
-    slope must have shape (dim,); the first non-finite one raises
-    DomainError with the time and state its stage was evaluated at, and a
-    non-finite update raises DomainError with t and x.
-    """
-    if not 0.0 < h < np.inf:
-        raise ContractError("step size must be finite and positive")
-    if not isfinite(t):
-        raise ContractError("time must be finite")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (vf.dim,):
-        raise ContractError(f"state shape {x.shape} does not match dim {vf.dim}")
-    return np.array(_step(vf.f, vf.dim, float(t), x.tolist(), float(h)))
-
-
 def integrate(vf: VectorField, t0: float, x0: Array, T: float, N: int) -> Trajectory:
     """Integrate over [t0, t0+T] with N uniform steps; returns N+1 rows.
 
-    Step i is `rk4_step`'s update from time_grid(t0, T, N)[i], with its
-    checks; a ContractError or DomainError it raises is prefixed with
-    "step i: ", and an exception of the field itself propagates unchanged.
+    Step i is `_step`'s update from time_grid(t0, T, N)[i]. T must be
+    finite and positive, t0 finite and x0 of shape (dim,); a ContractError
+    or DomainError of step i is prefixed with "step i: ", and an exception
+    of the field itself propagates unchanged.
     """
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
         raise ContractError(f"step count must be an integer, not {N!r}")

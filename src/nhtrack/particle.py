@@ -10,7 +10,7 @@ Two independent oracles accompany the reduced dynamics:
 * the closed-form flow of the uncontrolled equations (with its separate
   zero-v1 branch, where the generic antiderivatives degenerate), and
 * the unreduced Lagrange-multiplier dynamics in ambient coordinates
-  (x, y, z, vx, vy, vz), tied to the reduced picture by embed/project.
+  (x, y, z, vx, vy, vz), tied to the reduced picture by embed.
 
 In the closed form, x(t) and z(t) come from direct quadrature of
 xdot = -y v2 and zdot = v2; a finite-difference residual test pins down
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolationError
 from .geometry import AdaptedState, NonholonomicSystem
 
 Array = np.ndarray
@@ -32,9 +31,6 @@ PARTICLE_NAME = "nonholonomic-particle"
 
 # |v1(0)| at or below this uses the constant-y branch of the closed form.
 C1_SWITCH = 1e-10
-
-# Default admissible constraint defect when projecting ambient states.
-DRIFT_TOL = 1e-8
 
 
 def _rho(q: Array) -> Array:
@@ -217,19 +213,3 @@ def embed(s: AdaptedState) -> AmbientState:
     """Ambient representative: (vx, vy, vz) = (-y v2, v1, v2)."""
     y = s.q[1]
     return AmbientState(q=s.q.copy(), vq=np.array([-y * s.v[1], s.v[0], s.v[1]]))
-
-
-def project(a: AmbientState, drift_tol: float = DRIFT_TOL) -> AdaptedState:
-    """Adapted coordinates of an on-constraint ambient state.
-
-    Raises ConstraintViolationError when |vx + y vz| exceeds drift_tol;
-    within tolerance the x-velocity component is discarded (it is slaved
-    to the others on the constraint surface).
-    """
-    y = a.q[1]
-    defect = a.vq[0] + y * a.vq[2]
-    if abs(defect) > drift_tol:
-        raise ConstraintViolationError(
-            f"ambient velocity violates the constraint: |vx + y vz| = {abs(defect):.3e}"
-        )
-    return AdaptedState(q=a.q.copy(), v=np.array([a.vq[1], a.vq[2]]))

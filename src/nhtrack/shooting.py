@@ -79,8 +79,8 @@ class ShootingReport:
 
 def fd_jacobian(res: Callable[[Array], Array], alpha: Array, step: float) -> Array:
     """Central-difference Jacobian with per-column steps step*max(1, |alpha_j|)."""
-    if step <= 0.0:
-        raise ValueError("fd step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError("fd step must be finite and positive")
     alpha = np.asarray(alpha, dtype=float)
     d = alpha.shape[0]
     J = np.empty((d, d))

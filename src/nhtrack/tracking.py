@@ -62,27 +62,6 @@ class Costate:
 
 
 @dataclass(frozen=True)
-class CoupledState:
-    """State plus costate, flattened as [q, v, lam, mu] for integration."""
-
-    s: AdaptedState
-    p: Costate
-
-    def flatten(self) -> Array:
-        return np.concatenate([self.s.q, self.s.v, self.p.lam, self.p.mu])
-
-    @classmethod
-    def from_flat(cls, z: Array, n: int, k: int) -> "CoupledState":
-        z = np.asarray(z, dtype=float)
-        if z.shape != (2 * (n + k),):
-            raise ContractError(f"flat coupled state must have length {2 * (n + k)}")
-        return cls(
-            s=AdaptedState(q=z[:n], v=z[n : n + k]),
-            p=Costate(lam=z[n + k : 2 * n + k], mu=z[2 * n + k :]),
-        )
-
-
-@dataclass(frozen=True)
 class ReferenceTrajectory:
     """Sampled target curve t -> (q_r, v_r), with its construction kind.
 
@@ -161,21 +140,26 @@ def free_flow(s0: AdaptedState) -> ReferenceTrajectory:
 def tabulated(times: Array, samples: Array) -> ReferenceTrajectory:
     """Reference interpolated linearly from rows (q_r, v_r) on a time grid.
 
+    samples is an (M, 5) table, one row (x, y, z, v1, v2) per time.
     Queries outside the grid clamp to the end values. Times and samples
     must be finite.
     """
     times = np.asarray(times, dtype=float)
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 5:
+        raise ContractError(
+            f"tabulated reference needs an (M, 5) table of rows (x, y, z, v1, v2), "
+            f"not shape {samples.shape}"
+        )
     if times.ndim != 1 or samples.shape[0] != times.shape[0]:
         raise ContractError("tabulated reference needs one sample row per time")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(samples))):
         raise ContractError("tabulated reference times and samples must be finite")
     if np.any(np.diff(times) <= 0):
         raise ContractError("tabulated reference times must increase strictly")
-    ncols = samples.shape[1]
 
     def sample(t) -> RefSample:
-        rows = np.stack([np.interp(t, times, samples[:, j]) for j in range(ncols)], axis=-1)
+        rows = np.stack([np.interp(t, times, column) for column in samples.T], axis=-1)
         return rows[..., :3], rows[..., 3:]
 
     return ReferenceTrajectory(kind=KIND_TABULATED, sample=sample)
@@ -185,20 +169,19 @@ def reference_admissibility_defect(
     sys: NonholonomicSystem,
     ref: ReferenceTrajectory,
     times: Array,
-    fd_step: float = 1e-4,
 ) -> float:
     """Worst kinematic defect |d/dt q_r - rho(q_r)^T v_r| over the times.
 
     An admissible reference curve must move its base point exactly as its
     fiber velocities dictate; this differentiates the base path centrally,
-    with the step fd_step*max(1, |t|) so that t +- step stays resolvable in
+    with the step 1e-4*max(1, |t|) so that t +- step stays resolvable in
     double precision at large t, and compares with `admissible_velocity`.
     The reference is sampled once per offset, at all times together. A
     non-finite defect at any time makes the result NaN, with no
     floating-point warning.
     """
     times = np.asarray(times, dtype=float)
-    step = fd_step * np.maximum(1.0, np.abs(times))
+    step = 1e-4 * np.maximum(1.0, np.abs(times))
     with np.errstate(over="ignore", invalid="ignore"):
         q_p, _ = ref.sample(times + step)
         q_m, _ = ref.sample(times - step)
@@ -298,14 +281,33 @@ class TrackingProblem:
 # ---------------------------------------------------------------------------
 
 
-def running_cost(s: AdaptedState, r: RefSample, u: Array, eps: float) -> Union[float, Array]:
+def _positive_weight(eps) -> Array:
+    """eps as a float array; every entry must be finite and positive."""
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((0.0 < eps) & (eps < np.inf)):
+        raise SingularProblemError(
+            "eps must be finite and positive: the stationary condition degenerates "
+            "at eps = 0"
+        )
+    return eps
+
+
+def running_cost(s: AdaptedState, r: RefSample, u: Array, eps) -> Union[float, Array]:
     """Instantaneous cost (|q-q_r|^2 + |v-v_r|^2 + eps |u|^2) / 2, summed over
     the last axis: rows of points give one cost per row, bit for bit the
-    cost of that row alone."""
-    if not 0.0 < eps < np.inf:
-        raise SingularProblemError("eps must be finite and positive")
-    q_r, v_r = r
+    cost of that row alone.
+
+    eps is a scalar or one weight per point, of u's leading shape
+    u.shape[:-1]. Any other shape, which would change the result's shape
+    or not broadcast at all, raises ContractError."""
+    eps = _positive_weight(eps)
     u = np.asarray(u, dtype=float)
+    if eps.ndim and eps.shape != u.shape[:-1]:
+        raise ContractError(
+            f"eps of shape {eps.shape} is neither a scalar nor one weight per "
+            f"point of the controls {u.shape}"
+        )
+    q_r, v_r = r
     return 0.5 * (
         np.sum((s.q - q_r) ** 2, axis=-1)
         + np.sum((s.v - v_r) ** 2, axis=-1)
@@ -347,13 +349,7 @@ def stationary_control(p: Costate, eps) -> Array:
     eps is a scalar or an array broadcastable against mu, such as one
     weight per row of stacked costates; every entry must be finite and
     positive."""
-    eps = np.asarray(eps, dtype=float)
-    if not np.all((0.0 < eps) & (eps < np.inf)):
-        raise SingularProblemError(
-            "eps must be finite and positive: the stationary condition degenerates "
-            "at eps = 0"
-        )
-    return -p.mu / eps
+    return -p.mu / _positive_weight(eps)
 
 
 def hamiltonian_control_gradient(p: Costate, u: Array, eps) -> Array:
@@ -447,14 +443,19 @@ def adjoint_field(
 
 
 def coupled_field(t: float, z: Array, prob: TrackingProblem) -> Array:
-    """Right-hand side of the combined state-costate system, flat layout."""
+    """Right-hand side of the combined state-costate system on the flat
+    layout z = [q, v, lam, mu], of length 2(n+k)."""
     n, k = prob.sys.n, prob.sys.k
-    cs = CoupledState.from_flat(z, n, k)
-    u = stationary_control(cs.p, prob.epsilon)
+    z = np.asarray(z, dtype=float)
+    if z.shape != (2 * (n + k),):
+        raise ContractError(f"flat coupled state must have length {2 * (n + k)}")
+    s = AdaptedState(q=z[:n], v=z[n : n + k])
+    p = Costate(lam=z[n + k : 2 * n + k], mu=z[2 * n + k :])
+    u = stationary_control(p, prob.epsilon)
     r = prob.ref.sample(t)
-    qdot = admissible_velocity(prob.sys, cs.s)
-    vdot = controlled_acceleration(prob.sys, cs.s, u)
-    pdot = adjoint_field(prob.sys, cs.s, cs.p, r, prob.epsilon, prob.adjoint_mode)
+    qdot = admissible_velocity(prob.sys, s)
+    vdot = controlled_acceleration(prob.sys, s, u)
+    pdot = adjoint_field(prob.sys, s, p, r, prob.epsilon, prob.adjoint_mode)
     return np.concatenate([qdot, vdot, pdot.lam, pdot.mu])
 
 

@@ -1,6 +1,10 @@
 """Tests for config parsing, CSV contract, commands, and exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,6 +522,39 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"key '{key}' is ignored" in err
 
+    def test_simulate_warns_about_the_track_only_keys_alone(self, tmp_path, capsys):
+        """A config of every key but reference.file (which needs a tabulated
+        reference): simulate reads all but the six track-only ones, and
+        warns about those in key order; track warns about none."""
+        cfg = tmp_path / "exp.cfg"
+        lines = [
+            "system = nonholonomic-particle", "initial_state = 0.5 0.2 0.7 0.5 0.4",
+            "reference = builtin-constant-z-line", "reference.x_r = 1",
+            "reference.z_offset = 1", "reference.speed = 1",
+            "reference.initial_state = 0.5 0.2 0.7 0.5 0.4", "T = 1", "steps = 10",
+            "epsilon = 3", "omega = 2", "adjoint_mode = derived", "full_transversality = true",
+            "newton.tol = 1e-8", "newton.max_iters = 50", f"output_dir = {tmp_path}",
+        ]
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: key '{key}' is ignored by command 'simulate'\n"
+            for key in ("epsilon", "omega", "adjoint_mode", "full_transversality",
+                        "newton.tol", "newton.max_iters")
+        )
+        assert main(["track", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_check_warns_about_every_provided_key(self, tmp_path, capsys):
+        """check reads no key: each flag it is given draws a warning, the
+        output directory included."""
+        argv = ["check", "--steps", "10", "--T", "2", "--omega", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: key '{key}' is ignored by command 'check'\n"
+            for key in ("T", "steps", "omega", "output_dir")
+        )
+
     def test_check_passes_on_fresh_build(self, tmp_path, capsys):
         assert main(["check", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -554,3 +591,17 @@ class TestExperimentConfigDefaults:
         assert cfg.system == "nonholonomic-particle"
         assert cfg.T == 4.0 and cfg.epsilon == 7.0 and cfg.omega == 1.0
         assert cfg.newton_tol == 1e-10 and cfg.newton_max_iters == 100
+
+
+def test_cli_imports_no_undeclared_dependency():
+    """pyproject.toml declares numpy only: importing the CLI, and with it
+    the whole package, loads neither scipy nor the test-only sympy and
+    hypothesis."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, nhtrack.cli; "
+        "print(' '.join(m for m in ('scipy', 'sympy', 'hypothesis') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

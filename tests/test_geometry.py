@@ -14,7 +14,6 @@ from nhtrack.geometry import (
     christoffel_from_structure,
     constraint_residual,
     controlled_acceleration,
-    frame_annihilation_defect,
     nh_acceleration,
 )
 from nhtrack.particle import particle_system
@@ -193,13 +192,6 @@ class TestConstraintResidual:
 
 
 class TestSystemConsistency:
-    def test_annihilator_kills_frame(self):
-        """mu(q) rho(q)^T == 0 at random base points."""
-        sys_ = particle_system()
-        for _ in range(50):
-            q = RNG.uniform(-3, 3, 3)
-            assert frame_annihilation_defect(sys_, q) <= 1e-12
-
     def test_frame_rows_independent(self):
         sys_ = particle_system()
         for _ in range(20):

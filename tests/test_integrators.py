@@ -14,7 +14,6 @@ from nhtrack.integrators import (
     VectorField,
     convergence_order,
     integrate,
-    rk4_step,
     time_grid,
 )
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
@@ -48,29 +47,36 @@ def analytic_oracle():
     return oracle
 
 
+def one_step(vf, t, x, h):
+    """The state after one RK4 step of size h from (t, x): integrate with N = 1."""
+    return integrate(vf, t, x, h, 1).states[1]
+
+
 class TestRk4Step:
+    """A single step, integrate(vf, t, x, h, 1)."""
+
     def test_zero_field_leaves_state(self):
         vf = VectorField(dim=3, f=lambda t, x: np.zeros(3))
         x = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(rk4_step(vf, 0.0, x, 0.1), x)
+        np.testing.assert_array_equal(one_step(vf, 0.0, x, 0.1), x)
 
     def test_exponential_truncated_taylor(self):
         """One step on x' = x reproduces the 4-term Taylor sum of e^h."""
         vf = VectorField(dim=1, f=lambda t, x: x)
         h = 0.1
-        got = rk4_step(vf, 0.0, np.array([1.0]), h)
+        got = one_step(vf, 0.0, np.array([1.0]), h)
         expected = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
         np.testing.assert_allclose(got, [expected], rtol=1e-16)
 
     def test_constant_field_is_exact(self):
         vf = VectorField(dim=1, f=lambda t, x: np.ones(1))
-        got = rk4_step(vf, 3.0, np.array([2.0]), 0.25)
+        got = one_step(vf, 3.0, np.array([2.0]), 0.25)
         np.testing.assert_array_equal(got, [2.25])
 
     def test_nonpositive_step_rejected(self):
         vf = VectorField(dim=1, f=lambda t, x: x)
         with pytest.raises(ContractError):
-            rk4_step(vf, 0.0, np.array([1.0]), 0.0)
+            one_step(vf, 0.0, np.array([1.0]), 0.0)
 
     @pytest.mark.parametrize(
         "t, x, h",
@@ -86,23 +92,17 @@ class TestRk4Step:
     def test_invalid_input_rejected(self, t, x, h):
         vf = VectorField(dim=1, f=lambda t, x: np.zeros(1))
         with pytest.raises(ContractError):
-            rk4_step(vf, t, np.array(x), h)
+            one_step(vf, t, np.array(x), h)
 
     def test_non_finite_stage_raises_domain_error(self):
         vf = VectorField(dim=1, f=lambda t, x: np.array([np.inf]))
-        with pytest.raises(DomainError) as err:
-            rk4_step(vf, 2.0, np.array([1.0]), 0.1)
+        with pytest.raises(DomainError, match="step 0: vector field returned a non-finite") as err:
+            one_step(vf, 2.0, np.array([1.0]), 0.1)
         assert err.value.t == 2.0
         np.testing.assert_array_equal(err.value.x, [1.0])
 
 
 class TestIntegrate:
-    def test_single_step_equals_rk4_step(self):
-        vf = reduced_field()
-        traj = integrate(vf, 0.0, S0, 0.5, 1)
-        np.testing.assert_array_equal(traj.states[1], rk4_step(vf, 0.0, S0, 0.5))
-        assert traj.states.shape == (2, 5)
-
     def test_reduced_flow_against_closed_form(self):
         """Default grid (T=4, N=4000) stays within 1e-10 of the closed form."""
         traj = integrate(reduced_field(), 0.0, S0, 4.0, 4000)
@@ -228,7 +228,7 @@ class TestIntegrate:
         err = self._fail(f)
         assert type(err) is ValueError and str(err) == "field undefined"
 
-    def test_failing_step_warns_as_rk4_step_does(self):
+    def test_failing_step_adds_no_warning(self):
         """A failing step adds no numpy warning: its update would add inf
         to -inf, but the stage check stops at the first infinite slope."""
 
@@ -295,8 +295,8 @@ class TestIntegrateBitExact:
         vf = VectorField(dim=2, f=lambda t, x: slope)
         with pytest.raises(ContractError, match=r"step 0: vector field returned shape"):
             integrate(vf, 0.0, np.zeros(2), 1.0, 2)
-        with pytest.raises(ContractError, match=r"vector field returned shape"):
-            rk4_step(vf, 0.0, np.zeros(2), 0.5)
+        with pytest.raises(ContractError, match=r"step 0: vector field returned shape"):
+            one_step(vf, 0.0, np.zeros(2), 0.5)
 
     def test_overflowing_stage_input_is_not_an_error(self):
         """Stage 2's input overflows to inf, yet every slope and the step's
@@ -315,8 +315,9 @@ class TestIntegrateBitExact:
             integrate(vf, 0.0, np.zeros(1), 32.0, 2)
         assert err.value.t == 16.0
         assert err.value.x.tolist() == [1.6e308]
-        with pytest.raises(DomainError, match="RK4 update overflowed"):
-            rk4_step(vf, 16.0, np.array([1.6e308]), 16.0)
+        with pytest.raises(DomainError, match="step 0: RK4 update overflowed") as err:
+            one_step(vf, 16.0, np.array([1.6e308]), 16.0)
+        assert err.value.t == 16.0
 
 
 class TestConvergenceOrder:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nhtrack import kernels
-from nhtrack.errors import ConstraintViolationError
-from nhtrack.geometry import AdaptedState, frame_annihilation_defect
+from nhtrack.geometry import AdaptedState
 from nhtrack.particle import (
     AmbientState,
     AnalyticParams,
@@ -14,7 +13,6 @@ from nhtrack.particle import (
     embed,
     multiplier,
     particle_system,
-    project,
     restricted_energy,
     unreduced_field,
 )
@@ -32,11 +30,6 @@ class TestParticleSystem:
     def test_connection_odd_in_y(self):
         sys_ = particle_system()
         assert sys_.gamma(np.array([1.0, 0.0, 2.0]))[1, 0, 1] == 0.0
-
-    def test_annihilator_kills_frame(self):
-        sys_ = particle_system()
-        for _ in range(20):
-            assert frame_annihilation_defect(sys_, RNG.uniform(-5, 5, 3)) == 0.0
 
     def test_derivative_hooks_match_finite_differences(self):
         sys_ = particle_system()
@@ -141,29 +134,20 @@ class TestUnreducedField:
             assert abs(defect) <= 1e-14
 
 
-class TestEmbedProject:
+class TestEmbed:
     def test_embed_definition(self):
         a = embed(AdaptedState(q=[0.0, 0.2, 0.0], v=[0.5, 0.4]))
         np.testing.assert_allclose(a.vq, [-0.08, 0.5, 0.4], rtol=1e-15)
 
-    def test_round_trip(self):
+    def test_embedded_state_lies_on_the_constraint(self):
+        """embed keeps q, carries (v1, v2) as (vy, vz), and meets the
+        constraint vx + y vz = 0 exactly."""
         for _ in range(50):
             s = AdaptedState(q=RNG.uniform(-2, 2, 3), v=RNG.uniform(-2, 2, 2))
-            back = project(embed(s))
-            np.testing.assert_allclose(flat(back), flat(s), rtol=0, atol=1e-15)
             a = embed(s)
-            again = embed(project(a))
-            np.testing.assert_allclose(again.vq, a.vq, rtol=0, atol=1e-15)
-
-    def test_project_rejects_off_constraint(self):
-        with pytest.raises(ConstraintViolationError):
-            project(AmbientState(q=[0.0, 0.0, 0.0], vq=[1.0, 0.0, 0.0]))
-
-    def test_project_tolerance_is_configurable(self):
-        a = AmbientState(q=[0.0, 0.0, 0.0], vq=[1e-9, 0.3, 0.4])
-        project(a)  # inside the default tolerance
-        with pytest.raises(ConstraintViolationError):
-            project(a, drift_tol=1e-12)
+            assert a.q.tobytes() == s.q.tobytes()
+            assert a.vq[1:].tobytes() == s.v.tobytes()
+            assert a.vq[0] + s.q[1] * a.vq[2] == 0.0
 
 
 class TestConservation:

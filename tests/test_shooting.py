@@ -52,9 +52,18 @@ class TestFdJacobian:
             fd_jacobian(res, np.array([0.0, 0.5]), 1e-2)
         assert "column 1" in str(err.value)
 
-    def test_positive_step_required(self):
-        with pytest.raises(ValueError):
-            fd_jacobian(lambda x: x, np.zeros(2), 0.0)
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+    def test_finite_positive_step_required(self, step):
+        """A NaN or infinite step is rejected before any probe runs."""
+        calls = []
+
+        def res(x):
+            calls.append(x)
+            return x.copy()
+
+        with pytest.raises(ValueError, match="fd step must be finite and positive"):
+            fd_jacobian(res, np.zeros(5), step)
+        assert calls == []
 
 
 class TestSolvePivoted:

@@ -15,7 +15,6 @@ from nhtrack.particle import analytic_constants, analytic_flow, particle_system
 from nhtrack.shooting import fd_jacobian, solve_tracking
 from nhtrack.tracking import (
     Costate,
-    CoupledState,
     ReferenceTrajectory,
     TrackingProblem,
     _terminal_rows,
@@ -92,6 +91,36 @@ class TestRunningCost:
         s = AdaptedState(q=np.zeros(3), v=np.zeros(2))
         with pytest.raises(SingularProblemError, match="finite"):
             running_cost(s, (np.zeros(3), np.zeros(2)), np.zeros(2), eps)
+
+    @staticmethod
+    def _points(lead=(4,)):
+        rng = np.random.default_rng(5)
+        s = AdaptedState(q=rng.uniform(-1, 1, lead + (3,)), v=rng.uniform(-1, 1, lead + (2,)))
+        r = (rng.uniform(-1, 1, lead + (3,)), rng.uniform(-1, 1, lead + (2,)))
+        return s, r, rng.uniform(-1, 1, lead + (2,))
+
+    def test_row_weights_equal_single_point_calls(self):
+        s, r, u = self._points()
+        eps = np.array([0.5, 7.0, 2.0, 1e3])
+        rows = running_cost(s, r, u, eps)
+        assert rows.shape == (4,)
+        for j in range(4):
+            one = running_cost(AdaptedState(q=s.q[j], v=s.v[j]), (r[0][j], r[1][j]), u[j], eps[j])
+            assert rows[j].tobytes() == np.float64(one).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_one_bad_row_weight_rejected(self, bad):
+        s, r, u = self._points()
+        with pytest.raises(SingularProblemError, match="finite and positive"):
+            running_cost(s, r, u, np.array([1.0, bad, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("lead, shape", [((4,), (4, 1)), ((4,), (1,)), ((), (2,))],
+                             ids=["column-of-four", "one-for-four", "two-for-one-point"])
+    def test_weight_that_would_reshape_the_result_rejected(self, lead, shape):
+        """eps of shape (M, 1) would broadcast the M costs to (M, M)."""
+        s, r, u = self._points(lead)
+        with pytest.raises(ContractError, match="one weight per point"):
+            running_cost(s, r, u, np.ones(shape))
 
 
 class TestTerminalCost:
@@ -255,26 +284,16 @@ class TestAdjointField:
 
 
 
-class TestCoupledState:
-    def test_flatten_round_trip_exact(self):
-        for _ in range(20):
-            cs = CoupledState(
-                s=AdaptedState(q=RNG.uniform(-2, 2, 3), v=RNG.uniform(-2, 2, 2)),
-                p=random_costate(),
-            )
-            back = CoupledState.from_flat(cs.flatten(), 3, 2)
-            assert np.all(back.flatten() == cs.flatten())
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ContractError):
-            CoupledState.from_flat(np.zeros(9), 3, 2)
-
-
 class TestCoupledField:
     def test_dimension(self):
         prob = benchmark_problem(N=10)
         z = RNG.uniform(-1, 1, 10)
         assert coupled_field(0.5, z, prob).shape == (10,)
+
+    @pytest.mark.parametrize("z", [np.zeros(9), np.zeros(11), np.zeros((2, 10))], ids=["9", "11", "2x10"])
+    def test_bad_length_rejected(self, z):
+        with pytest.raises(ContractError, match="flat coupled state must have length 10"):
+            coupled_field(0.0, z, benchmark_problem(N=10))
 
     def test_first_stage_slope_hand_computed(self):
         """k1 at the benchmark initial data with zero costate, both modes."""
@@ -353,6 +372,10 @@ class TestReferenceKinds:
             np.testing.assert_array_equal(v_r[j], v1)
 
     def test_tabulated_validates_grid(self):
+        with pytest.raises(ContractError, match=r"\(M, 5\) table"):
+            tabulated(np.array([0.0, 0.5, 1.0]), np.zeros(3))
+        with pytest.raises(ContractError, match=r"\(M, 5\) table"):
+            tabulated(np.array([0.0, 0.5, 1.0]), np.zeros((3, 4)))
         with pytest.raises(ContractError):
             tabulated(np.array([0.0, 0.0, 1.0]), np.zeros((3, 5)))
         with pytest.raises(ContractError, match="finite"):
