@@ -10,10 +10,11 @@ Four commands over a line-oriented key = value configuration:
 Each config key has a parser in `_KEYS`; every range and choice rule, for
 keys and flags alike, is in `_RULES` and is checked before a command runs.
 
-Exit codes: 0 success, 1 config error (an unknown or malformed key, or a
-key or flag value that breaks its rule), 2 track non-convergence
-(report.txt still written; track.csv and plot.gp only when the flow at the
-last iterate is finite), 3 internal/domain error (including a failed check).
+Exit codes: 0 success, 1 config error (an unknown or malformed key, a
+key or flag value that breaks its rule, or a usage error), 2 track
+non-convergence (report.txt still written; track.csv and plot.gp only when
+the flow at the last iterate is finite), 3 internal/domain error
+(including a failed check).
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from .particle import PARTICLE_NAME, analytic_constants, analytic_flow
 from .shooting import NewtonConfig, solve_tracking
 from .tracking import (
     ADJOINT_MODES,
-    KIND_FREE_FLOW,
-    KIND_LINE,
-    KIND_TABULATED,
     ReferenceTrajectory,
     TrackingProblem,
     constant_z_line,
@@ -55,6 +53,9 @@ CSV_HEADER = "t,x,y,z,v1,v2,u1,u2,l1,l2,l3,m1,m2,x_r,y_r,z_r,v1_r,v2_r"
 # rows write_csv formats per call of the compiled formatter
 CSV_CHUNK_ROWS = 256
 
+KIND_LINE = "builtin-constant-z-line"
+KIND_FREE_FLOW = "free-flow"
+KIND_TABULATED = "tabulated"
 REFERENCE_KINDS = (KIND_LINE, KIND_FREE_FLOW, KIND_TABULATED)
 
 # keys that only the track command reads
@@ -343,22 +344,26 @@ def write_plot_script(path, csv_name: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _echo_value(value) -> str:
+    """A config value as the report echoes it: lowercase for a boolean,
+    the space-joined reprs for a state, else str (a float's str is its
+    repr)."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return " ".join(repr(v) for v in value)
+    return str(value)
+
+
 def _config_echo(cfg: ExperimentConfig) -> str:
+    """One row per key of `_KEYS`, in its order; a reference.* key only
+    when the config provides it."""
     rows = [
-        ("system", cfg.system),
-        ("initial_state", " ".join(repr(v) for v in cfg.initial_state)),
-        ("reference", cfg.reference),
-        ("T", repr(cfg.T)),
-        ("steps", cfg.steps),
-        ("epsilon", repr(cfg.epsilon)),
-        ("omega", repr(cfg.omega)),
-        ("adjoint_mode", cfg.adjoint_mode),
-        ("full_transversality", str(cfg.full_transversality).lower()),
-        ("newton.tol", repr(cfg.newton_tol)),
-        ("newton.max_iters", cfg.newton_max_iters),
-        ("output_dir", cfg.output_dir),
-        ("kernel backend", kernels.backend()),
+        (key, _echo_value(getattr(cfg, name)))
+        for key, (name, _) in _KEYS.items()
+        if not key.startswith("reference.") or key in cfg.provided
     ]
+    rows.append(("kernel backend", kernels.backend()))
     return "\n".join(f"  {k} = {v}" for k, v in rows)
 
 
@@ -553,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "The terminal-cost weight omega defaults to 1 and is configurable "
             "via 'omega = ...' or --omega. Exit codes: 0 success, 1 config "
-            "error, 2 non-convergence, 3 internal error."
+            "or usage error, 2 non-convergence, 3 internal error."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -574,7 +579,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse has printed the help (0) or a usage error (2); a usage
+        # error is a config error, as exit 2 means track did not converge
+        return 0 if stop.code == 0 else 1
     try:
         if args.config is not None:
             try:

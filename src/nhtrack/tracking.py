@@ -44,10 +44,6 @@ RefSample = Tuple[Array, Array]
 
 ADJOINT_MODES = ("derived", "paper-literal")
 
-KIND_LINE = "builtin-constant-z-line"
-KIND_FREE_FLOW = "free-flow"
-KIND_TABULATED = "tabulated"
-
 
 @dataclass(frozen=True)
 class Costate:
@@ -63,7 +59,7 @@ class Costate:
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
-    """Sampled target curve t -> (q_r, v_r), with its construction kind.
+    """Sampled target curve t -> (q_r, v_r).
 
     sample takes a scalar time or a 1-D array of M times. For a scalar it
     returns q_r of shape (n,) and v_r of shape (k,); for an array, (M, n)
@@ -71,7 +67,6 @@ class ReferenceTrajectory:
     formula that broadcasts, so a row equals the scalar sample bit for bit.
     """
 
-    kind: str
     sample: Callable[[Union[float, Array]], RefSample]
 
 
@@ -123,7 +118,7 @@ def constant_z_line(x_r: float = 1.0, z_offset: float = 1.0, speed: float = 1.0)
         v_r[..., 1] = speed
         return q_r, v_r
 
-    return ReferenceTrajectory(kind=KIND_LINE, sample=sample)
+    return ReferenceTrajectory(sample)
 
 
 def free_flow(s0: AdaptedState) -> ReferenceTrajectory:
@@ -134,15 +129,15 @@ def free_flow(s0: AdaptedState) -> ReferenceTrajectory:
         s = analytic_flow(params, t)
         return s.q, s.v
 
-    return ReferenceTrajectory(kind=KIND_FREE_FLOW, sample=sample)
+    return ReferenceTrajectory(sample)
 
 
 def tabulated(times: Array, samples: Array) -> ReferenceTrajectory:
     """Reference interpolated linearly from rows (q_r, v_r) on a time grid.
 
-    samples is an (M, 5) table, one row (x, y, z, v1, v2) per time.
-    Queries outside the grid clamp to the end values. Times and samples
-    must be finite.
+    samples is an (M, 5) table, one row (x, y, z, v1, v2) per time, with
+    M >= 1. Queries outside the grid clamp to the end values. Times and
+    samples must be finite.
     """
     times = np.asarray(times, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -153,6 +148,8 @@ def tabulated(times: Array, samples: Array) -> ReferenceTrajectory:
         )
     if times.ndim != 1 or samples.shape[0] != times.shape[0]:
         raise ContractError("tabulated reference needs one sample row per time")
+    if times.shape[0] == 0:
+        raise ContractError("tabulated reference needs at least one sample row")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(samples))):
         raise ContractError("tabulated reference times and samples must be finite")
     if np.any(np.diff(times) <= 0):
@@ -162,33 +159,7 @@ def tabulated(times: Array, samples: Array) -> ReferenceTrajectory:
         rows = np.stack([np.interp(t, times, column) for column in samples.T], axis=-1)
         return rows[..., :3], rows[..., 3:]
 
-    return ReferenceTrajectory(kind=KIND_TABULATED, sample=sample)
-
-
-def reference_admissibility_defect(
-    sys: NonholonomicSystem,
-    ref: ReferenceTrajectory,
-    times: Array,
-) -> float:
-    """Worst kinematic defect |d/dt q_r - rho(q_r)^T v_r| over the times.
-
-    An admissible reference curve must move its base point exactly as its
-    fiber velocities dictate; this differentiates the base path centrally,
-    with the step 1e-4*max(1, |t|) so that t +- step stays resolvable in
-    double precision at large t, and compares with `admissible_velocity`.
-    The reference is sampled once per offset, at all times together. A
-    non-finite defect at any time makes the result NaN, with no
-    floating-point warning.
-    """
-    times = np.asarray(times, dtype=float)
-    step = 1e-4 * np.maximum(1.0, np.abs(times))
-    with np.errstate(over="ignore", invalid="ignore"):
-        q_p, _ = ref.sample(times + step)
-        q_m, _ = ref.sample(times - step)
-        q_dot = (q_p - q_m) / (2.0 * step)[..., None]
-        q_r, v_r = ref.sample(times)
-        defect = q_dot - admissible_velocity(sys, AdaptedState(q=q_r, v=v_r))
-        return float(np.max(np.abs(defect), initial=0.0))
+    return ReferenceTrajectory(sample)
 
 
 @dataclass(frozen=True)
@@ -201,7 +172,10 @@ class TrackingProblem:
     stationary condition would no longer determine the control), omega > 0
     weights the terminal error; both and the horizon T must be finite. N is
     the integration step count, a Python or numpy int of at least 1, and
-    the start s0 must be finite.
+    the start s0 must be finite. The reference is sampled once, on the half
+    grid j*(h/2) of the RK4 stages (`_ref_table`), at construction: a
+    sample of the wrong shape raises ContractError and a row that is not
+    finite raises DomainError, whatever built the reference.
 
     full_transversality selects the terminal rows of the shooting
     residual. True (default) imposes the gradient of the terminal cost on
@@ -243,14 +217,7 @@ class TrackingProblem:
             raise ContractError("initial state dimensions do not match system")
         if not (np.all(np.isfinite(self.s0.q)) and np.all(np.isfinite(self.s0.v))):
             raise ContractError("initial state s0 must be finite")
-        if self.ref.kind in (KIND_LINE, KIND_FREE_FLOW):
-            # sample away from the endpoints so the FD probe stays in [0, T]
-            probe = np.linspace(0.01 * self.T, 0.99 * self.T, 7)
-            defect = reference_admissibility_defect(self.sys, self.ref, probe)
-            if not defect <= 1e-6:
-                raise ContractError(
-                    f"reference is not an admissible curve (kinematic defect {defect:.3e})"
-                )
+        self._ref_table  # a mis-shaped or non-finite reference raises here
 
     @property
     def h(self) -> float:

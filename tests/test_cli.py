@@ -371,16 +371,12 @@ class TestNonFiniteOutputs:
         for name, value in (("x", 0.0), ("y", 1e200), ("z", 0.0), ("v1", 1.0), ("v2", 1.0)):
             assert np.all(data[name] == value), name
 
-    @pytest.mark.parametrize("command, reason", [
-        ("simulate", "error: the reference is not finite at t = 2.0"),
-        ("analytic", "error: the reference is not finite at t = 2.0"),
-        ("track", "error: reference is not an admissible curve (kinematic defect nan)"),
-    ], ids=["simulate", "analytic", "track"])
-    def test_overflowing_reference_exits_three(self, tmp_path, capsys, command, reason):
+    @pytest.mark.parametrize("command", ["simulate", "analytic", "track"])
+    def test_overflowing_reference_exits_three(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         cfg = self._cfg(tmp_path, "reference.speed = 1e308\n")
         assert main([command, "--config", cfg, "--steps", "4", "--out", str(out)]) == 3
-        assert capsys.readouterr().err.strip() == reason
+        assert capsys.readouterr().err.strip() == "error: the reference is not finite at t = 2.0"
         assert not out.exists()
 
     def test_overflowing_flow_exits_three(self, tmp_path, capsys):
@@ -494,6 +490,24 @@ class TestCommands:
     def test_missing_config_file_exits_one(self, tmp_path):
         assert main(["track", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        ("track --steps abc", "argument --steps: invalid int value: 'abc'"),
+        ("track --T", "argument --T: expected one argument"),
+        ("track --bogus", "unrecognized arguments: --bogus"),
+        ("nosuch", "invalid choice: 'nosuch'"),
+        ("", "the following arguments are required: command"),
+    ], ids=["malformed-value", "missing-value", "unknown-flag", "unknown-command", "no-command"])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        """Exit 2 means that track did not converge; a usage error is a
+        config error, reported in argparse's words."""
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nhtrack") and message in err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: nhtrack")
+
     def test_flag_overrides(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("T = 4\nsteps = 4000\n")
@@ -583,6 +597,49 @@ class TestCommands:
         data = read_csv(tmp_path / "track.csv")
         # near-self-tracking: controls stay small
         assert np.max(np.abs(np.concatenate([data["u1"], data["u2"]]))) < 1e-2
+
+
+class TestConfigEcho:
+    """report.txt echoes the configuration one `_KEYS` row at a time; the
+    reference.* rows appear only when the config provides them."""
+
+    def echo(self, tmp_path, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        # report.txt is written whether or not the solve converges
+        assert main(["track", "--config", str(cfg), "--steps", "10", "--out", str(out)]) in (0, 2)
+        report = (out / "report.txt").read_text()
+        return report.split("configuration:\n", 1)[1].split("\n\n", 1)[0].splitlines(), out
+
+    def test_default_echo(self, tmp_path):
+        rows, out = self.echo(tmp_path, "")
+        assert rows == [
+            "  system = nonholonomic-particle",
+            "  initial_state = 0.5 0.2 0.7 0.5 0.4",
+            "  reference = builtin-constant-z-line",
+            "  T = 4.0",
+            "  steps = 10",
+            "  epsilon = 7.0",
+            "  omega = 1.0",
+            "  adjoint_mode = derived",
+            "  full_transversality = true",
+            "  newton.tol = 1e-10",
+            "  newton.max_iters = 100",
+            f"  output_dir = {out}",
+            f"  kernel backend = {cli.kernels.backend()}",
+        ]
+
+    def test_provided_reference_keys_echoed(self, tmp_path):
+        default, _ = self.echo(tmp_path, "")
+        rows, _ = self.echo(tmp_path, "reference.speed = 2\nreference.x_r = 0.5\n")
+        assert rows == default[:3] + ["  reference.x_r = 0.5", "  reference.speed = 2.0"] + default[3:]
+        rows, _ = self.echo(
+            tmp_path, "reference = free-flow\nreference.initial_state = 0.5 0.2 0.7 0.5 0.4\n"
+        )
+        assert rows[2:4] == [
+            "  reference = free-flow", "  reference.initial_state = 0.5 0.2 0.7 0.5 0.4"
+        ]
 
 
 class TestExperimentConfigDefaults:

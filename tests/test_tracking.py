@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhtrack.errors import ContractError, DomainError, SingularProblemError
-from nhtrack.geometry import AdaptedState
+from nhtrack.geometry import AdaptedState, admissible_velocity
 from nhtrack.integrators import Trajectory, VectorField, integrate
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
 from nhtrack.shooting import fd_jacobian, solve_tracking
@@ -26,7 +26,6 @@ from nhtrack.tracking import (
     hamiltonian,
     hamiltonian_control_gradient,
     integrate_coupled,
-    reference_admissibility_defect,
     residual_from_trajectory,
     running_cost,
     shooting_residual,
@@ -382,60 +381,36 @@ class TestReferenceKinds:
             tabulated(np.array([0.0, np.nan, 1.0]), np.zeros((3, 5)))
         with pytest.raises(ContractError, match="finite"):
             tabulated(np.array([0.0, 0.5, 1.0]), np.full((3, 5), np.inf))
+        with pytest.raises(ContractError, match="at least one sample row"):
+            tabulated(np.empty(0), np.empty((0, 5)))
 
     def test_problem_rejects_non_finite_reference(self):
-        """A NaN defect is not taken for an admissible reference."""
-        ref = constant_z_line(x_r=np.nan)
-        assert np.isnan(reference_admissibility_defect(SYS, ref, np.array([1.0, 2.0])))
-        with pytest.raises(ContractError, match="not an admissible curve"):
-            TrackingProblem(ref=ref, epsilon=7.0, T=4.0, s0=S0, N=10)
+        with pytest.raises(DomainError, match=r"^the reference is not finite at t = 0\.0$"):
+            TrackingProblem(ref=constant_z_line(x_r=np.nan), epsilon=7.0, T=4.0, s0=S0, N=10)
 
-    def test_problem_rejects_off_distribution_line(self):
-        """The z-line moved to y = 0.5 moves its base as a line does, but the
-        constraint there couples x to z: rho(q)^T v = (-0.5, 0, 1), so the
-        defect is 0.5."""
-        line = constant_z_line()
+    @pytest.mark.parametrize("z_offset", [-0.5, 1.0, 3e6, 1e9])
+    def test_line_lies_on_the_distribution_exactly(self, z_offset):
+        """At y = 0 the constraint coupling vanishes: rho(q_r)^T v_r is
+        (0, 0, speed), the line's own velocity, with no rounding at all."""
+        speed = 2.5
+        ref = constant_z_line(x_r=0.3, z_offset=z_offset, speed=speed)
+        times = np.concatenate([np.linspace(0.0, 4.0, 9), [1e7, 1e9]])
+        q_dot = admissible_velocity(SYS, AdaptedState(*ref.sample(times)))
+        np.testing.assert_array_equal(q_dot, np.tile([0.0, 0.0, speed], (len(times), 1)))
 
-        def sample(t):
-            q_r, v_r = line.sample(t)
-            q_r[..., 1] = 0.5
-            return q_r, v_r
-
-        off = ReferenceTrajectory(kind=line.kind, sample=sample)
-        assert reference_admissibility_defect(SYS, off, np.linspace(0.04, 3.96, 7)) == pytest.approx(0.5)
-        with pytest.raises(ContractError, match=r"not an admissible curve \(kinematic defect 5\.000e-01\)"):
-            TrackingProblem(ref=off, epsilon=7.0, T=4.0, s0=S0, N=10)
-
-    @pytest.mark.parametrize("make", [constant_z_line, lambda: free_flow(S0)], ids=["line", "free-flow"])
-    def test_long_horizon_builtin_references_admissible(self, make):
-        """The FD probe step grows with |t|: at t ~ 1e7 a fixed 1e-4 step
-        loses most of its digits to rounding and reads a false defect."""
-        prob = TrackingProblem(ref=make(), epsilon=7.0, T=1e7, s0=S0, N=10)
-        times = np.linspace(0.01 * prob.T, 0.99 * prob.T, 7)
-        assert reference_admissibility_defect(SYS, prob.ref, times) <= 1e-9
-
-    def test_admissibility_samples_once_per_offset(self):
-        """t + step, t - step and t: three sample calls over all the times."""
-        line = constant_z_line()
-        calls = []
-
-        def sample(t):
-            calls.append(np.shape(t))
-            return line.sample(t)
-
-        ref = ReferenceTrajectory(kind=line.kind, sample=sample)
-        assert reference_admissibility_defect(SYS, ref, np.linspace(0.04, 3.96, 7)) <= 1e-9
-        assert calls == [(7,)] * 3
-
-    def test_problem_rejects_inadmissible_reference(self):
-        """Frozen base point with nonzero fiber velocity is not a curve on
-        the distribution: the base must move as the fibers dictate."""
-        bad = ReferenceTrajectory(
-            kind="builtin-constant-z-line",
-            sample=lambda t: (np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0])),
-        )
-        with pytest.raises(ContractError):
-            TrackingProblem(ref=bad, epsilon=7.0, T=4.0, s0=S0, N=10)
+    @pytest.mark.parametrize("make, T", [
+        (lambda: constant_z_line(z_offset=3e6), 4.0),
+        (lambda: constant_z_line(z_offset=1e9), 4.0),
+        (lambda: constant_z_line(speed=1e10), 4.0),
+        (lambda: free_flow(AdaptedState(q=[1e9, 0.2, 0.7], v=[0.5, 0.4])), 4.0),
+        (constant_z_line, 1e7),
+        (lambda: free_flow(S0), 1e7),
+    ], ids=["z-offset-3e6", "z-offset-1e9", "speed-1e10", "free-flow-x-1e9",
+            "line-T-1e7", "free-flow-T-1e7"])
+    def test_problem_builds_on_large_reference_values(self, make, T):
+        """Large but finite offsets, speeds and times give valid references."""
+        prob = TrackingProblem(ref=make(), epsilon=7.0, T=T, s0=S0, N=10)
+        assert prob._ref_table.shape == (21, 5)
 
 
 class TestTrackingProblem:
@@ -540,12 +515,8 @@ class TestRefTableBitExact:
         lambda t: (np.stack([np.ones_like(t), 0 * t, 1 + t]), np.stack([0 * t, np.ones_like(t)])),
     ], ids=["scalar-only", "transposed"])
     def test_wrong_sample_shapes_rejected(self, sample):
-        prob = TrackingProblem(
-            ref=ReferenceTrajectory(kind="user", sample=sample),
-            epsilon=7.0, T=4.0, s0=S0, N=10,
-        )
         with pytest.raises(ContractError, match="reference sample of 21 times"):
-            prob._ref_table
+            TrackingProblem(ref=ReferenceTrajectory(sample), epsilon=7.0, T=4.0, s0=S0, N=10)
 
 
 class TestShootingResidual:
