@@ -22,7 +22,7 @@ grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
@@ -48,6 +48,7 @@ from .particle import (
 from .shooting import NewtonConfig, fd_jacobian, solve_tracking
 from .tracking import (
     Costate,
+    TrackingProblem,
     adjoint_field,
     benchmark_problem,
     free_flow,
@@ -243,9 +244,9 @@ def check_adjoint_gradient() -> CheckResult:
     h_minus = hamiltonian(sys_, _states(x - e), p_probe, u_probe, r_probe, eps)
     grad = (h_plus - h_minus) / (2 * step)
     scale = np.maximum(1.0, np.abs(grad))
-    derived = adjoint_field(sys_, s, p, r, eps, "derived")
+    derived = adjoint_field(s, p, r, eps, "derived")
     worst = float(np.max(np.abs(np.concatenate([derived.lam, derived.mu], axis=1) + grad) / scale))
-    literal = adjoint_field(sys_, s, p, r, eps, "paper-literal")
+    literal = adjoint_field(s, p, r, eps, "paper-literal")
     literal_gap = np.abs(np.concatenate([literal.lam, literal.mu], axis=1) + grad) / scale
     literal_bad = np.any(literal_gap > 1e-5, axis=0)
     names = ("lam1", "lam2", "lam3", "mu1", "mu2")
@@ -282,8 +283,8 @@ def check_residual_smoothness() -> CheckResult:
 
 
 def check_zero_fixed_point() -> CheckResult:
-    base = benchmark_problem()
-    prob = replace(base, ref=free_flow(base.s0))
+    s0 = AdaptedState(q=np.array([0.5, 0.2, 0.7]), v=np.array([0.5, 0.4]))
+    prob = TrackingProblem(ref=free_flow(s0), epsilon=7.0, T=4.0, s0=s0)
     r = shooting_residual(np.zeros(5), prob)
     worst = float(np.max(np.abs(r)))
     return CheckResult("zero-fixed-point", worst <= 1e-9, f"residual at 0: {worst:.2e}")

@@ -62,6 +62,12 @@ REFERENCE_KINDS = (KIND_LINE, KIND_FREE_FLOW, KIND_TABULATED)
 _TRACK_ONLY_KEYS = (
     "epsilon", "omega", "adjoint_mode", "full_transversality", "newton.tol", "newton.max_iters"
 )
+# the reference.* keys that each reference kind reads
+_REFERENCE_KEYS = {
+    KIND_LINE: ("reference.x_r", "reference.z_offset", "reference.speed"),
+    KIND_FREE_FLOW: ("reference.initial_state",),
+    KIND_TABULATED: ("reference.file",),
+}
 
 
 @dataclass(frozen=True)
@@ -411,14 +417,15 @@ def _build_problem(cfg: ExperimentConfig) -> TrackingProblem:
 
 def _warn_ignored(cfg: ExperimentConfig, command: str) -> None:
     """Warn, in `_KEYS` order, about each provided key the command does not
-    read: check reads none, and only track reads the track-only keys."""
+    read: check reads none, only track reads the track-only keys, and the
+    other commands read only the reference.* keys of the chosen kind."""
     for key in _KEYS:
-        ignored = command == "check" or (command != "track" and key in _TRACK_ONLY_KEYS)
-        if ignored and key in cfg.provided:
-            print(
-                f"warning: key '{key}' is ignored by command '{command}'",
-                file=sys.stderr,
-            )
+        if key not in cfg.provided:
+            continue
+        if command == "check" or (command != "track" and key in _TRACK_ONLY_KEYS):
+            print(f"warning: key '{key}' is ignored by command '{command}'", file=sys.stderr)
+        elif key.startswith("reference.") and key not in _REFERENCE_KEYS[cfg.reference]:
+            print(f"warning: key '{key}' is ignored by reference '{cfg.reference}'", file=sys.stderr)
 
 
 def _output_dir(cfg: ExperimentConfig) -> Path:

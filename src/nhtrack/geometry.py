@@ -6,11 +6,12 @@ coefficients rho(q) (a k x n array), and the reduced dynamics are written
 in the induced coordinates (q, v): q moves along the frame with fiber
 velocity v, and v is driven by the connection coefficients Gamma(q).
 
-The system is one immutable record of closed-form callables; every
-operation is a pure function of its inputs. Points may be stacked along
-leading axes: q of shape (..., n) with v of shape (..., k) gives one
-result per point, each row equal bit for bit to the call on that point
-alone.
+The system is one immutable record of closed-form callables, with no
+derivatives: the costate equations are the particle's, in `tracking`.
+Every operation is a pure function of its inputs. Points may be stacked
+along leading axes: q of shape (..., n) with v of shape (..., k) gives
+one result per point, each row equal bit for bit to the call on that
+point alone.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ class NonholonomicSystem:
     - gamma(q), (..., k, k, k): the connection coefficients, indexed
       [C, A, B];
     - constraint_annihilator(q), (..., m, n): one-form coefficients that
-      vanish on the frame, mu(q) rho(q)^T == 0;
-    - d_rho(q), (..., k, n, n), and d_gamma(q), (..., k, k, k, n): the
-      closed-form q-derivatives of rho and gamma that the derived adjoint
-      equations read.
+      vanish on the frame, mu(q) rho(q)^T == 0.
     """
 
     n: int
@@ -49,8 +47,6 @@ class NonholonomicSystem:
     rho: Callable[[Array], Array]
     gamma: Callable[[Array], Array]
     constraint_annihilator: Callable[[Array], Array]
-    d_rho: Callable[[Array], Array]  # (..., k, n, n): [A, i, j] = d rho_A^i / d q^j
-    d_gamma: Callable[[Array], Array]  # (..., k, k, k, n): [C, A, B, j]
 
     def __post_init__(self):
         if not (1 <= self.k <= self.n):

@@ -42,25 +42,11 @@ def _rho(q: Array) -> Array:
     return r
 
 
-def _d_rho(q: Array) -> Array:
-    d = np.zeros(q.shape[:-1] + (2, 3, 3))
-    d[..., 1, 0, 1] = -1.0  # d rho_2^x / dy
-    return d
-
-
 def _gamma(q: Array) -> Array:
     y = q[..., 1]
     g = np.zeros(q.shape[:-1] + (2, 2, 2))
     g[..., 1, 0, 1] = y / (1.0 + y * y)
     return g
-
-
-def _d_gamma(q: Array) -> Array:
-    y = q[..., 1]
-    w = 1.0 + y * y
-    d = np.zeros(q.shape[:-1] + (2, 2, 2, 3))
-    d[..., 1, 0, 1, 1] = (1.0 - y * y) / (w * w)
-    return d
 
 
 def _annihilator(q: Array) -> Array:
@@ -78,8 +64,6 @@ def particle_system() -> NonholonomicSystem:
         rho=_rho,
         gamma=_gamma,
         constraint_annihilator=_annihilator,
-        d_rho=_d_rho,
-        d_gamma=_d_gamma,
     )
 
 

@@ -14,9 +14,10 @@ particle's costate equations in their as-printed form, which differs from
 the gradient in three terms and is kept for side-by-side comparison.
 
 A TrackingProblem is built for the bundled particle only, and its
-rollouts run the particle's C RK4 kernel. `coupled_field` and
-`adjoint_field` are generic in the system: with `integrators.integrate`
-they are the oracle the kernel is tested against.
+rollouts run the particle's C RK4 kernel. `adjoint_field` writes its
+costate equations row for row as the kernel does; with
+`integrators.integrate`, `coupled_field` is the kernel's Python oracle.
+`tests/oracles.py` derives both, and the kernel's Jacobian, with sympy.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ class TrackingProblem:
     @cached_property
     def _ref_table(self) -> Array:
         """Reference samples on the half grid j*(h/2), shape (2N+1, n+k)."""
-        half_grid = np.arange(2 * self.N + 1) * (0.5 * self.h)
+        half_grid = time_grid(0.0, self.T, 2 * self.N)
         return reference_rows(self.ref, half_grid, self.sys.n, self.sys.k)
 
     @cached_property
@@ -330,78 +331,41 @@ def hamiltonian_control_gradient(p: Costate, u: Array, eps) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _adjoint_derived(
-    sys: NonholonomicSystem, s: AdaptedState, p: Costate, r: RefSample
-) -> Costate:
-    q, v = s.q, s.v
-    q_r, v_r = r
-    rho = sys.rho(q)
-    gam = sys.gamma(q)
-    d_rho = sys.d_rho(q)
-    d_gam = sys.d_gamma(q)
-    # dH/dq_j = (q-q_r)_j + lam_i d_rho[A,i,j] v^A - mu_C d_gam[C,A,B,j] v^A v^B
-    dH_dq = (
-        (q - q_r)
-        + np.einsum("...i,...aij,...a->...j", p.lam, d_rho, v)
-        - np.einsum("...c,...cabj,...a,...b->...j", p.mu, d_gam, v, v)
-    )
-    # dH/dv_A = (v-v_r)_A + lam_i rho[A,i] - mu_C (gam[C,A,B] + gam[C,B,A]) v^B
-    dH_dv = (
-        (v - v_r)
-        + np.einsum("...ai,...i->...a", rho, p.lam)
-        - np.einsum("...c,...cab,...b->...a", p.mu, gam + np.swapaxes(gam, -1, -2), v)
-    )
-    return Costate(lam=-dH_dq, mu=-dH_dv)
-
-
-def _adjoint_paper_literal(
-    s: AdaptedState, p: Costate, r: RefSample, eps: float
-) -> Costate:
-    x, y, z = np.moveaxis(s.q, -1, 0)
-    v1, v2 = np.moveaxis(s.v, -1, 0)
-    l1, l2, l3 = np.moveaxis(p.lam, -1, 0)
-    m1, m2 = np.moveaxis(p.mu, -1, 0)
-    q_r, v_r = (np.moveaxis(np.asarray(a, dtype=float), -1, 0) for a in r)
-    w = 1.0 + y * y
-    f = y / w
-    lam_dot = [
-        -(x - q_r[0]),
-        l1 * v2 - (y - q_r[1]) + eps * v1 * v2 * m2 * (y * y - 1.0) / (w * w),
-        -(z - q_r[2]),
-    ]
-    mu_dot = [
-        -l2 - (v1 - v_r[0]) - m2 * f * v2,
-        -l3 + l1 * y - (v2 - v_r[1]) - m2 * f * v1,
-    ]
-    return Costate(
-        lam=np.stack(np.broadcast_arrays(*lam_dot), axis=-1),
-        mu=np.stack(np.broadcast_arrays(*mu_dot), axis=-1),
-    )
-
-
-def adjoint_field(
-    sys: NonholonomicSystem,
-    s: AdaptedState,
-    p: Costate,
-    r: RefSample,
-    eps: float,
-    mode: str = "derived",
-) -> Costate:
-    """Costate time derivative (lam_dot, mu_dot).
+def adjoint_field(s: AdaptedState, p: Costate, r: RefSample, eps, mode: str = "derived") -> Costate:
+    """Costate time derivative (lam_dot, mu_dot) of the bundled particle,
+    in closed form: each row is written as `coupled_rhs` in `_rk4.c` writes
+    it, in the same evaluation order.
 
     'derived' evaluates -(dH/dq, dH/dv) with the control held at its
     stationary value (whose sensitivity drops out since dH/du = 0 there).
-    'paper-literal' is the as-printed variant for the bundled particle;
-    it deviates from the gradient in the lam_2 coupling term (an extra
-    eps factor and an opposite sign) and in the sign of both mu coupling
-    terms. Points may be stacked along leading axes, as for
-    `hamiltonian`: one row per point.
+    'paper-literal' is the as-printed variant; it deviates from the
+    gradient in the lam_2 coupling term (an extra eps factor and an
+    opposite sign) and in the sign of both mu coupling terms. Points may
+    be stacked along leading axes, as for `hamiltonian`: one row per
+    point.
     """
-    if mode == "derived":
-        return _adjoint_derived(sys, s, p, r)
+    if mode not in ADJOINT_MODES:
+        raise ContractError(f"unknown adjoint mode {mode!r}")
+    x, y, z = np.moveaxis(s.q, -1, 0)
+    v1, v2 = np.moveaxis(s.v, -1, 0)
+    l1, l2, l3 = np.moveaxis(p.lam, -1, 0)
+    m2 = p.mu[..., 1]
+    q_r, v_r = (np.moveaxis(np.asarray(a, dtype=float), -1, 0) for a in r)
+    w = 1.0 + y * y
+    f = y / w
+    ey, e1, e2 = y - q_r[1], v1 - v_r[0], v2 - v_r[1]
     if mode == "paper-literal":
-        return _adjoint_paper_literal(s, p, r, eps)
-    raise ContractError(f"unknown adjoint mode {mode!r}")
+        dl2 = l1 * v2 - ey + eps * v1 * v2 * m2 * (y * y - 1.0) / (w * w)
+        dm1 = -l2 - e1 - m2 * f * v2
+        dm2 = -l3 + l1 * y - e2 - m2 * f * v1
+    else:
+        dl2 = l1 * v2 - ey + m2 * v1 * v2 * (1.0 - y * y) / (w * w)
+        dm1 = -l2 - e1 + m2 * f * v2
+        dm2 = l1 * y - l3 - e2 + m2 * f * v1
+    return Costate(
+        lam=np.stack(np.broadcast_arrays(-(x - q_r[0]), dl2, -(z - q_r[2])), axis=-1),
+        mu=np.stack(np.broadcast_arrays(dm1, dm2), axis=-1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +386,7 @@ def coupled_field(t: float, z: Array, prob: TrackingProblem) -> Array:
     r = prob.ref.sample(t)
     qdot = admissible_velocity(prob.sys, s)
     vdot = controlled_acceleration(prob.sys, s, u)
-    pdot = adjoint_field(prob.sys, s, p, r, prob.epsilon, prob.adjoint_mode)
+    pdot = adjoint_field(s, p, r, prob.epsilon, prob.adjoint_mode)
     return np.concatenate([qdot, vdot, pdot.lam, pdot.mu])
 
 
@@ -439,7 +403,7 @@ def _kernel_args(prob: TrackingProblem, alpha: Array) -> tuple:
 
 def integrate_coupled(prob: TrackingProblem, alpha: Array) -> Trajectory:
     """Flow of the coupled system from (s0, alpha) over [0, T], by the
-    particle's C RK4 kernel (`coupled_field` is its generic oracle)."""
+    particle's C RK4 kernel (`coupled_field` is its Python oracle)."""
     states = kernels.rollout_coupled(*_kernel_args(prob, alpha))
     return Trajectory(times=prob.times, states=states)
 

@@ -538,8 +538,10 @@ class TestCommands:
 
     def test_simulate_warns_about_the_track_only_keys_alone(self, tmp_path, capsys):
         """A config of every key but reference.file (which needs a tabulated
-        reference): simulate reads all but the six track-only ones, and
-        warns about those in key order; track warns about none."""
+        reference): simulate reads all but the six track-only ones and
+        reference.initial_state, which the line reference does not read,
+        and warns about those in key order; track warns about the
+        reference key alone."""
         cfg = tmp_path / "exp.cfg"
         lines = [
             "system = nonholonomic-particle", "initial_state = 0.5 0.2 0.7 0.5 0.4",
@@ -550,14 +552,39 @@ class TestCommands:
             "newton.tol = 1e-8", "newton.max_iters = 50", f"output_dir = {tmp_path}",
         ]
         cfg.write_text("\n".join(lines) + "\n")
+        by_line = "warning: key 'reference.initial_state' is ignored by reference 'builtin-constant-z-line'\n"
         assert main(["simulate", "--config", str(cfg)]) == 0
-        assert capsys.readouterr().err == "".join(
+        assert capsys.readouterr().err == by_line + "".join(
             f"warning: key '{key}' is ignored by command 'simulate'\n"
             for key in ("epsilon", "omega", "adjoint_mode", "full_transversality",
                         "newton.tol", "newton.max_iters")
         )
         assert main(["track", "--config", str(cfg)]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == by_line
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic", "track"])
+    @pytest.mark.parametrize("kind, ignored", [
+        ("builtin-constant-z-line", ("reference.initial_state", "reference.file")),
+        ("free-flow", ("reference.x_r", "reference.z_offset", "reference.speed", "reference.file")),
+        ("tabulated", ("reference.x_r", "reference.z_offset", "reference.speed", "reference.initial_state")),
+    ], ids=["line", "free-flow", "tabulated"])
+    def test_reference_keys_the_kind_does_not_read_are_warned(self, tmp_path, capsys, command, kind, ignored):
+        """Given all five reference.* keys, a command that samples the
+        reference warns, in key order, about each one its kind does not
+        read: the line reads x_r, z_offset and speed, free-flow reads
+        initial_state, and tabulated reads file."""
+        table = tmp_path / "ref.csv"
+        table.write_text("t,x,y,z,v1,v2\n0,1,0,1,0,1\n1,1,0,2,0,1\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"reference = {kind}\nreference.x_r = 1\nreference.z_offset = 1\n"
+            "reference.speed = 5\nreference.initial_state = 0.5 0.2 0.7 0.5 0.4\n"
+            f"reference.file = {table}\nT = 1\nsteps = 10\noutput_dir = {tmp_path}\n"
+        )
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: key '{key}' is ignored by reference '{kind}'\n" for key in ignored
+        )
 
     def test_check_warns_about_every_provided_key(self, tmp_path, capsys):
         """check reads no key: each flag it is given draws a warning, the
@@ -652,13 +679,15 @@ class TestExperimentConfigDefaults:
 
 def test_cli_imports_no_undeclared_dependency():
     """pyproject.toml declares numpy only: importing the CLI, and with it
-    the whole package, loads neither scipy nor the test-only sympy and
-    hypothesis."""
+    the whole package, and running `nhtrack check` load neither scipy nor
+    the test-only sympy and hypothesis."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys, nhtrack.cli; "
-        "print(' '.join(m for m in ('scipy', 'sympy', 'hypothesis') if m in sys.modules))"
+        "import contextlib, io, sys, nhtrack.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = nhtrack.cli.main(['check'])\n"
+        "print(status, *(m for m in ('scipy', 'sympy', 'hypothesis') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ""
+    assert out.stdout.strip() == "0"

@@ -121,8 +121,6 @@ class TestStackedPoints:
                 "rho": sys_.rho(q),
                 "gamma": sys_.gamma(q),
                 "constraint_annihilator": sys_.constraint_annihilator(q),
-                "d_rho": sys_.d_rho(q),
-                "d_gamma": sys_.d_gamma(q),
                 "admissible_velocity": qdot,
                 "nh_acceleration": nh_acceleration(sys_, s),
                 "controlled_acceleration": controlled_acceleration(sys_, s, u),
@@ -203,11 +201,9 @@ class TestSystemConsistency:
             dataclasses.replace(particle_system(), k=4)
 
     def test_fields_are_the_ones_a_path_reads(self):
-        """The frame, the connection, the annihilator and the two closed-form
-        derivatives the derived adjoint reads; every one is required."""
+        """The dimensions, the frame, the connection and the annihilator;
+        every one is required."""
         fields = dataclasses.fields(NonholonomicSystem)
-        assert [f.name for f in fields] == [
-            "n", "k", "rho", "gamma", "constraint_annihilator", "d_rho", "d_gamma"
-        ]
+        assert [f.name for f in fields] == ["n", "k", "rho", "gamma", "constraint_annihilator"]
         assert all(f.default is dataclasses.MISSING for f in fields)
         assert all(f.default_factory is dataclasses.MISSING for f in fields)

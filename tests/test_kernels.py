@@ -280,6 +280,42 @@ class TestSensitivity:
         scale = np.max(np.abs(fd), axis=1, keepdims=True)
         assert np.max(np.abs(sens - fd) / scale) <= 1e-6
 
+    @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
+    def test_matches_variational_recursion_through_oracle_jacobian(self, oracle, mode):
+        """S_N equals RK4's variational recursion S += h(dk1 + 2dk2 + 2dk3 +
+        dk4)/6 with dk_i = A(stage i)(S + c_i dk_{i-1}), where A is the
+        symbolic Jacobian of `oracles.particle_oracle`. It runs on the
+        kernel's states; their stages come from the symbolic field, with
+        the reference read from the half-grid table."""
+        from nhtrack.tracking import _kernel_args, benchmark_problem
+
+        prob = benchmark_problem(N=400, adjoint_mode=mode)
+        sens = _seed()
+        states = kernels.rollout_coupled(*_kernel_args(prob, TRACK_ALPHA), sens=sens)
+        field, jac = oracle.field[mode], oracle.jacobian[mode]
+        h, eps, ref = prob.h, prob.epsilon, prob._ref_table
+        z = states[:-1]
+        k1 = field(z, ref[:-1:2], eps)
+        z2 = z + 0.5 * h * k1
+        z3 = z + 0.5 * h * field(z2, ref[1::2], eps)
+        z4 = z + h * field(z3, ref[1::2], eps)
+        a1, a2, a3, a4 = (jac(stage, eps) for stage in (z, z2, z3, z4))
+        S = _seed()
+        for i in range(prob.N):
+            dk1 = a1[i] @ S
+            dk2 = a2[i] @ (S + 0.5 * h * dk1)
+            dk3 = a3[i] @ (S + 0.5 * h * dk2)
+            dk4 = a4[i] @ (S + h * dk3)
+            S = S + h * ((dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4) / 6.0)
+        scale = np.max(np.abs(S), axis=1, keepdims=True)
+        assert np.max(np.abs(sens - S) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
+    def test_oracle_jacobian_has_the_kernels_27_nonzeros(self, oracle, mode):
+        """`coupled_jac` in `_rk4.c` forms 27 nonzero entries; the symbolic
+        Jacobian has exactly as many."""
+        assert int(oracle.sparsity[mode].sum()) == 27
+
     # (T, epsilon, N, alpha): the N=400 benchmark at alpha = 0 and at
     # TRACK_ALPHA, and the failure-map points (N = 250*T) whose flow is
     # finite at alpha = 0; the other six leave the finite domain there.

@@ -31,19 +31,6 @@ class TestParticleSystem:
         sys_ = particle_system()
         assert sys_.gamma(np.array([1.0, 0.0, 2.0]))[1, 0, 1] == 0.0
 
-    def test_derivative_hooks_match_finite_differences(self):
-        sys_ = particle_system()
-        h = 1e-7
-        for _ in range(10):
-            q = RNG.uniform(-2, 2, 3)
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                d_rho_fd = (sys_.rho(q + e) - sys_.rho(q - e)) / (2 * h)
-                np.testing.assert_allclose(sys_.d_rho(q)[:, :, j], d_rho_fd, atol=1e-8)
-                d_gam_fd = (sys_.gamma(q + e) - sys_.gamma(q - e)) / (2 * h)
-                np.testing.assert_allclose(sys_.d_gamma(q)[:, :, :, j], d_gam_fd, atol=1e-8)
-
 
 class TestAnalyticConstants:
     def test_benchmark_initial_condition(self):

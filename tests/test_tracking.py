@@ -221,8 +221,8 @@ class TestStackedPoints:
         def evaluate(q, v, lam, mu, q_r, v_r, w):
             s, p, r = AdaptedState(q=q, v=v), Costate(lam=lam, mu=mu), (q_r, v_r)
             u = stationary_control(p, 0.5 + w * w)  # one positive weight per row
-            derived = adjoint_field(SYS, s, p, r, eps, "derived")
-            literal = adjoint_field(SYS, s, p, r, eps, "paper-literal")
+            derived = adjoint_field(s, p, r, eps, "derived")
+            literal = adjoint_field(s, p, r, eps, "paper-literal")
             return {
                 "stationary_control": u,
                 "hamiltonian": hamiltonian(SYS, s, p, u, r, eps),
@@ -258,7 +258,7 @@ class TestAdjointField:
         s = AdaptedState(q=q_r, v=v_r)
         p = Costate(lam=np.zeros(3), mu=np.zeros(2))
         for mode in ("derived", "paper-literal"):
-            d = adjoint_field(SYS, s, p, (q_r, v_r), 7.0, mode)
+            d = adjoint_field(s, p, (q_r, v_r), 7.0, mode)
             np.testing.assert_array_equal(d.lam, np.zeros(3))
             np.testing.assert_array_equal(d.mu, np.zeros(2))
 
@@ -267,20 +267,69 @@ class TestAdjointField:
         q_r, v_r = np.array([0.0, 0.2, 0.5]), np.array([0.3, -0.4])
         s = AdaptedState(q=q_r + [0.3, 0.0, 0.0], v=v_r)
         p = Costate(lam=np.zeros(3), mu=np.zeros(2))
-        d = adjoint_field(SYS, s, p, (q_r, v_r), 7.0, "derived")
+        d = adjoint_field(s, p, (q_r, v_r), 7.0, "derived")
         np.testing.assert_allclose(d.lam, [-0.3, 0.0, 0.0], atol=1e-16)
         np.testing.assert_array_equal(d.mu, np.zeros(2))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match="unknown adjoint mode 'gradient'"):
+            adjoint_field(S0, random_costate(), random_sample(), 7.0, "gradient")
 
     def test_modes_agree_when_coupling_costate_vanishes(self):
         """With mu2 = 0 the differing terms drop out of both variants."""
         s = AdaptedState(q=RNG.uniform(-1, 1, 3), v=RNG.uniform(-1, 1, 2))
         p = Costate(lam=RNG.uniform(-1, 1, 3), mu=[0.7, 0.0])
         r = random_sample()
-        a = adjoint_field(SYS, s, p, r, 7.0, "derived")
-        b = adjoint_field(SYS, s, p, r, 7.0, "paper-literal")
+        a = adjoint_field(s, p, r, 7.0, "derived")
+        b = adjoint_field(s, p, r, 7.0, "paper-literal")
         np.testing.assert_allclose(a.lam, b.lam, atol=1e-15)
         np.testing.assert_allclose(a.mu, b.mu, atol=1e-15)
 
+
+
+def _gap(got, want):
+    """|got - want| relative to the largest |want| of each row, or absolute
+    where that is below 1."""
+    scale = np.maximum(np.max(np.abs(want), axis=-1, keepdims=True), 1.0)
+    return float(np.max(np.abs(got - want) / scale))
+
+
+class TestSymbolicOracle:
+    """The Hamiltonian, the adjoint and the coupled field equal the sympy
+    derivation from the frame and the connection alone
+    (`oracles.particle_oracle`), at 200 random stacked rows of state,
+    costate, reference, control and time."""
+
+    ROWS = np.random.default_rng(20).uniform(-3.0, 3.0, (200, 18))
+    Z, R, U, TIMES = ROWS[:, :10], ROWS[:, 10:15], ROWS[:, 15:17], ROWS[:, 17] + 3.0
+
+    def _points(self):
+        z, r = self.Z, self.R
+        s = AdaptedState(q=z[:, :3], v=z[:, 3:5])
+        return s, Costate(lam=z[:, 5:8], mu=z[:, 8:]), (r[:, :3], r[:, 3:])
+
+    @pytest.mark.parametrize("eps", [0.5, 7.0])
+    def test_hamiltonian(self, oracle, eps):
+        s, p, r = self._points()
+        got = hamiltonian(SYS, s, p, self.U, r, eps)
+        assert _gap(got[:, None], oracle.hamiltonian(self.Z, self.U, self.R, eps)[:, None]) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [0.5, 7.0])
+    @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
+    def test_adjoint_field(self, oracle, mode, eps):
+        s, p, r = self._points()
+        d = adjoint_field(s, p, r, eps, mode)
+        got = np.concatenate([d.lam, d.mu], axis=1)
+        assert _gap(got, oracle.adjoint[mode](self.Z, self.R, eps)) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [0.5, 7.0])
+    @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
+    def test_coupled_field(self, oracle, mode, eps):
+        """One flat state per call, against the reference sampled at its time."""
+        prob = benchmark_problem(epsilon=eps, N=10, adjoint_mode=mode)
+        got = np.array([coupled_field(t, z, prob) for t, z in zip(self.TIMES, self.Z)])
+        r = np.concatenate(prob.ref.sample(self.TIMES), axis=1)
+        assert _gap(got, oracle.field[mode](self.Z, r, eps)) <= 1e-14
 
 
 class TestCoupledField:
