@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhtrack import checks
+from nhtrack import checks, integrators, kernels
 
 BENCHMARK_PATH = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -100,3 +100,38 @@ def test_checks_draw_the_pinned_rows(monkeypatch):
     for name, (seed, count, blocks, _) in SAME_POINTS.items():
         fresh = np.random.default_rng(seed).bit_generator.state
         assert recorded[name] == [(fresh, count, blocks)], name
+
+
+def test_cubic_exactness_runs_the_kernel_not_the_generic_integrator(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("integrators.integrate called")
+
+    monkeypatch.setattr(integrators, "integrate", unused)
+    monkeypatch.setattr(checks, "integrate", unused)
+    r = checks.check_cubic_exactness()
+    assert r.passed, r.detail
+
+
+def test_cubic_exactness_fails_on_a_reference_read_one_row_late(monkeypatch):
+    """A kernel that reads the half-grid reference one row late, row j - 1
+    at stage row j, integrates lam1 with an error of about 0.02."""
+    rollout = kernels.rollout_coupled
+
+    def late(z0, h, n_steps, ref_half, *args, **kwargs):
+        shifted = np.concatenate([ref_half[:1], ref_half[:-1]])
+        return rollout(z0, h, n_steps, shifted, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "rollout_coupled", late)
+    r = checks.check_cubic_exactness()
+    assert not r.passed
+    assert float(r.detail.split()[-1]) > 1e-2
+
+
+@pytest.mark.parametrize("mode", ["derived", "paper-literal"])
+def test_cubic_flow_moves_lam1_alone(mode):
+    """Along the cubic-exactness flow every coupled column but lam1 keeps
+    its start bit for bit, so lam1 integrates the reference's x alone."""
+    states = checks._cubic_flow(mode).states
+    others = np.delete(states, 5, axis=1)
+    assert others.tobytes() == np.broadcast_to(others[0], others.shape).tobytes()
+    assert states[-1, 5] == pytest.approx(4.0**3 - 4.0**2 + 0.5 * 4.0 + 1.0, abs=1e-12)

@@ -255,8 +255,8 @@ def _coupled_case(mode):
 
 
 BIT_IDENTICAL_CASES = {
-    # a zero field on the grid-endpoint check's grid, and the field of the
-    # cubic-exactness check
+    # a zero field on the grid-endpoint check's grid, and the cubic whose
+    # derivative the cubic-exactness check feeds the C kernel as lam1'
     "grid-endpoint": lambda: (VectorField(dim=1, f=lambda t, x: np.zeros(1)), 0.25, np.zeros(1), 4.0, 4000),
     "cubic-exactness": lambda: (
         VectorField(dim=1, f=lambda t, x: np.array([3.0 * t**2 - 2.0 * t + 0.5])),

@@ -36,6 +36,7 @@ def test_install_and_restore_on_nhtrack_modules():
             (nh.cli, "write_csv"),
             (nh.cli, "solve_tracking"),
             (nh.checks, "fd_jacobian"),
+            (nh.checks, "integrate"),
             (nh.tracking, "integrate"),
             (nh.kernels, "rollout_coupled"),
         )
