@@ -34,10 +34,8 @@ from .tracking import (
     Costate,
     ReferenceTrajectory,
     TrackingProblem,
-    adjoint_field,
     benchmark_problem,
     constant_z_line,
-    coupled_field,
     free_flow,
     hamiltonian,
     running_cost,

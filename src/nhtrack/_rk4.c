@@ -1,9 +1,13 @@
 /* Fixed-step RK4 over the particle flows; loaded by nhtrack.kernels.
  *
- * Each right-hand side is written term for term like the Python expression
- * it reproduces, in the same evaluation order, so that IEEE double results
- * match bit for bit. Build with -ffp-contract=off and without -ffast-math:
- * a fused multiply-add or a reassociation changes the last bits.
+ * The coupled right-hand side below is the package's one copy of the
+ * particle's state-costate equations; nh_coupled_rhs evaluates it at
+ * stacked rows for the adjoint-gradient check and the tests. The reduced
+ * and unreduced right-hand sides are written term for term like the
+ * Python expressions of nhtrack.geometry and nhtrack.particle, in the
+ * same evaluation order, so that IEEE double results match bit for bit.
+ * Build with -ffp-contract=off and without -ffast-math: a fused
+ * multiply-add or a reassociation changes the last bits.
  *
  * State layouts (matching the CSV column order):
  *   reduced   [x, y, z, v1, v2]
@@ -93,6 +97,15 @@ static void coupled_rhs(const double *s, long j, const params *p, double *out)
     out[7] = -ez;
     out[8] = dm1;
     out[9] = dm2;
+}
+
+/* coupled_rhs at m stacked rows: row i of z, shape (m, 10), against row i
+ * of ref, shape (m, 5), into row i of out, shape (m, 10). */
+void nh_coupled_rhs(const double *z, long m, const double *ref, double eps, int literal, double *out)
+{
+    params p = {ref, eps, literal};
+    for (long i = 0; i < m; i++)
+        coupled_rhs(z + 10 * i, i, &p, out + 10 * i);
 }
 
 /* out = A u for the (10, 5) blocks u and out, where A = d coupled_rhs / dz

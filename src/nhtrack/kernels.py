@@ -3,18 +3,20 @@
 Shooting evaluates a full state-costate integration for every residual
 and every Jacobian, so the inner loop matters. The RK4 loop and the three
 right-hand sides (reduced, unreduced, and coupled with the derived or
-paper-literal adjoint) live in the C file `_rk4.c` next to this module.
-Each rhs is transcribed term for term from the Python expressions it
-replaced, in the same evaluation order, and the file is compiled without
-floating-point contraction, so its IEEE double outputs are bit-identical to
-those of a Python-float loop.
+paper-literal adjoint) live in the C file `_rk4.c` next to this module,
+which is compiled without floating-point contraction. The coupled rhs is
+the package's one copy of the particle's state-costate equations; the
+reduced and unreduced ones give, bit for bit, the IEEE double slopes of
+their Python expressions.
 
-`rollout_coupled` is the one coupled entry point. Given a (10, 5) block
-that the caller owns and seeds, such as S = dz/dalpha = [0; I] for the
-initial costate, the same loop advances it in place as the forward
-sensitivity of the coupled flow, from the hand-written Jacobian of the
-coupled rhs in `_rk4.c`; the states it writes are those of a plain
-rollout, bit for bit.
+Two entry points reach the coupled rhs. `rollout_coupled` integrates it.
+Given a (10, 5) block that the caller owns and seeds, such as S =
+dz/dalpha = [0; I] for the initial costate, the same loop advances it in
+place as the forward sensitivity of the coupled flow, from the
+hand-written Jacobian of the coupled rhs in `_rk4.c`; the states it
+writes are those of a plain rollout, bit for bit. `coupled_rhs`
+evaluates the rhs itself at stacked rows, as the adjoint-gradient check
+and the symbolic oracle tests read it.
 
 The same library formats float64 tables as CSV text (`format_csv`), each
 value exactly as Python's repr writes it, from the C++17 file `_csv.cc`.
@@ -113,6 +115,15 @@ def _build(out_dir: Path, compiler: str = "cc") -> ctypes.CDLL:
         ctypes.c_void_p,  # coupled sensitivity block, (10, 5) C-contiguous float64, or NULL
     ]
     lib.nh_rk4.restype = ctypes.c_long
+    lib.nh_coupled_rhs.argtypes = [
+        ctypes.c_void_p,  # states, (m, 10) C-contiguous float64
+        ctypes.c_long,  # m
+        ctypes.c_void_p,  # reference rows, (m, 5) C-contiguous float64
+        ctypes.c_double,  # eps
+        ctypes.c_int,  # literal
+        ctypes.c_void_p,  # out, (m, 10) C-contiguous float64
+    ]
+    lib.nh_coupled_rhs.restype = None
     lib.nh_csv_format.argtypes = [
         ctypes.c_void_p,  # table, (rows, cols) C-contiguous float64
         ctypes.c_long,  # rows
@@ -223,6 +234,27 @@ def rollout_coupled(
         raise ValueError("sens must be a writeable C-contiguous float64 array of shape (10, 5)")
     ref = np.ascontiguousarray(ref_half, dtype=float)
     return _rk4(_COUPLED, z0, h, n_steps, "coupled", ref, eps, literal, sens)
+
+
+def coupled_rhs(z: np.ndarray, ref: np.ndarray, eps: float, literal: bool) -> np.ndarray:
+    """The coupled rhs with u = -mu/eps at m stacked rows; returns (m, 10).
+
+    z holds states [x, y, z, v1, v2, l1, l2, l3, m1, m2], shape (m, 10),
+    and ref the reference rows (x_r, y_r, z_r, v1_r, v2_r), shape (m, 5);
+    row i of the result reads row i of each. literal selects the
+    paper-literal adjoint instead of the derived one. These are the slopes
+    `rollout_coupled` takes at its stages, bit for bit.
+    """
+    z = np.ascontiguousarray(z, dtype=float)
+    ref = np.ascontiguousarray(ref, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 10 or ref.shape != (z.shape[0], 5):
+        raise ValueError(
+            f"coupled_rhs needs states of shape (m, 10) and reference rows of shape (m, 5), "
+            f"not {z.shape} and {ref.shape}"
+        )
+    out = np.empty_like(z)
+    _library().nh_coupled_rhs(z.ctypes.data, z.shape[0], ref.ctypes.data, float(eps), int(literal), out.ctypes.data)
+    return out
 
 
 def format_csv(table: np.ndarray, out: np.ndarray) -> np.ndarray:

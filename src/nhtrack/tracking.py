@@ -14,10 +14,10 @@ particle's costate equations in their as-printed form, which differs from
 the gradient in three terms and is kept for side-by-side comparison.
 
 A TrackingProblem is built for the bundled particle only, and its
-rollouts run the particle's C RK4 kernel. `adjoint_field` writes its
-costate equations row for row as the kernel does; with
-`integrators.integrate`, `coupled_field` is the kernel's Python oracle.
-`tests/oracles.py` derives both, and the kernel's Jacobian, with sympy.
+rollouts run the particle's C RK4 kernel. The kernel's coupled
+right-hand side is the one copy of the costate equations;
+`kernels.coupled_rhs` evaluates it at stacked rows. `tests/oracles.py`
+derives it, and the kernel's Jacobian, with sympy.
 """
 
 from __future__ import annotations
@@ -238,10 +238,14 @@ class TrackingProblem:
         half_grid = time_grid(0.0, self.T, 2 * self.N)
         return reference_rows(self.ref, half_grid, self.sys.n, self.sys.k)
 
-    @cached_property
+    @property
     def _ref_final(self) -> Array:
-        """Reference row [q_r, v_r] at the horizon T."""
-        return np.concatenate(self.ref.sample(self.T))
+        """Reference row [q_r, v_r] at the horizon: the last row of the
+        validated `_ref_table`, so the reference is sampled once. Its time
+        (T/2N)*2N equals T for T in {1, 2, 3, 4, 8, 12} and every N up to
+        4000 that is 1, 2, 4 or 5 times a power of ten; at other (T, N) it
+        is within one ulp of T."""
+        return self._ref_table[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -327,67 +331,8 @@ def hamiltonian_control_gradient(p: Costate, u: Array, eps) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Adjoint equations
-# ---------------------------------------------------------------------------
-
-
-def adjoint_field(s: AdaptedState, p: Costate, r: RefSample, eps, mode: str = "derived") -> Costate:
-    """Costate time derivative (lam_dot, mu_dot) of the bundled particle,
-    in closed form: each row is written as `coupled_rhs` in `_rk4.c` writes
-    it, in the same evaluation order.
-
-    'derived' evaluates -(dH/dq, dH/dv) with the control held at its
-    stationary value (whose sensitivity drops out since dH/du = 0 there).
-    'paper-literal' is the as-printed variant; it deviates from the
-    gradient in the lam_2 coupling term (an extra eps factor and an
-    opposite sign) and in the sign of both mu coupling terms. Points may
-    be stacked along leading axes, as for `hamiltonian`: one row per
-    point.
-    """
-    if mode not in ADJOINT_MODES:
-        raise ContractError(f"unknown adjoint mode {mode!r}")
-    x, y, z = np.moveaxis(s.q, -1, 0)
-    v1, v2 = np.moveaxis(s.v, -1, 0)
-    l1, l2, l3 = np.moveaxis(p.lam, -1, 0)
-    m2 = p.mu[..., 1]
-    q_r, v_r = (np.moveaxis(np.asarray(a, dtype=float), -1, 0) for a in r)
-    w = 1.0 + y * y
-    f = y / w
-    ey, e1, e2 = y - q_r[1], v1 - v_r[0], v2 - v_r[1]
-    if mode == "paper-literal":
-        dl2 = l1 * v2 - ey + eps * v1 * v2 * m2 * (y * y - 1.0) / (w * w)
-        dm1 = -l2 - e1 - m2 * f * v2
-        dm2 = -l3 + l1 * y - e2 - m2 * f * v1
-    else:
-        dl2 = l1 * v2 - ey + m2 * v1 * v2 * (1.0 - y * y) / (w * w)
-        dm1 = -l2 - e1 + m2 * f * v2
-        dm2 = l1 * y - l3 - e2 + m2 * f * v1
-    return Costate(
-        lam=np.stack(np.broadcast_arrays(-(x - q_r[0]), dl2, -(z - q_r[2])), axis=-1),
-        mu=np.stack(np.broadcast_arrays(dm1, dm2), axis=-1),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Coupled flow, shooting residual, cost reporting
 # ---------------------------------------------------------------------------
-
-
-def coupled_field(t: float, z: Array, prob: TrackingProblem) -> Array:
-    """Right-hand side of the combined state-costate system on the flat
-    layout z = [q, v, lam, mu], of length 2(n+k)."""
-    n, k = prob.sys.n, prob.sys.k
-    z = np.asarray(z, dtype=float)
-    if z.shape != (2 * (n + k),):
-        raise ContractError(f"flat coupled state must have length {2 * (n + k)}")
-    s = AdaptedState(q=z[:n], v=z[n : n + k])
-    p = Costate(lam=z[n + k : 2 * n + k], mu=z[2 * n + k :])
-    u = stationary_control(p, prob.epsilon)
-    r = prob.ref.sample(t)
-    qdot = admissible_velocity(prob.sys, s)
-    vdot = controlled_acceleration(prob.sys, s, u)
-    pdot = adjoint_field(s, p, r, prob.epsilon, prob.adjoint_mode)
-    return np.concatenate([qdot, vdot, pdot.lam, pdot.mu])
 
 
 def _kernel_args(prob: TrackingProblem, alpha: Array) -> tuple:
@@ -403,7 +348,7 @@ def _kernel_args(prob: TrackingProblem, alpha: Array) -> tuple:
 
 def integrate_coupled(prob: TrackingProblem, alpha: Array) -> Trajectory:
     """Flow of the coupled system from (s0, alpha) over [0, T], by the
-    particle's C RK4 kernel (`coupled_field` is its Python oracle)."""
+    particle's C RK4 kernel."""
     states = kernels.rollout_coupled(*_kernel_args(prob, alpha))
     return Trajectory(times=prob.times, states=states)
 

@@ -102,6 +102,27 @@ def test_checks_draw_the_pinned_rows(monkeypatch):
         assert recorded[name] == [(fresh, count, blocks)], name
 
 
+def test_adjoint_gradient_fails_on_a_kernel_mu2_row_off_by_1e_7(tmp_path, monkeypatch):
+    """The check reads the C kernel's own costate rows: a kernel whose
+    derived mu2 row is scaled by (1 + 1e-7), built from edited copies of
+    the sources, fails it with a gap of about 1e-7."""
+    copies = []
+    for src in kernels._SOURCES:
+        copy = tmp_path / src.name
+        copy.write_text(src.read_text())
+        copies.append(copy)
+    row = "        dm2 = l1 * y - l3 - e2 + m2 * f * v1;\n"
+    text = copies[0].read_text()
+    assert text.count(row) == 1
+    copies[0].write_text(text.replace(row, "        dm2 = (l1 * y - l3 - e2 + m2 * f * v1) * (1.0 + 1e-7);\n"))
+    monkeypatch.setattr(kernels, "_SOURCES", tuple(copies))
+    mutant = kernels._build(tmp_path)
+    monkeypatch.setattr(kernels, "_library", lambda: mutant)
+    r = checks.check_adjoint_gradient()
+    assert not r.passed
+    assert 1e-8 < float(r.detail.split()[3].rstrip(",")) < 1e-6
+
+
 def test_cubic_exactness_runs_the_kernel_not_the_generic_integrator(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("integrators.integrate called")

@@ -601,6 +601,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
+    CHECK_STDOUT = [
+        "frame-annihilation        PASS  max residual 0.00e+00",
+        "drift-quadratic-in-v      PASS  max defect 0.00e+00",
+        "control-additivity        PASS  controlled == drift + u bitwise, max |(a+u)-a-u| 2.22e-16",
+        "structure-constants-zero  PASS  gamma(0) == 0",
+        "energy-conservation       PASS  relative drift 5.95e-14",
+        "v1-constant               PASS  drift 0.00e+00",
+        "oracle-equivalence        PASS  flow gap 5.94e-13, constraint drift 4.52e-13",
+        "branch-continuity         PASS  max branch gap 4.00e-08",
+        "flow-ode-residual         PASS  max residual 2.07e-10",
+        "grid-endpoint             PASS  endpoint gap 0.00e+00, max |dt - h| 1.22e-15",
+        "cubic-exactness           PASS  max error 7.82e-14",
+        "determinism               PASS  bit-identical repeat evaluation",
+        "stationarity              PASS  max |dH/du| 1.89e-16",
+        "adjoint-gradient          PASS  max relative gap 9.96e-10, paper-literal fails rows lam2,mu1,mu2",
+        "constraint-invariance     PASS  max |vx + y vz| 0.00e+00",
+        "residual-smoothness       PASS  FD-step Jacobian gap 2.74e-08",
+        "zero-fixed-point          PASS  residual at 0: 4.82e-13",
+        "solver-behavior           PASS  converged=True in 11 iters, monotone=True, re-checked residual 8.24e-14",
+        "18/18 checks passed",
+    ]
+
+    def test_check_stdout_is_pinned(self, capsys):
+        """Every detail of `nhtrack check`, digit for digit: a change to a
+        check, to its bound's outcome or to the code it measures shows
+        here."""
+        assert main(["check"]) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in self.CHECK_STDOUT)
+
     def test_tabulated_reference_from_file(self, tmp_path):
         """A self-tracking run against a tabulated copy of the free flow."""
         table = tmp_path / "ref.csv"

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nhtrack import cli
+from nhtrack import cli, kernels
 from nhtrack.errors import ContractError, DegenerateFitError, DomainError
 from nhtrack.geometry import AdaptedState, admissible_velocity, nh_acceleration
 from nhtrack.integrators import (
@@ -19,7 +19,6 @@ from nhtrack.integrators import (
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
 from nhtrack.tracking import (
     benchmark_problem,
-    coupled_field,
     integrate_coupled,
     uncontrolled_trajectory,
 )
@@ -249,9 +248,16 @@ class TestIntegrate:
 
 
 def _coupled_case(mode):
+    """The C kernel's coupled rows, one row per stage against the
+    reference sampled at the stage time."""
     prob = benchmark_problem(N=400, adjoint_mode=mode)
     z0 = np.concatenate([S0, [0.2, -0.4, 0.1, 0.3, -0.2]])
-    return VectorField(dim=10, f=lambda t, z: coupled_field(t, z, prob)), 0.0, z0, prob.T, prob.N
+
+    def f(t, z):
+        ref = np.concatenate(prob.ref.sample(t))
+        return kernels.coupled_rhs(z[None], ref[None], prob.epsilon, mode == "paper-literal")[0]
+
+    return VectorField(dim=10, f=f), 0.0, z0, prob.T, prob.N
 
 
 BIT_IDENTICAL_CASES = {

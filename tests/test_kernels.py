@@ -118,6 +118,60 @@ class TestCoupledRollout:
                 integrate_coupled(prob, np.array([0.0, 0.0, 0.0, 0.0, 1e9]))
 
 
+class TestCoupledRows:
+    """`coupled_rhs`, the coupled rhs of `_rk4.c` at stacked rows."""
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_one_row_per_state(self, m):
+        assert kernels.coupled_rhs(np.zeros((m, 10)), np.zeros((m, 5)), 7.0, False).shape == (m, 10)
+
+    @pytest.mark.parametrize("literal", [False, True], ids=["derived", "paper-literal"])
+    def test_rows_are_the_rollout_stage_slopes(self, literal):
+        """RK4 written in numpy on the exported rows, reading the half-grid
+        reference at stage rows 2i, 2i+1, 2i+1, 2i+2, gives the kernel's
+        rollout bit for bit."""
+        from nhtrack.tracking import _kernel_args, benchmark_problem
+
+        z0, h, n, ref, eps, _ = _kernel_args(benchmark_problem(N=8), TRACK_ALPHA)
+        states = kernels.rollout_coupled(z0, h, n, ref, eps, literal)
+
+        def k(z, j):
+            return kernels.coupled_rhs(z[None], ref[j][None], eps, literal)[0]
+
+        x = z0
+        for i in range(n):
+            j = 2 * i
+            k1 = k(x, j)
+            k2 = k(x + 0.5 * h * k1, j + 1)
+            k3 = k(x + 0.5 * h * k2, j + 1)
+            k4 = k(x + h * k3, j + 2)
+            x = x + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+            assert x.tobytes() == states[i + 1].tobytes(), i
+
+    @pytest.mark.parametrize(
+        "z, ref",
+        [
+            (np.zeros(10), np.zeros(5)),
+            (np.zeros((3, 9)), np.zeros((3, 5))),
+            (np.zeros((3, 11)), np.zeros((3, 5))),
+            (np.zeros((3, 10)), np.zeros((2, 5))),
+            (np.zeros((3, 10)), np.zeros((3, 4))),
+            (np.zeros((3, 10)), np.zeros(5)),
+            (np.zeros((2, 3, 10)), np.zeros((2, 3, 5))),
+        ],
+        ids=["flat", "9-wide", "11-wide", "too-few-ref-rows", "4-wide-ref", "flat-ref", "3-d"],
+    )
+    def test_malformed_rows_rejected_before_the_library(self, z, ref, monkeypatch):
+        """Rows the kernel would read or write out of bounds never reach it."""
+
+        def no_library():
+            raise AssertionError("the library was called")
+
+        monkeypatch.setattr(kernels, "_library", no_library)
+        with pytest.raises(ValueError, match=r"coupled_rhs needs states of shape \(m, 10\)"):
+            kernels.coupled_rhs(z, ref, 7.0, False)
+
+
 class TestStepArguments:
     """Each rollout rejects a bad step count or step size by name, before
     the library sees it."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhtrack import kernels
 from nhtrack.errors import ContractError, DomainError, SingularProblemError
 from nhtrack.geometry import AdaptedState, admissible_velocity
 from nhtrack.integrators import Trajectory, VectorField, integrate
@@ -18,10 +19,8 @@ from nhtrack.tracking import (
     ReferenceTrajectory,
     TrackingProblem,
     _terminal_rows,
-    adjoint_field,
     benchmark_problem,
     constant_z_line,
-    coupled_field,
     free_flow,
     hamiltonian,
     hamiltonian_control_gradient,
@@ -62,6 +61,12 @@ def random_costate():
 
 def random_sample():
     return (RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 2))
+
+
+def kernel_rows(z, ref, eps, mode):
+    """The C kernel's coupled rows at stacked states z and reference rows
+    ref, in adjoint mode `mode`."""
+    return kernels.coupled_rhs(z, ref, eps, mode == "paper-literal")
 
 
 class TestRunningCost:
@@ -221,15 +226,9 @@ class TestStackedPoints:
         def evaluate(q, v, lam, mu, q_r, v_r, w):
             s, p, r = AdaptedState(q=q, v=v), Costate(lam=lam, mu=mu), (q_r, v_r)
             u = stationary_control(p, 0.5 + w * w)  # one positive weight per row
-            derived = adjoint_field(s, p, r, eps, "derived")
-            literal = adjoint_field(s, p, r, eps, "paper-literal")
             return {
                 "stationary_control": u,
                 "hamiltonian": hamiltonian(SYS, s, p, u, r, eps),
-                "derived.lam": derived.lam,
-                "derived.mu": derived.mu,
-                "paper-literal.lam": literal.lam,
-                "paper-literal.mu": literal.mu,
             }
 
         assert_rows_are_single_calls(evaluate, *arrays_)
@@ -253,38 +252,34 @@ class TestStackedPoints:
 
 
 class TestAdjointField:
+    """The costate columns 5: of the C kernel's coupled rows."""
+
+    MODES = ("derived", "paper-literal")
+
     def test_zero_on_reference_with_zero_costate(self):
-        q_r, v_r = random_sample()
-        s = AdaptedState(q=q_r, v=v_r)
-        p = Costate(lam=np.zeros(3), mu=np.zeros(2))
-        for mode in ("derived", "paper-literal"):
-            d = adjoint_field(s, p, (q_r, v_r), 7.0, mode)
-            np.testing.assert_array_equal(d.lam, np.zeros(3))
-            np.testing.assert_array_equal(d.mu, np.zeros(2))
+        ref = np.concatenate(random_sample())[None]
+        z = np.concatenate([ref[0], np.zeros(5)])[None]
+        for mode in self.MODES:
+            np.testing.assert_array_equal(kernel_rows(z, ref, 7.0, mode)[:, 5:], np.zeros((1, 5)))
 
     def test_pure_position_error(self):
         """x off-reference by 0.3 drives only lam1."""
-        q_r, v_r = np.array([0.0, 0.2, 0.5]), np.array([0.3, -0.4])
-        s = AdaptedState(q=q_r + [0.3, 0.0, 0.0], v=v_r)
-        p = Costate(lam=np.zeros(3), mu=np.zeros(2))
-        d = adjoint_field(s, p, (q_r, v_r), 7.0, "derived")
-        np.testing.assert_allclose(d.lam, [-0.3, 0.0, 0.0], atol=1e-16)
-        np.testing.assert_array_equal(d.mu, np.zeros(2))
+        ref = np.array([[0.0, 0.2, 0.5, 0.3, -0.4]])
+        z = np.concatenate([ref[0] + [0.3, 0.0, 0.0, 0.0, 0.0], np.zeros(5)])[None]
+        pdot = kernel_rows(z, ref, 7.0, "derived")[0, 5:]
+        np.testing.assert_allclose(pdot[:3], [-0.3, 0.0, 0.0], atol=1e-16)
+        np.testing.assert_array_equal(pdot[3:], np.zeros(2))
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ContractError, match="unknown adjoint mode 'gradient'"):
-            adjoint_field(S0, random_costate(), random_sample(), 7.0, "gradient")
+        with pytest.raises(ContractError, match=r"adjoint_mode must be one of \('derived', 'paper-literal'\)"):
+            benchmark_problem(N=10, adjoint_mode="gradient")
 
     def test_modes_agree_when_coupling_costate_vanishes(self):
         """With mu2 = 0 the differing terms drop out of both variants."""
-        s = AdaptedState(q=RNG.uniform(-1, 1, 3), v=RNG.uniform(-1, 1, 2))
-        p = Costate(lam=RNG.uniform(-1, 1, 3), mu=[0.7, 0.0])
-        r = random_sample()
-        a = adjoint_field(s, p, r, 7.0, "derived")
-        b = adjoint_field(s, p, r, 7.0, "paper-literal")
-        np.testing.assert_allclose(a.lam, b.lam, atol=1e-15)
-        np.testing.assert_allclose(a.mu, b.mu, atol=1e-15)
-
+        z = np.concatenate([RNG.uniform(-1, 1, 8), [0.7, 0.0]])[None]
+        ref = np.concatenate(random_sample())[None]
+        a, b = (kernel_rows(z, ref, 7.0, mode) for mode in self.MODES)
+        np.testing.assert_allclose(a, b, atol=1e-15)
 
 
 def _gap(got, want):
@@ -295,72 +290,58 @@ def _gap(got, want):
 
 
 class TestSymbolicOracle:
-    """The Hamiltonian, the adjoint and the coupled field equal the sympy
-    derivation from the frame and the connection alone
-    (`oracles.particle_oracle`), at 200 random stacked rows of state,
-    costate, reference, control and time."""
+    """The Hamiltonian and the C kernel's coupled rows, costate columns
+    and all, equal the sympy derivation from the frame and the connection
+    alone (`oracles.particle_oracle`), at 200 random stacked rows of
+    state, costate, reference and control."""
 
-    ROWS = np.random.default_rng(20).uniform(-3.0, 3.0, (200, 18))
-    Z, R, U, TIMES = ROWS[:, :10], ROWS[:, 10:15], ROWS[:, 15:17], ROWS[:, 17] + 3.0
-
-    def _points(self):
-        z, r = self.Z, self.R
-        s = AdaptedState(q=z[:, :3], v=z[:, 3:5])
-        return s, Costate(lam=z[:, 5:8], mu=z[:, 8:]), (r[:, :3], r[:, 3:])
+    ROWS = np.random.default_rng(20).uniform(-3.0, 3.0, (200, 17))
+    Z, R, U = ROWS[:, :10], ROWS[:, 10:15], ROWS[:, 15:17]
 
     @pytest.mark.parametrize("eps", [0.5, 7.0])
     def test_hamiltonian(self, oracle, eps):
-        s, p, r = self._points()
-        got = hamiltonian(SYS, s, p, self.U, r, eps)
+        z, r = self.Z, self.R
+        s = AdaptedState(q=z[:, :3], v=z[:, 3:5])
+        p = Costate(lam=z[:, 5:8], mu=z[:, 8:])
+        got = hamiltonian(SYS, s, p, self.U, (r[:, :3], r[:, 3:]), eps)
         assert _gap(got[:, None], oracle.hamiltonian(self.Z, self.U, self.R, eps)[:, None]) <= 1e-14
 
     @pytest.mark.parametrize("eps", [0.5, 7.0])
     @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
     def test_adjoint_field(self, oracle, mode, eps):
-        s, p, r = self._points()
-        d = adjoint_field(s, p, r, eps, mode)
-        got = np.concatenate([d.lam, d.mu], axis=1)
+        got = kernel_rows(self.Z, self.R, eps, mode)[:, 5:]
         assert _gap(got, oracle.adjoint[mode](self.Z, self.R, eps)) <= 1e-14
 
     @pytest.mark.parametrize("eps", [0.5, 7.0])
     @pytest.mark.parametrize("mode", ["derived", "paper-literal"])
     def test_coupled_field(self, oracle, mode, eps):
-        """One flat state per call, against the reference sampled at its time."""
-        prob = benchmark_problem(epsilon=eps, N=10, adjoint_mode=mode)
-        got = np.array([coupled_field(t, z, prob) for t, z in zip(self.TIMES, self.Z)])
-        r = np.concatenate(prob.ref.sample(self.TIMES), axis=1)
-        assert _gap(got, oracle.field[mode](self.Z, r, eps)) <= 1e-14
+        got = kernel_rows(self.Z, self.R, eps, mode)
+        assert _gap(got, oracle.field[mode](self.Z, self.R, eps)) <= 1e-14
 
 
 class TestCoupledField:
-    def test_dimension(self):
-        prob = benchmark_problem(N=10)
-        z = RNG.uniform(-1, 1, 10)
-        assert coupled_field(0.5, z, prob).shape == (10,)
-
-    @pytest.mark.parametrize("z", [np.zeros(9), np.zeros(11), np.zeros((2, 10))], ids=["9", "11", "2x10"])
-    def test_bad_length_rejected(self, z):
-        with pytest.raises(ContractError, match="flat coupled state must have length 10"):
-            coupled_field(0.0, z, benchmark_problem(N=10))
+    """The C kernel's coupled rows: hand-computed values, and its rollout
+    against the generic integrator on the symbolic field."""
 
     def test_first_stage_slope_hand_computed(self):
-        """k1 at the benchmark initial data with zero costate, both modes."""
+        """k1 at the benchmark initial data with zero costate, both modes,
+        against the benchmark reference at t = 0."""
         expected = np.array(
             [-0.08, 0.5, 0.4, 0.0, -(0.2 / 1.04) * 0.5 * 0.4, 0.5, -0.2, 0.3, -0.5, 0.6]
         )
+        z0 = np.concatenate([S0.q, S0.v, np.zeros(5)])[None]
+        ref = np.concatenate(constant_z_line(1.0, 1.0, 1.0).sample(0.0))[None]
         for mode in ("derived", "paper-literal"):
-            prob = benchmark_problem(N=10, adjoint_mode=mode)
-            z0 = np.concatenate([S0.q, S0.v, np.zeros(5)])
-            np.testing.assert_allclose(coupled_field(0.0, z0, prob), expected, rtol=1e-14)
+            np.testing.assert_allclose(kernel_rows(z0, ref, 7.0, mode)[0], expected, rtol=1e-14)
 
     def test_equilibrium_on_self_generated_reference(self):
         """On-reference state with zero costate follows the reference."""
-        prob = TrackingProblem(ref=free_flow(S0), epsilon=7.0, T=4.0, s0=S0, N=10)
         params = analytic_constants(S0)
         t = 1.3
         st = analytic_flow(params, t)
-        z = np.concatenate([st.q, st.v, np.zeros(5)])
-        dz = coupled_field(t, z, prob)
+        ref = np.concatenate([st.q, st.v])[None]
+        z = np.concatenate([ref[0], np.zeros(5)])[None]
+        dz = kernel_rows(z, ref, 7.0, "derived")[0]
         # state derivative equals the free-flow derivative, costate stays 0
         h = 1e-6
         sm, sp = analytic_flow(params, t - h), analytic_flow(params, t + h)
@@ -368,14 +349,16 @@ class TestCoupledField:
         np.testing.assert_allclose(dz[:5], ref_dot, atol=1e-9)
         np.testing.assert_allclose(dz[5:], np.zeros(5), atol=1e-13)
 
-    def test_kernel_matches_generic_integrator(self):
-        """Kernel rollout vs callback integrator, both adjoint modes."""
+    def test_kernel_matches_generic_integrator(self, oracle):
+        """Kernel rollout vs the callback integrator on the sympy field,
+        both adjoint modes."""
         for mode in ("derived", "paper-literal"):
             prob = benchmark_problem(N=400, adjoint_mode=mode)
             alpha = np.array([0.2, -0.4, 0.1, 0.3, -0.2])
             fast = integrate_coupled(prob, alpha)
             z0 = np.concatenate([S0.q, S0.v, alpha])
-            vf = VectorField(dim=10, f=lambda t, z: coupled_field(t, z, prob))
+            field = oracle.field[mode]
+            vf = VectorField(dim=10, f=lambda t, z: field(z, np.concatenate(prob.ref.sample(t)), prob.epsilon))
             slow = integrate(vf, 0.0, z0, prob.T, prob.N)
             np.testing.assert_allclose(fast.states, slow.states, rtol=1e-9, atol=1e-12)
 
@@ -528,6 +511,24 @@ class TestTrackingProblem:
         for j in (0, 5, 16):
             q_r, v_r = prob.ref.sample(j * half)
             np.testing.assert_array_equal(table[j], np.concatenate([q_r, v_r]))
+
+    def test_solve_and_costs_sample_the_reference_once(self):
+        """The horizon row the residual and the costs read is the last row
+        of the validated half-grid table, not a second sample."""
+        line = constant_z_line(1.0, 1.0, 1.0)
+        times = []
+
+        def sample(t):
+            times.append(t)
+            return line.sample(t)
+
+        prob = TrackingProblem(ref=ReferenceTrajectory(sample), epsilon=7.0, T=4.0, s0=S0, N=400)
+        report = solve_tracking(prob)
+        assert report.converged
+        total_cost(report.trajectory, prob)
+        uncontrolled_cost(prob)
+        assert len(times) == 1
+        assert np.shape(times[0]) == (801,)
 
 
 def _sha256(table):
