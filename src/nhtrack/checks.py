@@ -5,12 +5,14 @@ Each check re-verifies one contract of the library on the bundled
 particle: frame algebra, conservation laws, oracle agreement between the
 reduced and unreduced dynamics, adjoint-gradient consistency, residual
 smoothness, and solver behavior. Everything is deterministic (fixed RNG
-seeds). The suite takes about 0.06 s on a 2-vCPU Xeon VM, and `nhtrack
-check` about 0.4 s with interpreter start-up. The slowest check is the
-4000-step shooting solve of solver-behavior, with exact Newton Jacobians
-(0.03-0.06 s); oracle-equivalence, 40,000 steps of each C kernel, takes
-0.010-0.016 s, and cubic-exactness, 4000 steps of the coupled C kernel
-that every command runs, about 0.6 ms.
+seeds). The suite takes about 0.065 s on a 2-vCPU Xeon VM, and `nhtrack
+check` about 0.3 s with interpreter start-up (`BENCH_23.json`). The
+slowest check is the 4000-step shooting solve of solver-behavior, with
+exact Newton Jacobians (about 0.043 s). oracle-equivalence, 40,000 steps
+of each C kernel in blocks of 4000, takes about 0.011 s, and at its peak
+allocates 0.55 MiB, where whole 40,001-row flows took 5.19 MiB.
+cubic-exactness, 4000 steps of the coupled C kernel that every command
+runs, takes about 1 ms.
 A check that evaluates the geometry, the Hamiltonian or the adjoint at
 random points draws them as stacked rows and calls each library function
 once on all of them: adjoint-gradient, 100 points, their 1,000
@@ -147,18 +149,28 @@ def check_v1_constant() -> CheckResult:
 
 
 def check_oracle_equivalence() -> CheckResult:
+    # 40,000 steps as 10 rollouts of 4000, each from the last row of the one
+    # before: neither rhs reads its half-grid index, so the rows are those
+    # of one 40,000-step rollout bit for bit, and the running maxima are
+    # exact, without holding two 40,001-row tables
     s0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
-    n = 40000
+    n, block = 40000, 4000
     h = 4.0 / n
-    red = kernels.rollout_reduced(np.concatenate([s0.q, s0.v]), h, n)
     amb0 = embed(s0)
-    unred = kernels.rollout_unreduced(np.concatenate([amb0.q, amb0.vq]), h, n)
-    ambient_drift = float(np.max(np.abs(unred[:, 3] + unred[:, 1] * unred[:, 5])))
-    # the unreduced rows (x, y, z, vx, vy, vz) project to (x, y, z, vy, vz)
-    gap = max(
-        float(np.max(np.abs(unred[:, :3] - red[:, :3]))),
-        float(np.max(np.abs(unred[:, 4:] - red[:, 3:]))),
-    )
+    red = np.concatenate([s0.q, s0.v])[None]
+    unred = np.concatenate([amb0.q, amb0.vq])[None]
+    gap = ambient_drift = 0.0
+    for _ in range(n // block):
+        red = kernels.rollout_reduced(red[-1], h, block)
+        unred = kernels.rollout_unreduced(unred[-1], h, block)
+        drift = float(np.max(np.abs(unred[:, 3] + unred[:, 1] * unred[:, 5])))
+        ambient_drift = max(ambient_drift, drift)
+        # the unreduced rows (x, y, z, vx, vy, vz) project to (x, y, z, vy, vz)
+        gap = max(
+            gap,
+            float(np.max(np.abs(unred[:, :3] - red[:, :3]))),
+            float(np.max(np.abs(unred[:, 4:] - red[:, 3:]))),
+        )
     ok = gap <= 1e-6 and ambient_drift <= 1e-10
     return CheckResult(
         "oracle-equivalence", ok, f"flow gap {gap:.2e}, constraint drift {ambient_drift:.2e}"

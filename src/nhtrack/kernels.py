@@ -18,6 +18,14 @@ writes are those of a plain rollout, bit for bit. `coupled_rhs`
 evaluates the rhs itself at stacked rows, as the adjoint-gradient check
 and the symbolic oracle tests read it.
 
+The reduced and unreduced rollouts restart exactly: neither rhs reads the
+half-grid index, so a rollout of m steps from the last row of one of n
+steps gives, with its repeated first row dropped, the rows of one
+rollout of n + m steps bit for bit. `check_oracle_equivalence` streams
+its 40,000 steps in blocks this way. A coupled rollout does not restart
+so: its half-grid index starts at 0 in every call, so a second call
+reads its reference from the first row of the table again.
+
 The same library formats float64 tables as CSV text (`format_csv`), each
 value exactly as Python's repr writes it, from the C++17 file `_csv.cc`.
 

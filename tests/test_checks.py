@@ -5,6 +5,7 @@ check` prints the same results. A failing check reports its detail line.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,3 +157,44 @@ def test_cubic_flow_moves_lam1_alone(mode):
     others = np.delete(states, 5, axis=1)
     assert others.tobytes() == np.broadcast_to(others[0], others.shape).tobytes()
     assert states[-1, 5] == pytest.approx(4.0**3 - 4.0**2 + 0.5 * 4.0 + 1.0, abs=1e-12)
+
+
+def test_oracle_equivalence_rolls_out_40000_steps_in_restarted_blocks(monkeypatch):
+    """Each flow runs all 40,000 steps of h = 1e-4, every rollout from the
+    last row of the one before."""
+    calls = {"reduced": [], "unreduced": []}
+
+    def recording(name):
+        rollout = getattr(kernels, f"rollout_{name}")
+
+        def record(x0, h, n_steps):
+            states = rollout(x0, h, n_steps)
+            calls[name].append((np.asarray(x0).tobytes(), h, n_steps, states[-1].tobytes()))
+            return states
+
+        return record
+
+    for name in calls:
+        monkeypatch.setattr(kernels, f"rollout_{name}", recording(name))
+    r = checks.check_oracle_equivalence()
+    assert r.passed, r.detail
+    for name, made in calls.items():
+        starts, steps, counts, lasts = zip(*made)
+        assert sum(counts) == 40000 and set(steps) == {4.0 / 40000}, name
+        assert starts[1:] == lasts[:-1], name
+
+
+def test_oracle_equivalence_holds_no_whole_flow_table():
+    """The check keeps running maxima over 4000-step blocks: a call
+    allocates under 1 MB at its peak, where the two 40,001-row tables of
+    whole rollouts alone take 3.5 MB (numpy reports its buffers to
+    tracemalloc). The first call, untraced, loads the kernel library."""
+    checks.check_oracle_equivalence()
+    tracemalloc.start()
+    try:
+        r = checks.check_oracle_equivalence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.passed, r.detail
+    assert peak < 1_000_000, f"tracemalloc peak {peak} B"

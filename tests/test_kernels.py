@@ -233,6 +233,20 @@ SOLVE_ALPHA = np.array(
 )
 SOLVE_J = 5.271431831871029
 
+REDUCED_DIGEST = "df092858a4565df7ac23aa45d60935f8b12135aa6d0822e80baecdba75dce2b5"
+UNREDUCED_DIGEST = "27872f03fab33b030f8d9c776cd8f6e2e3fa0bf5d3ccd34863dd07c326e2e609"
+
+
+def _blocks(rollout, x0, h, lengths):
+    """One rollout per block length, each from the last row of the one
+    before; returns their rows with every repeated first row dropped."""
+    states = np.asarray(x0, dtype=float)[None]
+    parts = [states]
+    for n_steps in lengths:
+        states = rollout(states[-1], h, n_steps)
+        parts.append(states[1:])
+    return np.concatenate(parts)
+
 
 class TestBitExactOutputs:
     def test_reduced_n4000(self):
@@ -242,7 +256,7 @@ class TestBitExactOutputs:
             states[-1],
             [-0.6395739904958507, 2.1999999999999016, 1.7858630342094854, 0.5, 0.1687991430219091],
         )
-        assert _sha256(states) == "df092858a4565df7ac23aa45d60935f8b12135aa6d0822e80baecdba75dce2b5"
+        assert _sha256(states) == REDUCED_DIGEST
 
     def test_unreduced_n40000(self):
         a0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
@@ -253,7 +267,32 @@ class TestBitExactOutputs:
             [-15.168212847112233, 20.199999999998273, 3.556064276300842,
              -0.4074226231073626, 0.5, 0.02016943678749533],
         )
-        assert _sha256(states) == "27872f03fab33b030f8d9c776cd8f6e2e3fa0bf5d3ccd34863dd07c326e2e609"
+        assert _sha256(states) == UNREDUCED_DIGEST
+
+    @pytest.mark.parametrize("lengths", [(1000,) * 4, (1, 999, 0, 2000, 1000)])
+    def test_reduced_n4000_from_restarted_blocks(self, lengths):
+        states = _blocks(kernels.rollout_reduced, X0, 4.0 / 4000, lengths)
+        assert _sha256(states) == REDUCED_DIGEST
+
+    @pytest.mark.parametrize("lengths", [(4000,) * 10, (1, 39999)])
+    def test_unreduced_n40000_from_restarted_blocks(self, lengths):
+        a0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
+        states = _blocks(kernels.rollout_unreduced, np.concatenate([a0.q, a0.vq]), 40.0 / 40000, lengths)
+        assert _sha256(states) == UNREDUCED_DIGEST
+
+    def test_coupled_restart_needs_the_table_from_row_2k(self):
+        """A coupled rollout reads its reference table from row 0 in every
+        call: a restart after k steps gives the rows of one rollout only
+        when it is passed the table from row 2k on."""
+        from nhtrack.tracking import _kernel_args, benchmark_problem
+
+        z0, h, n, ref, eps, literal = _kernel_args(benchmark_problem(N=400), TRACK_ALPHA)
+        k = 100
+        head = kernels.rollout_coupled(z0, h, k, ref[: 2 * k + 1], eps, literal)
+        tail = kernels.rollout_coupled(head[-1], h, n - k, ref[2 * k :], eps, literal)
+        assert _sha256(np.concatenate([head, tail[1:]])) == COUPLED_DIGESTS["derived"]
+        restarted = kernels.rollout_coupled(head[-1], h, n - k, ref[: 2 * (n - k) + 1], eps, literal)
+        assert not np.array_equal(restarted, tail)
 
     @pytest.mark.parametrize(
         "mode, final, digest",

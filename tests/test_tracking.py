@@ -15,6 +15,7 @@ from nhtrack.integrators import Trajectory, VectorField, integrate
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
 from nhtrack.shooting import fd_jacobian, solve_tracking
 from nhtrack.tracking import (
+    ADJOINT_MODES,
     Costate,
     ReferenceTrajectory,
     TrackingProblem,
@@ -27,6 +28,7 @@ from nhtrack.tracking import (
     integrate_coupled,
     residual_from_trajectory,
     running_cost,
+    shooting_jacobian,
     shooting_residual,
     stationary_control,
     tabulated,
@@ -567,6 +569,59 @@ class TestRefTableBitExact:
     def test_wrong_sample_shapes_rejected(self, sample):
         with pytest.raises(ContractError, match="reference sample of 21 times"):
             TrackingProblem(ref=ReferenceTrajectory(sample), epsilon=7.0, T=4.0, s0=S0, N=10)
+
+
+# The reflection (x, y, v1) -> (-x, -y, -v1), with their costates
+# (l1, l2, m1) negated, maps the particle's coupled flow to itself: every
+# term of the coupled rhs and of its Jacobian has the parity of its row,
+# and a sign flip rounds exactly. The coupled rows and alpha flip by:
+MIRROR_Z = np.array([-1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+MIRROR_ALPHA = MIRROR_Z[5:]
+
+
+def _mirrored(prob):
+    """prob with its start reflected and tracking constant_z_line(x_r=-1),
+    the reflection of the benchmark's line at x_r = 1."""
+    s0 = AdaptedState(q=MIRROR_Z[:3] * prob.s0.q, v=MIRROR_Z[3:5] * prob.s0.v)
+    return dataclasses.replace(prob, ref=constant_z_line(x_r=-1.0), s0=s0)
+
+
+class TestReflectionSymmetry:
+    """The benchmark problem at N = 400 and its mirror image agree bit for
+    bit, so every sign of the kernel's coupled rows and of its Jacobian is
+    checked at zero tolerance."""
+
+    ALPHA = np.array([0.3, -0.5, 0.2, 0.1, -0.1])
+
+    @pytest.mark.parametrize("full_transversality", [True, False])
+    @pytest.mark.parametrize("mode", ADJOINT_MODES)
+    def test_flow_residual_and_jacobian_mirror(self, mode, full_transversality):
+        prob = benchmark_problem(N=400, adjoint_mode=mode, full_transversality=full_transversality)
+        mirror = _mirrored(prob)
+        beta = MIRROR_ALPHA * self.ALPHA
+        states = integrate_coupled(prob, self.ALPHA).states
+        assert (MIRROR_Z * states).tobytes() == integrate_coupled(mirror, beta).states.tobytes()
+        r = shooting_residual(self.ALPHA, prob)
+        assert (MIRROR_ALPHA * r).tobytes() == shooting_residual(beta, mirror).tobytes()
+        J = shooting_jacobian(prob, self.ALPHA)
+        flipped = MIRROR_ALPHA[:, None] * J * MIRROR_ALPHA
+        assert flipped.tobytes() == shooting_jacobian(mirror, beta).tobytes()
+
+    @pytest.mark.parametrize("full_transversality", [True, False])
+    @pytest.mark.parametrize("mode", ADJOINT_MODES)
+    def test_solve_mirrors(self, mode, full_transversality):
+        """Newton takes the same steps on both problems: alpha*, the
+        trajectory and J mirror bit for bit. The paper-literal adjoint with
+        the as-printed rows stalls, and mirrors all the same."""
+        prob = benchmark_problem(N=400, adjoint_mode=mode, full_transversality=full_transversality)
+        rep, mirror = solve_tracking(prob), solve_tracking(_mirrored(prob))
+        as_printed = mode == "paper-literal" and not full_transversality
+        assert rep.converged != as_printed
+        assert mirror.converged == rep.converged
+        assert mirror.residual_norms == rep.residual_norms
+        assert mirror.alpha_star.tobytes() == (MIRROR_ALPHA * rep.alpha_star).tobytes()
+        assert mirror.trajectory.states.tobytes() == (MIRROR_Z * rep.trajectory.states).tobytes()
+        assert mirror.cost == rep.cost
 
 
 class TestShootingResidual:
