@@ -13,6 +13,13 @@
  *   reduced   [x, y, z, v1, v2]
  *   unreduced [x, y, z, vx, vy, vz]
  *   coupled   [x, y, z, v1, v2, l1, l2, l3, m1, m2]
+ *   paired    [reduced | unreduced], the two 5 + 6 columns side by side
+ *
+ * The paired system is the product of the reduced and unreduced flows: its
+ * rhs is reduced_rhs on the first 5 entries and unreduced_rhs on the last 6.
+ * RK4 acts entry by entry and the halves do not interact, so each half's
+ * columns are those of its own rollout bit for bit. One loop over both
+ * lets the CPU overlap the two halves' chains of dependent divisions.
  *
  * A right-hand side receives the half-grid index j of the stage time
  * t0 + j*(h/2), so the stages of step i sit at j = 2i, 2i+1, 2i+2. The
@@ -27,7 +34,17 @@
 
 #include <math.h>
 
-#define MAX_DIM 10
+/* the state dimension of each system; the RK4 stage arrays hold MAX_DIM */
+#define REDUCED_DIM 5
+#define UNREDUCED_DIM 6
+#define COUPLED_DIM 10
+#define PAIRED_DIM (REDUCED_DIM + UNREDUCED_DIM)
+#define MAX_DIM 11
+
+_Static_assert(REDUCED_DIM <= MAX_DIM, "the reduced system is wider than MAX_DIM");
+_Static_assert(UNREDUCED_DIM <= MAX_DIM, "the unreduced system is wider than MAX_DIM");
+_Static_assert(COUPLED_DIM <= MAX_DIM, "the coupled system is wider than MAX_DIM");
+_Static_assert(PAIRED_DIM <= MAX_DIM, "the paired system is wider than MAX_DIM");
 
 typedef struct {
     const double *ref; /* coupled only: the half-grid reference table */
@@ -61,6 +78,13 @@ static void unreduced_rhs(const double *s, long j, const params *p, double *out)
     out[3] = lam;
     out[4] = 0.0;
     out[5] = y * lam;
+}
+
+/* The product flow [reduced | unreduced]. */
+static void paired_rhs(const double *s, long j, const params *p, double *out)
+{
+    reduced_rhs(s, j, p, out);
+    unreduced_rhs(s + REDUCED_DIM, j, p, out + REDUCED_DIM);
 }
 
 /* State-costate flow with the control u = -mu/eps. */
@@ -159,10 +183,16 @@ static void stage_sens(const double *s, const params *p, const double *S, double
 static const struct {
     rhs_fn rhs;
     int dim;
-} systems[] = {{reduced_rhs, 5}, {unreduced_rhs, 6}, {coupled_rhs, 10}};
+} systems[] = {
+    {reduced_rhs, REDUCED_DIM},
+    {unreduced_rhs, UNREDUCED_DIM},
+    {coupled_rhs, COUPLED_DIM},
+    {paired_rhs, PAIRED_DIM},
+};
 
-/* Integrate system `kind` (0 reduced, 1 unreduced, 2 coupled) from row 0 of
- * states, shape (n_steps+1, dim), writing every step into the next row.
+/* Integrate system `kind` (0 reduced, 1 unreduced, 2 coupled, 3 paired)
+ * from row 0 of states, shape (n_steps+1, dim), writing every step into the
+ * next row.
  * Returns -1, or the index i of the first step whose result row i+1 has a
  * non-finite entry; the rows after it are left unwritten. The update keeps
  * the grouping x + h*((k1 + 2k2 + 2k3 + k4)/6).

@@ -8,9 +8,10 @@ smoothness, and solver behavior. Everything is deterministic (fixed RNG
 seeds). The suite takes about 0.065 s on a 2-vCPU Xeon VM, and `nhtrack
 check` about 0.3 s with interpreter start-up (`BENCH_23.json`). The
 slowest check is the 4000-step shooting solve of solver-behavior, with
-exact Newton Jacobians (about 0.043 s). oracle-equivalence, 40,000 steps
-of each C kernel in blocks of 4000, takes about 0.011 s, and at its peak
-allocates 0.55 MiB, where whole 40,001-row flows took 5.19 MiB.
+exact Newton Jacobians (about 0.043 s). oracle-equivalence integrates
+its two flows side by side as one paired C rollout of 40,000 steps, in
+blocks of 2000: about 5 ms, against 8-10 ms for the two flows one after
+the other, and at its peak it allocates 0.51 MiB (`BENCH_24.json`).
 cubic-exactness, 4000 steps of the coupled C kernel that every command
 runs, takes about 1 ms.
 A check that evaluates the geometry, the Hamiltonian or the adjoint at
@@ -149,28 +150,26 @@ def check_v1_constant() -> CheckResult:
 
 
 def check_oracle_equivalence() -> CheckResult:
-    # 40,000 steps as 10 rollouts of 4000, each from the last row of the one
-    # before: neither rhs reads its half-grid index, so the rows are those
-    # of one 40,000-step rollout bit for bit, and the running maxima are
-    # exact, without holding two 40,001-row tables
+    # 40,000 steps of the paired flow [reduced | unreduced] as 20 rollouts
+    # of 2000, each from the last row of the one before: neither rhs reads
+    # its half-grid index, so the rows are those of one 40,000-step rollout
+    # of each flow bit for bit, and the running maxima are exact, without
+    # holding a whole 40,001-row table
     s0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
-    n, block = 40000, 4000
+    n, block = 40000, 2000
     h = 4.0 / n
     amb0 = embed(s0)
-    red = np.concatenate([s0.q, s0.v])[None]
-    unred = np.concatenate([amb0.q, amb0.vq])[None]
+    states = np.concatenate([s0.q, s0.v, amb0.q, amb0.vq])[None]
     gap = ambient_drift = 0.0
     for _ in range(n // block):
-        red = kernels.rollout_reduced(red[-1], h, block)
-        unred = kernels.rollout_unreduced(unred[-1], h, block)
-        drift = float(np.max(np.abs(unred[:, 3] + unred[:, 1] * unred[:, 5])))
+        states = kernels.rollout_paired(states[-1], h, block)
+        # transposed, so each column is contiguous: rows 0-4 are the reduced
+        # (x, y, z, v1, v2), rows 5-10 the unreduced (x, y, z, vx, vy, vz)
+        cols = states.T.copy()
+        drift = float(np.max(np.abs(cols[8] + cols[6] * cols[10])))
         ambient_drift = max(ambient_drift, drift)
-        # the unreduced rows (x, y, z, vx, vy, vz) project to (x, y, z, vy, vz)
-        gap = max(
-            gap,
-            float(np.max(np.abs(unred[:, :3] - red[:, :3]))),
-            float(np.max(np.abs(unred[:, 4:] - red[:, 3:]))),
-        )
+        # the unreduced rows project to (x, y, z, vy, vz)
+        gap = max(gap, float(np.max(np.abs(cols[[5, 6, 7, 9, 10]] - cols[:5]))))
     ok = gap <= 1e-6 and ambient_drift <= 1e-10
     return CheckResult(
         "oracle-equivalence", ok, f"flow gap {gap:.2e}, constraint drift {ambient_drift:.2e}"

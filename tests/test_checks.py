@@ -160,28 +160,22 @@ def test_cubic_flow_moves_lam1_alone(mode):
 
 
 def test_oracle_equivalence_rolls_out_40000_steps_in_restarted_blocks(monkeypatch):
-    """Each flow runs all 40,000 steps of h = 1e-4, every rollout from the
-    last row of the one before."""
-    calls = {"reduced": [], "unreduced": []}
+    """Both flows run all 40,000 steps of h = 1e-4 as one paired rollout
+    in blocks, every block from the last row of the one before."""
+    made = []
+    rollout = kernels.rollout_paired
 
-    def recording(name):
-        rollout = getattr(kernels, f"rollout_{name}")
+    def record(x0, h, n_steps):
+        states = rollout(x0, h, n_steps)
+        made.append((np.asarray(x0).tobytes(), h, n_steps, states[-1].tobytes()))
+        return states
 
-        def record(x0, h, n_steps):
-            states = rollout(x0, h, n_steps)
-            calls[name].append((np.asarray(x0).tobytes(), h, n_steps, states[-1].tobytes()))
-            return states
-
-        return record
-
-    for name in calls:
-        monkeypatch.setattr(kernels, f"rollout_{name}", recording(name))
+    monkeypatch.setattr(kernels, "rollout_paired", record)
     r = checks.check_oracle_equivalence()
     assert r.passed, r.detail
-    for name, made in calls.items():
-        starts, steps, counts, lasts = zip(*made)
-        assert sum(counts) == 40000 and set(steps) == {4.0 / 40000}, name
-        assert starts[1:] == lasts[:-1], name
+    starts, steps, counts, lasts = zip(*made)
+    assert sum(counts) == 40000 and set(steps) == {4.0 / 40000}
+    assert starts[1:] == lasts[:-1]
 
 
 def test_oracle_equivalence_holds_no_whole_flow_table():

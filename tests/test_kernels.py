@@ -186,21 +186,22 @@ class TestStepArguments:
             "reduced": lambda h, n: kernels.rollout_reduced(X0, h, n),
             "unreduced": lambda h, n: kernels.rollout_unreduced(np.zeros(6), h, n),
             "coupled": lambda h, n: kernels.rollout_coupled(z0, h, n, prob._ref_table, 7.0, False),
+            "paired": lambda h, n: kernels.rollout_paired(np.zeros(11), h, n),
         }
 
-    @pytest.mark.parametrize("kind", ["reduced", "unreduced", "coupled"])
+    @pytest.mark.parametrize("kind", ["reduced", "unreduced", "coupled", "paired"])
     @pytest.mark.parametrize("n_steps", [-1, 2.5, True, np.float64(4.0), "4", None])
     def test_bad_step_count(self, kind, n_steps):
         with pytest.raises(ValueError, match="n_steps must be a non-negative int"):
             self._rollouts()[kind](0.01, n_steps)
 
-    @pytest.mark.parametrize("kind", ["reduced", "unreduced", "coupled"])
+    @pytest.mark.parametrize("kind", ["reduced", "unreduced", "coupled", "paired"])
     @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
     def test_non_finite_step_size(self, kind, h):
         with pytest.raises(ValueError, match="step size h must be finite"):
             self._rollouts()[kind](h, 4)
 
-    @pytest.mark.parametrize("kind", ["reduced", "unreduced", "coupled"])
+    @pytest.mark.parametrize("kind", ["reduced", "unreduced", "coupled", "paired"])
     def test_numpy_step_arguments_accepted(self, kind):
         rollout = self._rollouts()[kind]
         assert np.array_equal(rollout(0.01, np.int64(4)), rollout(0.01, 4))
@@ -329,6 +330,64 @@ class TestBitExactOutputs:
         assert report.converged
         assert np.array_equal(report.alpha_star, SOLVE_ALPHA)
         assert report.cost == SOLVE_J
+
+
+def _paired_start():
+    """[X0 | embed(X0)]: the starts of the reduced and unreduced digests."""
+    a0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
+    return np.concatenate([X0, a0.q, a0.vq])
+
+
+class TestPairedRollout:
+    """The product flow [reduced | unreduced] gives each half's own
+    rollout bit for bit."""
+
+    def test_reduced_columns_n4000(self):
+        states = kernels.rollout_paired(_paired_start(), 4.0 / 4000, 4000)
+        assert states.shape == (4001, 11)
+        assert _sha256(states[:, :5]) == REDUCED_DIGEST
+
+    def test_unreduced_columns_n40000(self):
+        states = kernels.rollout_paired(_paired_start(), 40.0 / 40000, 40000)
+        assert states.shape == (40001, 11)
+        assert _sha256(states[:, 5:]) == UNREDUCED_DIGEST
+
+    @pytest.mark.parametrize("lengths", [(1000,) * 4, (1, 999, 0, 2000, 1000)])
+    def test_restarted_blocks_are_one_rollout(self, lengths):
+        whole = kernels.rollout_paired(_paired_start(), 1e-3, 4000)
+        states = _blocks(kernels.rollout_paired, _paired_start(), 1e-3, lengths)
+        assert states.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("x0", [np.zeros(10), np.zeros(12), np.zeros((1, 11)), np.zeros((11, 1))])
+    def test_start_not_11_long_rejected_before_the_library(self, x0, monkeypatch):
+        def no_library():
+            raise AssertionError("the library was called")
+
+        monkeypatch.setattr(kernels, "_library", no_library)
+        with pytest.raises(ValueError, match="paired initial state must have length 11"):
+            kernels.rollout_paired(x0, 1e-3, 10)
+
+    @pytest.mark.parametrize(
+        "x0, step",
+        [
+            # x' = -y*v2 = -1e307 in the reduced half
+            (np.concatenate([[0.0, 1e307, 0.0, 0.0, 1.0], np.zeros(6)]), 17),
+            # x' = vx = 5e306 in the unreduced half
+            (np.concatenate([np.zeros(5), [0.0, 0.0, 0.0, 5e306, 0.0, 0.0]]), 35),
+        ],
+        ids=["reduced", "unreduced"],
+    )
+    def test_overflowing_half_raises_domain_error(self, x0, step):
+        """Either half leaving double range stops the rollout at the step
+        its own rollout stops at, with the last finite row as payload."""
+        whole = kernels.rollout_paired(x0, 1.0, step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^paired rollout left the finite domain at step {step}$") as err:
+                kernels.rollout_paired(x0, 1.0, 100)
+        assert err.value.x.tobytes() == whole[-1].tobytes()
+        for rollout, half in ((kernels.rollout_reduced, slice(0, 5)), (kernels.rollout_unreduced, slice(5, 11))):
+            assert rollout(x0[half], 1.0, step).tobytes() == whole[:, half].tobytes()
 
 
 COUPLED_DIGESTS = {
@@ -501,6 +560,24 @@ class TestKernelBuild:
         out.mkdir()
         with pytest.raises(KernelBuildError, match=r"failed to build _rk4\.c and _csv\.cc \(exit 2\)"):
             kernels._build(out, compiler=str(fake_cc))
+
+    def test_system_wider_than_max_dim_fails_to_compile(self, tmp_path, monkeypatch):
+        """The RK4 stage arrays hold MAX_DIM entries: a copy of _rk4.c whose
+        MAX_DIM is 10 does not compile, since the paired system is 11 wide."""
+        copies = []
+        for src in kernels._SOURCES:
+            copy = tmp_path / src.name
+            copy.write_text(src.read_text())
+            copies.append(copy)
+        text = copies[0].read_text()
+        assert text.count("#define MAX_DIM 11\n") == 1
+        copies[0].write_text(text.replace("#define MAX_DIM 11\n", "#define MAX_DIM 10\n"))
+        monkeypatch.setattr(kernels, "_SOURCES", tuple(copies))
+        out = tmp_path / "lib"
+        out.mkdir()
+        with pytest.raises(KernelBuildError, match="the paired system is wider than MAX_DIM"):
+            kernels._build(out)
+        assert list(out.iterdir()) == []
 
     def test_compiler_failure_carries_stderr(self, tmp_path):
         fake_cc = tmp_path / "fake-cc"
