@@ -3,7 +3,6 @@
 from .errors import (
     ConfigError,
     ContractError,
-    DegenerateFitError,
     DomainError,
     KernelBuildError,
     NhtrackError,
@@ -19,16 +18,8 @@ from .geometry import (
     controlled_acceleration,
     nh_acceleration,
 )
-from .integrators import Trajectory, VectorField, convergence_order, integrate
-from .particle import (
-    AmbientState,
-    AnalyticParams,
-    analytic_constants,
-    analytic_flow,
-    embed,
-    particle_system,
-    unreduced_field,
-)
+from .integrators import Trajectory, VectorField, integrate
+from .particle import AnalyticParams, analytic_constants, analytic_flow, embed, particle_system
 from .shooting import NewtonConfig, ShootingReport, fd_jacobian, newton_solve, solve_tracking
 from .tracking import (
     Costate,

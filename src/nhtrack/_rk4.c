@@ -3,9 +3,10 @@
  * The coupled right-hand side below is the package's one copy of the
  * particle's state-costate equations; nh_coupled_rhs evaluates it at
  * stacked rows for the adjoint-gradient check and the tests. The reduced
- * and unreduced right-hand sides are written term for term like the
- * Python expressions of nhtrack.geometry and nhtrack.particle, in the
- * same evaluation order, so that IEEE double results match bit for bit.
+ * right-hand side is written term for term like the Python expressions of
+ * nhtrack.geometry, and the unreduced one like the multiplier model of
+ * tests/oracles.py, in the same evaluation order, so that IEEE double
+ * results match bit for bit (tests/test_kernels.py requires it of both).
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reassociation changes the last bits.
  *

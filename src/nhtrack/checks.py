@@ -5,13 +5,14 @@ Each check re-verifies one contract of the library on the bundled
 particle: frame algebra, conservation laws, oracle agreement between the
 reduced and unreduced dynamics, adjoint-gradient consistency, residual
 smoothness, and solver behavior. Everything is deterministic (fixed RNG
-seeds). The suite takes about 0.065 s on a 2-vCPU Xeon VM, and `nhtrack
-check` about 0.3 s with interpreter start-up (`BENCH_23.json`). The
-slowest check is the 4000-step shooting solve of solver-behavior, with
-exact Newton Jacobians (about 0.043 s). oracle-equivalence integrates
-its two flows side by side as one paired C rollout of 40,000 steps, in
-blocks of 2000: about 5 ms, against 8-10 ms for the two flows one after
-the other, and at its peak it allocates 0.51 MiB (`BENCH_24.json`).
+seeds). The suite takes about 0.04 s on a 2-vCPU Xeon VM (the fastest
+of 15 runs in one process), and `nhtrack check` about 0.3 s with
+interpreter start-up (`BENCH_23.json`). The slowest check is the
+4000-step shooting solve of solver-behavior, with exact Newton Jacobians
+(about 0.026 s). oracle-equivalence integrates its two flows side by
+side as one paired C rollout of 40,000 steps, in blocks of 2000: about
+5 ms, against 8-10 ms for the two flows one after the other, and at its
+peak it allocates 0.51 MiB (`BENCH_24.json`).
 cubic-exactness, 4000 steps of the coupled C kernel that every command
 runs, takes about 1 ms.
 A check that evaluates the geometry, the Hamiltonian or the adjoint at
@@ -158,8 +159,7 @@ def check_oracle_equivalence() -> CheckResult:
     s0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
     n, block = 40000, 2000
     h = 4.0 / n
-    amb0 = embed(s0)
-    states = np.concatenate([s0.q, s0.v, amb0.q, amb0.vq])[None]
+    states = np.concatenate([s0.q, s0.v, embed(s0)])[None]
     gap = ambient_drift = 0.0
     for _ in range(n // block):
         states = kernels.rollout_paired(states[-1], h, block)

@@ -36,10 +36,6 @@ class KernelBuildError(NhtrackError):
     The message names the compiler and carries its error output."""
 
 
-class DegenerateFitError(NhtrackError):
-    """A convergence-order fit is meaningless (exact integration, zero error)."""
-
-
 class ConfigError(NhtrackError):
     """Malformed experiment configuration. Carries the offending line number."""
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DegenerateFitError, DomainError
+from .errors import ContractError, DomainError
 
 Array = np.ndarray
 
@@ -125,36 +125,3 @@ def integrate(vf: VectorField, t0: float, x0: Array, T: float, N: int) -> Trajec
             raise ContractError(f"step {i}: {err}") from err
     return Trajectory(times=times, states=states)
 
-
-def convergence_order(
-    vf: VectorField,
-    oracle: Callable[[float], Array],
-    t0: float,
-    x0: Array,
-    T: float,
-    N_list: Sequence[int],
-) -> float:
-    """Least-squares slope of log(max grid error) against log(h).
-
-    N_list must contain at least three step counts, each double the last.
-    Raises DegenerateFitError when the integrator reproduces the oracle
-    exactly at some N (the log-log fit is then meaningless).
-    """
-    N_list = list(N_list)
-    if len(N_list) < 3:
-        raise ContractError("need at least three step counts")
-    for a, b in zip(N_list, N_list[1:]):
-        if b != 2 * a:
-            raise ContractError("step counts must double at each entry")
-    errors = []
-    steps = []
-    for N in N_list:
-        traj = integrate(vf, t0, x0, T, N)
-        exact = np.array([oracle(t) for t in traj.times])
-        err = float(np.max(np.abs(traj.states - exact)))
-        if err == 0.0:
-            raise DegenerateFitError(f"integration exact at N={N}; no order to fit")
-        errors.append(err)
-        steps.append(T / N)
-    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
-    return float(slope)

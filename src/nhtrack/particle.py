@@ -10,7 +10,10 @@ Two independent oracles accompany the reduced dynamics:
 * the closed-form flow of the uncontrolled equations (with its separate
   zero-v1 branch, where the generic antiderivatives degenerate), and
 * the unreduced Lagrange-multiplier dynamics in ambient coordinates
-  (x, y, z, vx, vy, vz), tied to the reduced picture by embed.
+  (x, y, z, vx, vy, vz), which the C kernel integrates (`kernels`); embed
+  gives its start for a reduced state. Its Python model, written term for
+  term like the C right-hand side, lives with the tests
+  (`tests/oracles.py`).
 
 In the closed form, x(t) and z(t) come from direct quadrature of
 xdot = -y v2 and zdot = v2; a finite-difference residual test pins down
@@ -158,42 +161,12 @@ def analytic_flow(p: AnalyticParams, t) -> AdaptedState:
 
 
 # ---------------------------------------------------------------------------
-# Unreduced Lagrange-multiplier dynamics
+# Ambient embedding
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AmbientState:
-    """Ambient position q = (x, y, z) and velocity vq = (vx, vy, vz)."""
-
-    q: Array
-    vq: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "vq", np.asarray(self.vq, dtype=float))
-
-
-def multiplier(s: AmbientState) -> float:
-    """Constraint multiplier lambda = -vz vy / (1 + y^2).
-
-    Chosen so d/dt (vx + y vz) vanishes identically along the flow.
-    """
+def embed(s: AdaptedState) -> Array:
+    """Ambient representative in the unreduced kernel's layout
+    [x, y, z, vx, vy, vz], with (vx, vy, vz) = (-y v2, v1, v2)."""
     y = s.q[1]
-    return -s.vq[2] * s.vq[1] / (1.0 + y * y)
-
-
-def unreduced_field(s: AmbientState) -> AmbientState:
-    """Time derivative of an ambient state under the multiplier dynamics.
-
-    Returned in the same container: .q holds (xdot, ydot, zdot) and .vq
-    holds (vxdot, vydot, vzdot) = (lambda, 0, y lambda).
-    """
-    lam = multiplier(s)
-    return AmbientState(q=s.vq.copy(), vq=np.array([lam, 0.0, s.q[1] * lam]))
-
-
-def embed(s: AdaptedState) -> AmbientState:
-    """Ambient representative: (vx, vy, vz) = (-y v2, v1, v2)."""
-    y = s.q[1]
-    return AmbientState(q=s.q.copy(), vq=np.array([-y * s.v[1], s.v[0], s.v[1]]))
+    return np.concatenate([s.q, [-y * s.v[1], s.v[0], s.v[1]]])

@@ -409,21 +409,19 @@ def controls_along(traj: Trajectory, prob: TrackingProblem) -> Array:
     return stationary_control(p, prob.epsilon)
 
 
-def _cost(prob: TrackingProblem, times: Array, body: Array, u: Array) -> float:
+def _cost(prob: TrackingProblem, body: Array, u: Array) -> float:
     """Composite-trapezoid running cost of the rows body = [q, v] with
-    controls u on the problem grid, plus the omega-weighted terminal cost.
+    controls u on the problem grid `prob.times`, plus the omega-weighted
+    terminal cost.
 
-    `running_cost` evaluates all rows at once. times must equal the
-    problem grid `prob.times`; the reference is read from the half-grid
-    table, whose even rows are the grid times.
+    `running_cost` evaluates all rows at once; the reference is read from
+    the half-grid table, whose even rows are the grid times.
     """
     n = prob.sys.n
-    if times is not prob.times and not np.array_equal(times, prob.times):
-        raise ContractError("cost is evaluated on the problem's time grid only")
     ref = prob._ref_table[::2]
     s = AdaptedState(q=body[:, :n], v=body[:, n:])
     values = running_cost(s, (ref[:, :n], ref[:, n:]), u, prob.epsilon)
-    integral = float(np.trapezoid(values, times))
+    integral = float(np.trapezoid(values, prob.times))
     sT = AdaptedState(q=body[-1, :n], v=body[-1, n:])
     ref_T = prob._ref_final
     return integral + prob.omega * terminal_cost(sT, (ref_T[:n], ref_T[n:]))
@@ -431,9 +429,12 @@ def _cost(prob: TrackingProblem, times: Array, body: Array, u: Array) -> float:
 
 def total_cost(traj: Trajectory, prob: TrackingProblem) -> float:
     """Composite-trapezoid running cost along a coupled trajectory plus
-    the omega-weighted terminal cost."""
+    the omega-weighted terminal cost. The trajectory must lie on the
+    problem grid."""
     n, k = prob.sys.n, prob.sys.k
-    return _cost(prob, traj.times, traj.states[:, : n + k], controls_along(traj, prob))
+    if traj.times is not prob.times and not np.array_equal(traj.times, prob.times):
+        raise ContractError("cost is evaluated on the problem's time grid only")
+    return _cost(prob, traj.states[:, : n + k], controls_along(traj, prob))
 
 
 def uncontrolled_trajectory(prob: TrackingProblem) -> Trajectory:
@@ -446,7 +447,7 @@ def uncontrolled_trajectory(prob: TrackingProblem) -> Trajectory:
 def uncontrolled_cost(prob: TrackingProblem) -> float:
     """Cost of simply letting the system drift (u = 0) from s0."""
     traj = uncontrolled_trajectory(prob)
-    return _cost(prob, traj.times, traj.states, np.zeros((prob.N + 1, prob.sys.k)))
+    return _cost(prob, traj.states, np.zeros((prob.N + 1, prob.sys.k)))
 
 
 def benchmark_problem(

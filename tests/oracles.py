@@ -1,4 +1,15 @@
-"""A symbolic oracle for the bundled particle's tracking problem.
+"""Reference models the tests compare the package against.
+
+Three oracles for the bundled particle, none of which the package runs:
+
+* `particle_oracle`, a symbolic derivation (below);
+* the unreduced Lagrange-multiplier dynamics in ambient coordinates
+  (x, y, z, vx, vy, vz): `AmbientState`, `multiplier` and
+  `unreduced_field`, the Python model of the C unreduced right-hand side,
+  written term for term like it. `nhtrack.particle.embed` ties it to the
+  reduced picture;
+* `convergence_order`, the least-squares order of
+  `nhtrack.integrators.integrate` against a closed form.
 
 `particle_oracle` derives, with sympy, everything the package writes by
 hand for the particle: the Hamiltonian, the costate equations in both
@@ -24,11 +35,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
+from nhtrack.errors import ContractError, NhtrackError
+from nhtrack.integrators import VectorField, integrate
 from nhtrack.tracking import ADJOINT_MODES
+
+Array = np.ndarray
 
 # The printed costate equations differ from the derived ones in the
 # coupling terms -d(mu . (-Gamma v v))/d(q, v) alone: the as-printed rows
@@ -128,3 +143,82 @@ def particle_oracle() -> ParticleOracle:
         sparsity[mode] = np.array([e != 0 for e in jac]).reshape(10, 10)
     hamiltonian = _rows(sp.lambdify([z, u, r, eps], [H], "numpy"), ())
     return ParticleOracle(hamiltonian, adjoint, field, jacobian, sparsity)
+
+
+# ---------------------------------------------------------------------------
+# Unreduced Lagrange-multiplier dynamics
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AmbientState:
+    """Ambient position q = (x, y, z) and velocity vq = (vx, vy, vz)."""
+
+    q: Array
+    vq: Array
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+        object.__setattr__(self, "vq", np.asarray(self.vq, dtype=float))
+
+
+def multiplier(s: AmbientState) -> float:
+    """Constraint multiplier lambda = -vz vy / (1 + y^2).
+
+    Chosen so d/dt (vx + y vz) vanishes identically along the flow.
+    """
+    y = s.q[1]
+    return -s.vq[2] * s.vq[1] / (1.0 + y * y)
+
+
+def unreduced_field(s: AmbientState) -> AmbientState:
+    """Time derivative of an ambient state under the multiplier dynamics.
+
+    Returned in the same container: .q holds (xdot, ydot, zdot) and .vq
+    holds (vxdot, vydot, vzdot) = (lambda, 0, y lambda).
+    """
+    lam = multiplier(s)
+    return AmbientState(q=s.vq.copy(), vq=np.array([lam, 0.0, s.q[1] * lam]))
+
+
+# ---------------------------------------------------------------------------
+# Convergence order of the Python RK4
+# ---------------------------------------------------------------------------
+
+
+class DegenerateFitError(NhtrackError):
+    """A convergence-order fit is meaningless (exact integration, zero error)."""
+
+
+def convergence_order(
+    vf: VectorField,
+    oracle: Callable[[float], Array],
+    t0: float,
+    x0: Array,
+    T: float,
+    N_list: Sequence[int],
+) -> float:
+    """Least-squares slope of log(max grid error) against log(h).
+
+    N_list must contain at least three step counts, each double the last.
+    Raises DegenerateFitError when the integrator reproduces the oracle
+    exactly at some N (the log-log fit is then meaningless).
+    """
+    N_list = list(N_list)
+    if len(N_list) < 3:
+        raise ContractError("need at least three step counts")
+    for a, b in zip(N_list, N_list[1:]):
+        if b != 2 * a:
+            raise ContractError("step counts must double at each entry")
+    errors = []
+    steps = []
+    for N in N_list:
+        traj = integrate(vf, t0, x0, T, N)
+        exact = np.array([oracle(t) for t in traj.times])
+        err = float(np.max(np.abs(traj.states - exact)))
+        if err == 0.0:
+            raise DegenerateFitError(f"integration exact at N={N}; no order to fit")
+        errors.append(err)
+        steps.append(T / N)
+    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+    return float(slope)

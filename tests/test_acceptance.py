@@ -17,10 +17,11 @@ import numpy as np
 from nhtrack import checks, kernels
 from nhtrack.cli import main, read_csv
 from nhtrack.geometry import AdaptedState
-from nhtrack.integrators import VectorField, convergence_order
+from nhtrack.integrators import VectorField
 from nhtrack.particle import analytic_constants, analytic_flow
 from nhtrack.shooting import solve_tracking
 from nhtrack.tracking import TrackingProblem, benchmark_problem, free_flow, uncontrolled_cost
+from oracles import convergence_order
 
 S0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
 X0 = np.concatenate([S0.q, S0.v])

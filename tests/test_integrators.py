@@ -7,21 +7,16 @@ import numpy as np
 import pytest
 
 from nhtrack import cli, kernels
-from nhtrack.errors import ContractError, DegenerateFitError, DomainError
+from nhtrack.errors import ContractError, DomainError
 from nhtrack.geometry import AdaptedState, admissible_velocity, nh_acceleration
-from nhtrack.integrators import (
-    Trajectory,
-    VectorField,
-    convergence_order,
-    integrate,
-    time_grid,
-)
+from nhtrack.integrators import Trajectory, VectorField, integrate, time_grid
 from nhtrack.particle import analytic_constants, analytic_flow, particle_system
 from nhtrack.tracking import (
     benchmark_problem,
     integrate_coupled,
     uncontrolled_trajectory,
 )
+from oracles import DegenerateFitError, convergence_order
 
 S0 = np.array([0.5, 0.2, 0.7, 0.5, 0.4])
 

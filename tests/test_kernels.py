@@ -13,7 +13,8 @@ from nhtrack import kernels
 from nhtrack.errors import DomainError, KernelBuildError
 from nhtrack.geometry import AdaptedState, admissible_velocity, nh_acceleration
 from nhtrack.integrators import VectorField, integrate
-from nhtrack.particle import embed, multiplier, particle_system, unreduced_field
+from nhtrack.particle import embed, particle_system
+from oracles import AmbientState, multiplier, unreduced_field
 
 X0 = np.array([0.5, 0.2, 0.7, 0.5, 0.4])
 
@@ -28,26 +29,23 @@ class TestRolloutAgainstGenericIntegrator:
 
         slow = integrate(VectorField(dim=5, f=f), 0.0, X0, 2.0, 800)
         fast = kernels.rollout_reduced(X0, 2.0 / 800, 800)
-        np.testing.assert_allclose(fast, slow.states, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(fast, slow.states)
 
     def test_unreduced(self):
-        a0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
-        x0 = np.concatenate([a0.q, a0.vq])
+        x0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
 
         def f(t, x):
-            from nhtrack.particle import AmbientState
-
             d = unreduced_field(AmbientState(q=x[:3], vq=x[3:]))
             return np.concatenate([d.q, d.vq])
 
         slow = integrate(VectorField(dim=6, f=f), 0.0, x0, 2.0, 800)
         fast = kernels.rollout_unreduced(x0, 2.0 / 800, 800)
-        np.testing.assert_allclose(fast, slow.states, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(fast, slow.states)
 
     def test_multiplier_definition_inside_kernel(self):
         """One kernel step reproduces the multiplier-driven accelerations."""
-        a0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
-        x0 = np.concatenate([a0.q, a0.vq])
+        x0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
+        a0 = AmbientState(q=x0[:3], vq=x0[3:])
         h = 1e-3
         states = kernels.rollout_unreduced(x0, h, 1)
         lam = multiplier(a0)
@@ -260,8 +258,8 @@ class TestBitExactOutputs:
         assert _sha256(states) == REDUCED_DIGEST
 
     def test_unreduced_n40000(self):
-        a0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
-        states = kernels.rollout_unreduced(np.concatenate([a0.q, a0.vq]), 40.0 / 40000, 40000)
+        x0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
+        states = kernels.rollout_unreduced(x0, 40.0 / 40000, 40000)
         assert states.shape == (40001, 6)
         assert np.array_equal(
             states[-1],
@@ -277,8 +275,8 @@ class TestBitExactOutputs:
 
     @pytest.mark.parametrize("lengths", [(4000,) * 10, (1, 39999)])
     def test_unreduced_n40000_from_restarted_blocks(self, lengths):
-        a0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
-        states = _blocks(kernels.rollout_unreduced, np.concatenate([a0.q, a0.vq]), 40.0 / 40000, lengths)
+        x0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
+        states = _blocks(kernels.rollout_unreduced, x0, 40.0 / 40000, lengths)
         assert _sha256(states) == UNREDUCED_DIGEST
 
     def test_coupled_restart_needs_the_table_from_row_2k(self):
@@ -334,8 +332,7 @@ class TestBitExactOutputs:
 
 def _paired_start():
     """[X0 | embed(X0)]: the starts of the reduced and unreduced digests."""
-    a0 = embed(AdaptedState(q=X0[:3], v=X0[3:]))
-    return np.concatenate([X0, a0.q, a0.vq])
+    return np.concatenate([X0, embed(AdaptedState(q=X0[:3], v=X0[3:]))])
 
 
 class TestPairedRollout:
