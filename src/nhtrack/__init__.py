@@ -23,7 +23,6 @@ from .particle import AnalyticParams, analytic_constants, analytic_flow, embed, 
 from .shooting import NewtonConfig, ShootingReport, fd_jacobian, newton_solve, solve_tracking
 from .tracking import (
     Costate,
-    ReferenceTrajectory,
     TrackingProblem,
     benchmark_problem,
     constant_z_line,

@@ -54,7 +54,6 @@ from .particle import (
 from .shooting import NewtonConfig, fd_jacobian, solve_tracking
 from .tracking import (
     Costate,
-    ReferenceTrajectory,
     TrackingProblem,
     benchmark_problem,
     free_flow,
@@ -139,7 +138,7 @@ def _reduced_rollout_default():
 
 def check_energy_conservation() -> CheckResult:
     states = _reduced_rollout_default()
-    e = restricted_energy(AdaptedState(q=states[:, :3], v=states[:, 3:]))
+    e = restricted_energy(_states(states))
     drift = float(np.max(np.abs(e - e[0])) / abs(e[0]))
     return CheckResult("energy-conservation", drift <= 1e-10, f"relative drift {drift:.2e}")
 
@@ -180,7 +179,7 @@ def check_branch_continuity() -> CheckResult:
     times = np.linspace(0.0, 4.0, 401)
     a = analytic_flow(AnalyticParams(c1=1e-8, c2=0.7, x0=0.3, y0=0.4, z0=-0.2), times)
     b = analytic_flow(AnalyticParams(c1=0.0, c2=0.7, x0=0.3, y0=0.4, z0=-0.2), times)
-    worst = float(np.max(np.abs(np.concatenate([a.q - b.q, a.v - b.v], axis=1))))
+    worst = float(np.max(np.abs(a - b)))
     return CheckResult("branch-continuity", worst <= 1e-5, f"max branch gap {worst:.2e}")
 
 
@@ -191,8 +190,8 @@ def check_flow_ode_residual() -> CheckResult:
     times = np.linspace(0.05, 3.95, 25)
     sm = analytic_flow(p, times - fd)
     sp = analytic_flow(p, times + fd)
-    ds = (np.concatenate([sp.q, sp.v], axis=1) - np.concatenate([sm.q, sm.v], axis=1)) / (2.0 * fd)
-    flow = analytic_flow(p, times)
+    ds = (sp - sm) / (2.0 * fd)
+    flow = _states(analytic_flow(p, times))
     rhs = np.concatenate([admissible_velocity(sys_, flow), nh_acceleration(sys_, flow)], axis=1)
     worst = float(np.max(np.abs(ds - rhs)))
     return CheckResult("flow-ode-residual", worst <= 1e-6, f"max residual {worst:.2e}")
@@ -219,15 +218,15 @@ def _cubic_flow(adjoint_mode: str = "derived"):
     lam1' = x_r(t) - x0, so lam1(t) = t^3 - t^2 + 0.5t + 1."""
     x0 = 0.5
 
-    def sample(t):
+    def reference(t):
         t = np.asarray(t, dtype=float)
-        q_r = np.zeros(t.shape + (3,))
-        q_r[..., 0] = x0 + 3.0 * t**2 - 2.0 * t + 0.5
-        return q_r, np.zeros(t.shape + (2,))
+        rows = np.zeros(t.shape + (5,))
+        rows[..., 0] = x0 + 3.0 * t**2 - 2.0 * t + 0.5
+        return rows
 
     s0 = AdaptedState(q=np.array([x0, 0.0, 0.0]), v=np.zeros(2))
     prob = TrackingProblem(
-        ref=ReferenceTrajectory(sample), epsilon=7.0, T=4.0, s0=s0, N=4000, adjoint_mode=adjoint_mode
+        ref=reference, epsilon=7.0, T=4.0, s0=s0, N=4000, adjoint_mode=adjoint_mode
     )
     return integrate_coupled(prob, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
 
@@ -268,7 +267,7 @@ def check_adjoint_gradient() -> CheckResult:
     sys_ = particle_system()
     rows = _uniform_rows(np.random.default_rng(15), 100, (-2.0, 2.0, 10), (-1.0, 1.0, 5))
     p = Costate(lam=rows[:, 5:8], mu=rows[:, 8:10])
-    r = (rows[:, 10:13], rows[:, 13:15])
+    r = rows[:, 10:15]
     eps = 7.0
     step = 1e-6
     u = stationary_control(p, eps)
@@ -278,14 +277,13 @@ def check_adjoint_gradient() -> CheckResult:
     x = rows[:, None, :5]
     p_probe = Costate(lam=p.lam[:, None], mu=p.mu[:, None])
     u_probe = np.repeat(u[:, None], 5, axis=1)
-    r_probe = (r[0][:, None], r[1][:, None])
-    h_plus = hamiltonian(sys_, _states(x + e), p_probe, u_probe, r_probe, eps)
-    h_minus = hamiltonian(sys_, _states(x - e), p_probe, u_probe, r_probe, eps)
+    h_plus = hamiltonian(sys_, _states(x + e), p_probe, u_probe, r[:, None], eps)
+    h_minus = hamiltonian(sys_, _states(x - e), p_probe, u_probe, r[:, None], eps)
     grad = (h_plus - h_minus) / (2 * step)
     scale = np.maximum(1.0, np.abs(grad))
 
     def gap(literal):
-        pdot = kernels.coupled_rhs(rows[:, :10], rows[:, 10:], eps, literal)[:, 5:]
+        pdot = kernels.coupled_rhs(rows[:, :10], r, eps, literal)[:, 5:]
         return np.abs(pdot + grad) / scale
 
     worst = float(np.max(gap(False)))

@@ -39,7 +39,7 @@ from .particle import PARTICLE_NAME, analytic_constants, analytic_flow
 from .shooting import NewtonConfig, solve_tracking
 from .tracking import (
     ADJOINT_MODES,
-    ReferenceTrajectory,
+    Reference,
     TrackingProblem,
     constant_z_line,
     free_flow,
@@ -314,9 +314,9 @@ def read_csv(path) -> dict:
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def sample_reference(ref: ReferenceTrajectory, times: np.ndarray) -> np.ndarray:
+def sample_reference(ref: Reference, times: np.ndarray) -> np.ndarray:
     """The particle reference at the given times as (len(times), 5) CSV columns."""
-    return reference_rows(ref, times, 3, 2)
+    return reference_rows(ref, times)
 
 
 def write_plot_script(path, csv_name: str) -> None:
@@ -378,7 +378,7 @@ def _config_echo(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _build_reference(cfg: ExperimentConfig) -> ReferenceTrajectory:
+def _build_reference(cfg: ExperimentConfig) -> Reference:
     if cfg.reference == KIND_LINE:
         return constant_z_line(cfg.ref_x_r, cfg.ref_z_offset, cfg.ref_speed)
     if cfg.reference == KIND_FREE_FLOW:
@@ -465,12 +465,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_analytic(cfg: ExperimentConfig) -> int:
     s0 = AdaptedState(q=np.array(cfg.initial_state[:3]), v=np.array(cfg.initial_state[3:]))
-
-    def flow(times):
-        s = analytic_flow(analytic_constants(s0), times)
-        return np.concatenate([s.q, s.v], axis=1)
-
-    return _write_flow(cfg, "analytic.csv", flow)
+    params = analytic_constants(s0)
+    return _write_flow(cfg, "analytic.csv", lambda times: analytic_flow(params, times))
 
 
 def cmd_track(cfg: ExperimentConfig) -> int:

@@ -42,8 +42,9 @@ value exactly as Python's repr writes it, from the C++17 file `_csv.cc`.
 Both sources are compiled by one call of the system compiler `cc` on first
 use (which must also compile C++17 with a floating-point std::to_chars) and
 cached as `__pycache__/_rk4-<CRC-32 of sources and flags>.so` beside this
-module (in a private temporary directory when `__pycache__` is not
-writable). This module checks every array and step argument before a
+module. When `__pycache__` is not writable, each process builds it in a
+private temporary directory and removes that directory once the library
+is loaded. This module checks every array and step argument before a
 pointer reaches the library, and calls it through ctypes. It allocates
 every array but the two the caller owns: a sensitivity block and
 `format_csv`'s output buffer.
@@ -61,6 +62,7 @@ import ctypes
 import functools
 import math
 import os
+import shutil
 import tempfile
 import zlib
 from pathlib import Path
@@ -168,9 +170,15 @@ def _library() -> ctypes.CDLL:
         cache.mkdir(exist_ok=True)
     except OSError:
         pass
-    if not os.access(cache, os.W_OK):
-        cache = Path(tempfile.mkdtemp(prefix="nhtrack-"))
-    return _build(cache)
+    if os.access(cache, os.W_OK):
+        return _build(cache)
+    # a private directory, removed once the library is loaded: on POSIX
+    # the mapping outlives its file, and nothing is left behind
+    private = tempfile.mkdtemp(prefix="nhtrack-")
+    try:
+        return _build(Path(private))
+    finally:
+        shutil.rmtree(private, ignore_errors=True)
 
 
 def _grid(h, n_steps):

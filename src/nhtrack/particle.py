@@ -124,8 +124,9 @@ def analytic_constants(s0: AdaptedState) -> AnalyticParams:
     )
 
 
-def analytic_flow(p: AnalyticParams, t) -> AdaptedState:
-    """Exact uncontrolled state at time t, a scalar or a 1-D array of times.
+def analytic_flow(p: AnalyticParams, t) -> Array:
+    """Exact uncontrolled state at time t, a scalar or a 1-D array of times,
+    as rows [x, y, z, v1, v2].
 
     Generic branch (|c1| > C1_SWITCH):
         y = y0 + c1 t,   v1 = c1,   v2 = c2 / sqrt(y^2 + 1),
@@ -134,30 +135,29 @@ def analytic_flow(p: AnalyticParams, t) -> AdaptedState:
     Constant-y branch (|c1| <= C1_SWITCH): y frozen at y0, v2 constant,
     x and z linear in t.
 
-    For a scalar t, q has shape (3,) and v shape (2,); for M times they
-    are (M, 3) and (M, 2), row j belonging to t[j] and equal bit for bit
-    to the scalar result at t[j].
+    For a scalar t the result has shape (5,); for M times it is (M, 5),
+    row j belonging to t[j] and equal bit for bit to the scalar result at
+    t[j].
     """
     t = np.asarray(t, dtype=float)
-    q = np.empty(t.shape + (3,))
-    v = np.empty(t.shape + (2,))
+    rows = np.empty(t.shape + (5,))
     if abs(p.c1) > C1_SWITCH:
         y = p.y0 + p.c1 * t
         r0 = _radius(p.y0)
         r = _radius(y)
-        q[..., 0] = p.x0 + (p.c2 / p.c1) * (r0 - r)
-        q[..., 1] = y
-        q[..., 2] = p.z0 + (p.c2 / p.c1) * (np.arcsinh(y) - np.arcsinh(p.y0))
-        v[..., 0] = p.c1
-        v[..., 1] = p.c2 / r
+        rows[..., 0] = p.x0 + (p.c2 / p.c1) * (r0 - r)
+        rows[..., 1] = y
+        rows[..., 2] = p.z0 + (p.c2 / p.c1) * (np.arcsinh(y) - np.arcsinh(p.y0))
+        rows[..., 3] = p.c1
+        rows[..., 4] = p.c2 / r
     else:
         v2 = p.c2 / _radius(p.y0)
-        q[..., 0] = p.x0 - p.y0 * v2 * t
-        q[..., 1] = p.y0
-        q[..., 2] = p.z0 + v2 * t
-        v[..., 0] = 0.0
-        v[..., 1] = v2
-    return AdaptedState(q=q, v=v)
+        rows[..., 0] = p.x0 - p.y0 * v2 * t
+        rows[..., 1] = p.y0
+        rows[..., 2] = p.z0 + v2 * t
+        rows[..., 3] = 0.0
+        rows[..., 4] = v2
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Tuple, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -41,7 +41,11 @@ from .integrators import integrate  # noqa: F401 - perfbench/spans.py rebinds tr
 from .particle import analytic_constants, analytic_flow, particle_system
 
 Array = np.ndarray
-RefSample = Tuple[Array, Array]
+# A reference: time t -> rows [x_r, y_r, z_r, v1_r, v2_r], the layout of the
+# kernels' states. A scalar t gives shape (5,) and M times give (M, 5); the
+# built-in kinds keep one formula that broadcasts, so a row equals the
+# scalar result bit for bit.
+Reference = Callable[[Union[float, Array]], Array]
 
 ADJOINT_MODES = ("derived", "paper-literal")
 
@@ -58,36 +62,28 @@ class Costate:
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
 
 
-@dataclass(frozen=True)
-class ReferenceTrajectory:
-    """Sampled target curve t -> (q_r, v_r).
+def reference_rows(ref: Reference, times: Array) -> Array:
+    """Rows [q_r, v_r] of ref at a 1-D array of M times, (M, 5), from one call.
 
-    sample takes a scalar time or a 1-D array of M times. For a scalar it
-    returns q_r of shape (n,) and v_r of shape (k,); for an array, (M, n)
-    and (M, k), row j belonging to time j. The built-in kinds keep one
-    formula that broadcasts, so a row equals the scalar sample bit for bit.
-    """
-
-    sample: Callable[[Union[float, Array]], RefSample]
-
-
-def reference_rows(ref: ReferenceTrajectory, times: Array, n: int, k: int) -> Array:
-    """Rows [q_r, v_r] of ref at a 1-D array of times, from one sample call.
-
-    Raises DomainError, with no floating-point warning, naming the first
-    time whose row is not finite, as when a large speed overflows it."""
+    Raises ContractError when the call gives anything but an (M, 5) array
+    of numbers, and DomainError, with no floating-point warning, naming
+    the first time whose row is not finite, as when a large speed
+    overflows it."""
     times = np.asarray(times, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q_r, v_r = ref.sample(times)
-    q_r = np.asarray(q_r, dtype=float)
-    v_r = np.asarray(v_r, dtype=float)
     m = times.shape[0]
-    if q_r.shape != (m, n) or v_r.shape != (m, k):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = ref(times)
+    try:
+        rows = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as err:
+        # such as a (q_r, v_r) pair, whose two parts numpy cannot stack
         raise ContractError(
-            f"reference sample of {m} times gave shapes {q_r.shape}/{v_r.shape}, "
-            f"expected ({m}, {n})/({m}, {k})"
+            f"reference sample of {m} times is not an ({m}, 5) array of numbers: {err}"
+        ) from None
+    if rows.shape != (m, 5):
+        raise ContractError(
+            f"reference sample of {m} times gave shape {rows.shape}, expected ({m}, 5)"
         )
-    rows = np.concatenate([q_r, v_r], axis=1)
     require_finite_rows(rows, times, "the reference")
     return rows
 
@@ -100,7 +96,7 @@ def require_finite_rows(rows: Array, times: Array, what: str) -> None:
         raise DomainError(f"{what} is not finite at t = {t!r}", t=t)
 
 
-def constant_z_line(x_r: float = 1.0, z_offset: float = 1.0, speed: float = 1.0) -> ReferenceTrajectory:
+def constant_z_line(x_r: float = 1.0, z_offset: float = 1.0, speed: float = 1.0) -> Reference:
     """Reference gliding along z at constant speed, pinned to y=0.
 
     q_r(t) = (x_r, 0, z_offset + speed*t), v_r = (0, speed). Lies on the
@@ -108,32 +104,26 @@ def constant_z_line(x_r: float = 1.0, z_offset: float = 1.0, speed: float = 1.0)
     solves its free dynamics.
     """
 
-    def sample(t) -> RefSample:
+    def reference(t) -> Array:
         t = np.asarray(t, dtype=float)
-        q_r = np.empty(t.shape + (3,))
-        q_r[..., 0] = x_r
-        q_r[..., 1] = 0.0
-        q_r[..., 2] = z_offset + speed * t
-        v_r = np.empty(t.shape + (2,))
-        v_r[..., 0] = 0.0
-        v_r[..., 1] = speed
-        return q_r, v_r
+        rows = np.empty(t.shape + (5,))
+        rows[..., 0] = x_r
+        rows[..., 1] = 0.0
+        rows[..., 2] = z_offset + speed * t
+        rows[..., 3] = 0.0
+        rows[..., 4] = speed
+        return rows
 
-    return ReferenceTrajectory(sample)
+    return reference
 
 
-def free_flow(s0: AdaptedState) -> ReferenceTrajectory:
+def free_flow(s0: AdaptedState) -> Reference:
     """Reference generated by the particle's closed-form uncontrolled flow."""
     params = analytic_constants(s0)
-
-    def sample(t) -> RefSample:
-        s = analytic_flow(params, t)
-        return s.q, s.v
-
-    return ReferenceTrajectory(sample)
+    return lambda t: analytic_flow(params, t)
 
 
-def tabulated(times: Array, samples: Array) -> ReferenceTrajectory:
+def tabulated(times: Array, samples: Array) -> Reference:
     """Reference interpolated linearly from rows (q_r, v_r) on a time grid.
 
     samples is an (M, 5) table, one row (x, y, z, v1, v2) per time, with
@@ -155,12 +145,7 @@ def tabulated(times: Array, samples: Array) -> ReferenceTrajectory:
         raise ContractError("tabulated reference times and samples must be finite")
     if np.any(np.diff(times) <= 0):
         raise ContractError("tabulated reference times must increase strictly")
-
-    def sample(t) -> RefSample:
-        rows = np.stack([np.interp(t, times, column) for column in samples.T], axis=-1)
-        return rows[..., :3], rows[..., 3:]
-
-    return ReferenceTrajectory(sample)
+    return lambda t: np.stack([np.interp(t, times, column) for column in samples.T], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -175,21 +160,22 @@ class TrackingProblem:
     the integration step count, a Python or numpy int of at least 1, and
     the start s0 must be finite. The reference is sampled once, on the half
     grid j*(h/2) of the RK4 stages (`_ref_table`), at construction: a
-    sample of the wrong shape raises ContractError and a row that is not
+    result other than (2N+1, 5) rows raises ContractError and a row that is not
     finite raises DomainError, whatever built the reference.
 
     full_transversality selects the terminal rows of the shooting
     residual. True (default) imposes the gradient of the terminal cost on
     both costates, lam(T) = 2*omega*(q(T)-q_r(T)) and mu(T) =
     2*omega*(v(T)-v_r(T)), which is the condition the minimization
-    actually requires; the resulting trajectory matches direct transcription
-    of the cost to within discretization error. False keeps the simplified
-    as-printed rows lam(T) = -omega*(q(T)-q_r(T)), mu(T) = 0, whose root
-    is a non-minimizing extremal kept for comparison.
+    actually requires. (No code in the repository compares the resulting
+    trajectory with a direct transcription of the cost yet.) False keeps
+    the simplified as-printed rows lam(T) = -omega*(q(T)-q_r(T)),
+    mu(T) = 0, whose root is a non-minimizing extremal kept for
+    comparison.
     """
 
     sys: ClassVar[NonholonomicSystem] = particle_system()
-    ref: ReferenceTrajectory
+    ref: Reference
     epsilon: float
     T: float
     s0: AdaptedState
@@ -234,9 +220,9 @@ class TrackingProblem:
 
     @cached_property
     def _ref_table(self) -> Array:
-        """Reference samples on the half grid j*(h/2), shape (2N+1, n+k)."""
+        """Reference rows on the half grid j*(h/2), shape (2N+1, 5)."""
         half_grid = time_grid(0.0, self.T, 2 * self.N)
-        return reference_rows(self.ref, half_grid, self.sys.n, self.sys.k)
+        return reference_rows(self.ref, half_grid)
 
     @property
     def _ref_final(self) -> Array:
@@ -264,10 +250,10 @@ def _positive_weight(eps) -> Array:
     return eps
 
 
-def running_cost(s: AdaptedState, r: RefSample, u: Array, eps) -> Union[float, Array]:
-    """Instantaneous cost (|q-q_r|^2 + |v-v_r|^2 + eps |u|^2) / 2, summed over
-    the last axis: rows of points give one cost per row, bit for bit the
-    cost of that row alone.
+def running_cost(s: AdaptedState, r: Array, u: Array, eps) -> Union[float, Array]:
+    """Instantaneous cost (|q-q_r|^2 + |v-v_r|^2 + eps |u|^2) / 2 against the
+    reference rows r = [q_r, v_r], summed over the last axis: rows of
+    points give one cost per row, bit for bit the cost of that row alone.
 
     eps is a scalar or one weight per point, of u's leading shape
     u.shape[:-1]. Any other shape, which would change the result's shape
@@ -279,18 +265,17 @@ def running_cost(s: AdaptedState, r: RefSample, u: Array, eps) -> Union[float, A
             f"eps of shape {eps.shape} is neither a scalar nor one weight per "
             f"point of the controls {u.shape}"
         )
-    q_r, v_r = r
     return 0.5 * (
-        np.sum((s.q - q_r) ** 2, axis=-1)
-        + np.sum((s.v - v_r) ** 2, axis=-1)
+        np.sum((s.q - r[..., :3]) ** 2, axis=-1)
+        + np.sum((s.v - r[..., 3:]) ** 2, axis=-1)
         + eps * np.sum(u**2, axis=-1)
     )
 
 
-def terminal_cost(sT: AdaptedState, rT: RefSample) -> float:
-    """Terminal penalty |q(T)-q_r|^2 + |v(T)-v_r|^2 (no 1/2 factor)."""
-    q_r, v_r = rT
-    return float(np.sum((sT.q - q_r) ** 2)) + float(np.sum((sT.v - v_r) ** 2))
+def terminal_cost(sT: AdaptedState, rT: Array) -> float:
+    """Terminal penalty |q(T)-q_r|^2 + |v(T)-v_r|^2 (no 1/2 factor) against
+    the reference row rT = [q_r, v_r]."""
+    return float(np.sum((sT.q - rT[:3]) ** 2)) + float(np.sum((sT.v - rT[3:]) ** 2))
 
 
 def hamiltonian(
@@ -298,14 +283,14 @@ def hamiltonian(
     s: AdaptedState,
     p: Costate,
     u: Array,
-    r: RefSample,
+    r: Array,
     eps: float,
 ) -> Union[float, Array]:
     """Pointwise Hamiltonian: running cost plus costates paired with dynamics.
 
-    Points may be stacked along leading axes (u of the shape of s.v; p and
-    r broadcast against s): one value per point, bit for bit the value of
-    that point alone."""
+    r holds the reference rows [q_r, v_r]. Points may be stacked along
+    leading axes (u of the shape of s.v; p and r broadcast against s): one
+    value per point, bit for bit the value of that point alone."""
     qdot = admissible_velocity(sys, s)
     vdot = controlled_acceleration(sys, s, u)
     return (
@@ -418,13 +403,11 @@ def _cost(prob: TrackingProblem, body: Array, u: Array) -> float:
     the half-grid table, whose even rows are the grid times.
     """
     n = prob.sys.n
-    ref = prob._ref_table[::2]
     s = AdaptedState(q=body[:, :n], v=body[:, n:])
-    values = running_cost(s, (ref[:, :n], ref[:, n:]), u, prob.epsilon)
+    values = running_cost(s, prob._ref_table[::2], u, prob.epsilon)
     integral = float(np.trapezoid(values, prob.times))
     sT = AdaptedState(q=body[-1, :n], v=body[-1, n:])
-    ref_T = prob._ref_final
-    return integral + prob.omega * terminal_cost(sT, (ref_T[:n], ref_T[n:]))
+    return integral + prob.omega * terminal_cost(sT, prob._ref_final)
 
 
 def total_cost(traj: Trajectory, prob: TrackingProblem) -> float:

@@ -639,8 +639,8 @@ class TestCommands:
 
         params = analytic_constants(AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4]))
         for t in np.linspace(0.0, 1.0, 2001):
-            s = analytic_flow(params, float(t))
-            rows.append(",".join(repr(float(v)) for v in [t, *s.q, *s.v]))
+            row = analytic_flow(params, float(t))
+            rows.append(",".join(repr(float(v)) for v in [t, *row]))
         table.write_text("\n".join(rows) + "\n")
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

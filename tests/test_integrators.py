@@ -35,8 +35,7 @@ def analytic_oracle():
     p = analytic_constants(AdaptedState(q=S0[:3], v=S0[3:]))
 
     def oracle(t):
-        s = analytic_flow(p, t)
-        return np.concatenate([s.q, s.v])
+        return analytic_flow(p, t)
 
     return oracle
 
@@ -249,7 +248,7 @@ def _coupled_case(mode):
     z0 = np.concatenate([S0, [0.2, -0.4, 0.1, 0.3, -0.2]])
 
     def f(t, z):
-        ref = np.concatenate(prob.ref.sample(t))
+        ref = prob.ref(t)
         return kernels.coupled_rhs(z[None], ref[None], prob.epsilon, mode == "paper-literal")[0]
 
     return VectorField(dim=10, f=f), 0.0, z0, prob.T, prob.N

@@ -1,7 +1,9 @@
 """Tests for the RK4 rollouts of the particle flows."""
 
 import hashlib
+import os
 import re
+import tempfile
 import warnings
 import zlib
 from pathlib import Path
@@ -522,6 +524,17 @@ class TestKernelBuild:
         # a compiler that does not exist is never called when the cache is warm
         lib = kernels._build(tmp_path, compiler="nhtrack-no-such-cc")
         assert list(tmp_path.iterdir()) == built
+        assert self._coupled_digest(lib) == self.DERIVED_DIGEST
+
+    def test_unwritable_cache_builds_in_a_private_directory_it_removes(self, tmp_path, monkeypatch):
+        """With `__pycache__` not writable, the library is compiled in a
+        private temporary directory, which is gone once the library is
+        loaded; the loaded library still works."""
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        lib = kernels._library.__wrapped__()
+        assert list(tmp_path.glob("nhtrack-*")) == []
+        assert list(tmp_path.iterdir()) == []
         assert self._coupled_digest(lib) == self.DERIVED_DIGEST
 
     def test_missing_compiler_raises_clear_error(self, tmp_path):

@@ -40,36 +40,36 @@ class TestAnalyticConstants:
     def test_zero_v1_selects_singular_branch(self):
         p = analytic_constants(AdaptedState(q=[0.1, 0.3, -0.2], v=[0.0, 0.9]))
         assert p.c1 == 0.0
-        s = analytic_flow(p, 2.0)
-        assert s.q[1] == 0.3  # y frozen
+        row = analytic_flow(p, 2.0)
+        assert row[1] == 0.3  # y frozen
 
     def test_zero_v2_gives_straight_line_in_y(self):
         p = analytic_constants(AdaptedState(q=[0.1, 0.3, -0.2], v=[1.0, 0.0]))
         assert p.c2 == 0.0
-        s = analytic_flow(p, 1.7)
-        np.testing.assert_allclose(s.q, [0.1, 0.3 + 1.7, -0.2], rtol=1e-15)
-        np.testing.assert_array_equal(s.v, [1.0, 0.0])
+        row = analytic_flow(p, 1.7)
+        np.testing.assert_allclose(row[:3], [0.1, 0.3 + 1.7, -0.2], rtol=1e-15)
+        np.testing.assert_array_equal(row[3:], [1.0, 0.0])
 
     def test_round_trip_at_time_zero(self):
         """Reconstructing the initial state from the constants is exact."""
         for _ in range(50):
             s0 = AdaptedState(q=RNG.uniform(-2, 2, 3), v=RNG.uniform(-2, 2, 2))
-            s = analytic_flow(analytic_constants(s0), 0.0)
-            np.testing.assert_allclose(flat(s), flat(s0), rtol=0, atol=1e-12)
+            row = analytic_flow(analytic_constants(s0), 0.0)
+            np.testing.assert_allclose(row, flat(s0), rtol=0, atol=1e-12)
 
 
 class TestAnalyticFlow:
     def test_identity_at_t_zero(self):
         p = AnalyticParams(c1=0.8, c2=-1.1, x0=0.2, y0=-0.4, z0=3.0)
-        s = analytic_flow(p, 0.0)
-        np.testing.assert_allclose(flat(s), [0.2, -0.4, 3.0, 0.8, -1.1 / np.sqrt(1.16)], rtol=1e-15)
+        row = analytic_flow(p, 0.0)
+        np.testing.assert_allclose(row, [0.2, -0.4, 3.0, 0.8, -1.1 / np.sqrt(1.16)], rtol=1e-15)
 
     def test_singular_branch_matches_constant_reference_family(self):
         """c1 = 0, y0 = 0: x frozen, z moves linearly at speed v2."""
         p = analytic_constants(AdaptedState(q=[1.0, 0.0, 1.0], v=[0.0, 1.0]))
         for t in (0.0, 1.0, 2.5, 4.0):
-            s = analytic_flow(p, t)
-            np.testing.assert_allclose(flat(s), [1.0, 0.0, 1.0 + t, 0.0, 1.0], atol=1e-15)
+            row = analytic_flow(p, t)
+            np.testing.assert_allclose(row, [1.0, 0.0, 1.0 + t, 0.0, 1.0], atol=1e-15)
 
     def test_against_fine_step_integration(self):
         """Closed form vs the RK4 kernel at h=1e-5 over T=4."""
@@ -78,20 +78,19 @@ class TestAnalyticFlow:
         states = kernels.rollout_reduced(flat(S0), 4.0 / n, n)
         for i in (0, n // 2, n):
             t = (4.0 / n) * i
-            s = analytic_flow(p, t)
-            np.testing.assert_allclose(states[i], flat(s), rtol=0, atol=1e-8)
+            row = analytic_flow(p, t)
+            np.testing.assert_allclose(states[i], row, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("c1", [0.8, 1e-8, 0.0], ids=["generic", "small-c1", "c1-zero"])
     def test_time_array_rows_equal_scalar_samples(self, c1):
         p = AnalyticParams(c1=c1, c2=-1.1, x0=0.2, y0=-0.4, z0=3.0)
         times = np.linspace(-1.0, 4.0, 11)
-        s = analytic_flow(p, times)
-        assert s.q.shape == (11, 3) and s.v.shape == (11, 2)
+        rows = analytic_flow(p, times)
+        assert rows.shape == (11, 5)
         for j, t in enumerate(times):
             one = analytic_flow(p, float(t))
-            assert one.q.shape == (3,) and one.v.shape == (2,)
-            np.testing.assert_array_equal(s.q[j], one.q)
-            np.testing.assert_array_equal(s.v[j], one.v)
+            assert one.shape == (5,)
+            np.testing.assert_array_equal(rows[j], one)
 
 
 class TestUnreducedField:

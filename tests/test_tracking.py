@@ -17,7 +17,6 @@ from nhtrack.shooting import fd_jacobian, solve_tracking
 from nhtrack.tracking import (
     ADJOINT_MODES,
     Costate,
-    ReferenceTrajectory,
     TrackingProblem,
     _terminal_rows,
     benchmark_problem,
@@ -62,7 +61,12 @@ def random_costate():
 
 
 def random_sample():
-    return (RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 2))
+    return np.concatenate([RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 2)])
+
+
+def split_qv(rows):
+    """(q_r, v_r) of reference rows [q_r, v_r]."""
+    return rows[..., :3], rows[..., 3:]
 
 
 def kernel_rows(z, ref, eps, mode):
@@ -75,34 +79,36 @@ class TestRunningCost:
     def test_zero_on_reference(self):
         q_r, v_r = RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 2)
         s = AdaptedState(q=q_r, v=v_r)
-        assert running_cost(s, (q_r, v_r), np.zeros(2), 7.0) == 0.0
+        assert running_cost(s, np.concatenate([q_r, v_r]), np.zeros(2), 7.0) == 0.0
 
     def test_single_position_error(self):
         s = AdaptedState(q=[1.0, 0.0, 0.0], v=[0.0, 0.0])
-        assert running_cost(s, (np.zeros(3), np.zeros(2)), np.zeros(2), 1.0) == 0.5
+        assert running_cost(s, np.zeros(5), np.zeros(2), 1.0) == 0.5
 
     def test_control_effort_term(self):
         """eps=7 with u=(1,-2): cost is 7*5/2."""
         q_r, v_r = np.zeros(3), np.zeros(2)
         s = AdaptedState(q=q_r, v=v_r)
-        assert running_cost(s, (q_r, v_r), np.array([1.0, -2.0]), 7.0) == 17.5
+        assert running_cost(s, np.zeros(5), np.array([1.0, -2.0]), 7.0) == 17.5
 
     def test_rejects_nonpositive_eps(self):
         s = AdaptedState(q=np.zeros(3), v=np.zeros(2))
         with pytest.raises(SingularProblemError):
-            running_cost(s, (np.zeros(3), np.zeros(2)), np.zeros(2), 0.0)
+            running_cost(s, np.zeros(5), np.zeros(2), 0.0)
 
     @pytest.mark.parametrize("eps", [np.inf, np.nan])
     def test_rejects_non_finite_eps(self, eps):
         s = AdaptedState(q=np.zeros(3), v=np.zeros(2))
         with pytest.raises(SingularProblemError, match="finite"):
-            running_cost(s, (np.zeros(3), np.zeros(2)), np.zeros(2), eps)
+            running_cost(s, np.zeros(5), np.zeros(2), eps)
 
     @staticmethod
     def _points(lead=(4,)):
         rng = np.random.default_rng(5)
         s = AdaptedState(q=rng.uniform(-1, 1, lead + (3,)), v=rng.uniform(-1, 1, lead + (2,)))
-        r = (rng.uniform(-1, 1, lead + (3,)), rng.uniform(-1, 1, lead + (2,)))
+        r = np.concatenate(
+            [rng.uniform(-1, 1, lead + (3,)), rng.uniform(-1, 1, lead + (2,))], axis=-1
+        )
         return s, r, rng.uniform(-1, 1, lead + (2,))
 
     def test_row_weights_equal_single_point_calls(self):
@@ -111,7 +117,7 @@ class TestRunningCost:
         rows = running_cost(s, r, u, eps)
         assert rows.shape == (4,)
         for j in range(4):
-            one = running_cost(AdaptedState(q=s.q[j], v=s.v[j]), (r[0][j], r[1][j]), u[j], eps[j])
+            one = running_cost(AdaptedState(q=s.q[j], v=s.v[j]), r[j], u[j], eps[j])
             assert rows[j].tobytes() == np.float64(one).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
@@ -132,33 +138,33 @@ class TestRunningCost:
 class TestTerminalCost:
     def test_zero_on_reference(self):
         q_r, v_r = RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 2)
-        assert terminal_cost(AdaptedState(q=q_r, v=v_r), (q_r, v_r)) == 0.0
+        assert terminal_cost(AdaptedState(q=q_r, v=v_r), np.concatenate([q_r, v_r])) == 0.0
 
     def test_unit_error_single_coordinate(self):
         """No 1/2 factor on the terminal penalty."""
         sT = AdaptedState(q=[0.0, 0.0, 1.0], v=[0.0, 0.0])
-        assert terminal_cost(sT, (np.zeros(3), np.zeros(2))) == 1.0
+        assert terminal_cost(sT, np.zeros(5)) == 1.0
 
     def test_uniform_small_errors(self):
         sT = AdaptedState(q=[0.1, 0.1, 0.1], v=[0.1, 0.1])
         np.testing.assert_allclose(
-            terminal_cost(sT, (np.zeros(3), np.zeros(2))), 0.05, rtol=1e-14
+            terminal_cost(sT, np.zeros(5)), 0.05, rtol=1e-14
         )
 
     def test_omega_weighting(self):
         """Terminal error of squared norm 0.05 contributes 0.1 at omega=2."""
         sT = AdaptedState(q=[0.1, 0.1, 0.1], v=[0.1, 0.1])
         np.testing.assert_allclose(
-            2.0 * terminal_cost(sT, (np.zeros(3), np.zeros(2))), 0.1, rtol=1e-14
+            2.0 * terminal_cost(sT, np.zeros(5)), 0.1, rtol=1e-14
         )
 
 
 class TestHamiltonian:
     def test_zero_on_reference_with_zero_costate(self):
-        q_r, v_r = random_sample()
-        s = AdaptedState(q=q_r, v=v_r)
+        r = random_sample()
+        s = AdaptedState(*split_qv(r))
         p = Costate(lam=np.zeros(3), mu=np.zeros(2))
-        assert hamiltonian(SYS, s, p, np.zeros(2), (q_r, v_r), 7.0) == 0.0
+        assert hamiltonian(SYS, s, p, np.zeros(2), r, 7.0) == 0.0
 
     def test_reduces_to_running_cost_without_costate(self):
         s = AdaptedState(q=RNG.uniform(-1, 1, 3), v=RNG.uniform(-1, 1, 2))
@@ -171,7 +177,7 @@ class TestHamiltonian:
         """Every term of H summed independently for a concrete point."""
         s = AdaptedState(q=[0.3, 0.2, -0.1], v=[0.5, 0.4])
         p = Costate(lam=[1.0, 1.0, 1.0], mu=[0.0, 1.0])
-        r = (np.array([0.3, 0.2, -0.1]), np.array([0.0, 1.0]))  # on-reference positions
+        r = np.array([0.3, 0.2, -0.1, 0.0, 1.0])  # on-reference positions
         got = hamiltonian(SYS, s, p, np.zeros(2), r, 7.0)
         expected = (
             0.5 * (0.5**2 + (0.4 - 1.0) ** 2)  # velocity error
@@ -226,7 +232,8 @@ class TestStackedPoints:
     @given(stacked(3, 2, 3, 2, 3, 2, 1), st.floats(0.1, 50.0))
     def test_rows_equal_single_point_calls(self, arrays_, eps):
         def evaluate(q, v, lam, mu, q_r, v_r, w):
-            s, p, r = AdaptedState(q=q, v=v), Costate(lam=lam, mu=mu), (q_r, v_r)
+            s, p = AdaptedState(q=q, v=v), Costate(lam=lam, mu=mu)
+            r = np.concatenate([q_r, v_r], axis=-1)
             u = stationary_control(p, 0.5 + w * w)  # one positive weight per row
             return {
                 "stationary_control": u,
@@ -259,7 +266,7 @@ class TestAdjointField:
     MODES = ("derived", "paper-literal")
 
     def test_zero_on_reference_with_zero_costate(self):
-        ref = np.concatenate(random_sample())[None]
+        ref = random_sample()[None]
         z = np.concatenate([ref[0], np.zeros(5)])[None]
         for mode in self.MODES:
             np.testing.assert_array_equal(kernel_rows(z, ref, 7.0, mode)[:, 5:], np.zeros((1, 5)))
@@ -279,7 +286,7 @@ class TestAdjointField:
     def test_modes_agree_when_coupling_costate_vanishes(self):
         """With mu2 = 0 the differing terms drop out of both variants."""
         z = np.concatenate([RNG.uniform(-1, 1, 8), [0.7, 0.0]])[None]
-        ref = np.concatenate(random_sample())[None]
+        ref = random_sample()[None]
         a, b = (kernel_rows(z, ref, 7.0, mode) for mode in self.MODES)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
@@ -305,7 +312,7 @@ class TestSymbolicOracle:
         z, r = self.Z, self.R
         s = AdaptedState(q=z[:, :3], v=z[:, 3:5])
         p = Costate(lam=z[:, 5:8], mu=z[:, 8:])
-        got = hamiltonian(SYS, s, p, self.U, (r[:, :3], r[:, 3:]), eps)
+        got = hamiltonian(SYS, s, p, self.U, r, eps)
         assert _gap(got[:, None], oracle.hamiltonian(self.Z, self.U, self.R, eps)[:, None]) <= 1e-14
 
     @pytest.mark.parametrize("eps", [0.5, 7.0])
@@ -332,7 +339,7 @@ class TestCoupledField:
             [-0.08, 0.5, 0.4, 0.0, -(0.2 / 1.04) * 0.5 * 0.4, 0.5, -0.2, 0.3, -0.5, 0.6]
         )
         z0 = np.concatenate([S0.q, S0.v, np.zeros(5)])[None]
-        ref = np.concatenate(constant_z_line(1.0, 1.0, 1.0).sample(0.0))[None]
+        ref = constant_z_line(1.0, 1.0, 1.0)(0.0)[None]
         for mode in ("derived", "paper-literal"):
             np.testing.assert_allclose(kernel_rows(z0, ref, 7.0, mode)[0], expected, rtol=1e-14)
 
@@ -340,14 +347,13 @@ class TestCoupledField:
         """On-reference state with zero costate follows the reference."""
         params = analytic_constants(S0)
         t = 1.3
-        st = analytic_flow(params, t)
-        ref = np.concatenate([st.q, st.v])[None]
+        ref = analytic_flow(params, t)[None]
         z = np.concatenate([ref[0], np.zeros(5)])[None]
         dz = kernel_rows(z, ref, 7.0, "derived")[0]
         # state derivative equals the free-flow derivative, costate stays 0
         h = 1e-6
         sm, sp = analytic_flow(params, t - h), analytic_flow(params, t + h)
-        ref_dot = (np.concatenate([sp.q, sp.v]) - np.concatenate([sm.q, sm.v])) / (2 * h)
+        ref_dot = (sp - sm) / (2 * h)
         np.testing.assert_allclose(dz[:5], ref_dot, atol=1e-9)
         np.testing.assert_allclose(dz[5:], np.zeros(5), atol=1e-13)
 
@@ -360,7 +366,7 @@ class TestCoupledField:
             fast = integrate_coupled(prob, alpha)
             z0 = np.concatenate([S0.q, S0.v, alpha])
             field = oracle.field[mode]
-            vf = VectorField(dim=10, f=lambda t, z: field(z, np.concatenate(prob.ref.sample(t)), prob.epsilon))
+            vf = VectorField(dim=10, f=lambda t, z: field(z, prob.ref(t), prob.epsilon))
             slow = integrate(vf, 0.0, z0, prob.T, prob.N)
             np.testing.assert_allclose(fast.states, slow.states, rtol=1e-9, atol=1e-12)
 
@@ -368,7 +374,7 @@ class TestCoupledField:
 class TestReferenceKinds:
     def test_constant_z_line_values(self):
         ref = constant_z_line(1.0, 1.0, 1.0)
-        q_r, v_r = ref.sample(2.5)
+        q_r, v_r = split_qv(ref(2.5))
         np.testing.assert_array_equal(q_r, [1.0, 0.0, 3.5])
         np.testing.assert_array_equal(v_r, [0.0, 1.0])
 
@@ -376,16 +382,13 @@ class TestReferenceKinds:
         ref = free_flow(S0)
         params = analytic_constants(S0)
         for t in (0.0, 1.0, 3.2):
-            q_r, v_r = ref.sample(t)
-            s = analytic_flow(params, t)
-            np.testing.assert_array_equal(q_r, s.q)
-            np.testing.assert_array_equal(v_r, s.v)
+            np.testing.assert_array_equal(ref(t), analytic_flow(params, t))
 
     def test_tabulated_interpolates_linearly(self):
         times = np.array([0.0, 1.0, 2.0])
         rows = np.array([[0, 0, 0, 0, 0], [2, 4, 6, 8, 10], [4, 8, 12, 16, 20]], dtype=float)
         ref = tabulated(times, rows)
-        q_r, v_r = ref.sample(0.5)
+        q_r, v_r = split_qv(ref(0.5))
         np.testing.assert_array_equal(q_r, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(v_r, [4.0, 5.0])
 
@@ -397,10 +400,10 @@ class TestReferenceKinds:
     def test_time_array_rows_equal_scalar_samples(self, make):
         ref = make()
         times = np.linspace(-0.5, 4.0, 10)
-        q_r, v_r = ref.sample(times)
+        q_r, v_r = split_qv(ref(times))
         assert q_r.shape == (10, 3) and v_r.shape == (10, 2)
         for j, t in enumerate(times):
-            q1, v1 = ref.sample(float(t))
+            q1, v1 = split_qv(ref(float(t)))
             np.testing.assert_array_equal(q_r[j], q1)
             np.testing.assert_array_equal(v_r[j], v1)
 
@@ -429,7 +432,7 @@ class TestReferenceKinds:
         speed = 2.5
         ref = constant_z_line(x_r=0.3, z_offset=z_offset, speed=speed)
         times = np.concatenate([np.linspace(0.0, 4.0, 9), [1e7, 1e9]])
-        q_dot = admissible_velocity(SYS, AdaptedState(*ref.sample(times)))
+        q_dot = admissible_velocity(SYS, AdaptedState(*split_qv(ref(times))))
         np.testing.assert_array_equal(q_dot, np.tile([0.0, 0.0, speed], (len(times), 1)))
 
     @pytest.mark.parametrize("make, T", [
@@ -511,8 +514,7 @@ class TestTrackingProblem:
         table = prob._ref_table
         assert table.shape == (17, 5)
         for j in (0, 5, 16):
-            q_r, v_r = prob.ref.sample(j * half)
-            np.testing.assert_array_equal(table[j], np.concatenate([q_r, v_r]))
+            np.testing.assert_array_equal(table[j], prob.ref(j * half))
 
     def test_solve_and_costs_sample_the_reference_once(self):
         """The horizon row the residual and the costs read is the last row
@@ -522,9 +524,9 @@ class TestTrackingProblem:
 
         def sample(t):
             times.append(t)
-            return line.sample(t)
+            return line(t)
 
-        prob = TrackingProblem(ref=ReferenceTrajectory(sample), epsilon=7.0, T=4.0, s0=S0, N=400)
+        prob = TrackingProblem(ref=sample, epsilon=7.0, T=4.0, s0=S0, N=400)
         report = solve_tracking(prob)
         assert report.converged
         total_cost(report.trajectory, prob)
@@ -563,12 +565,15 @@ class TestRefTableBitExact:
         assert _sha256(prob._ref_table) == "cd55e7852ec50bf75049b9350bc307c3cdb1066056f49a563bf2a317aa839188"
 
     @pytest.mark.parametrize("sample", [
-        lambda t: (np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0])),  # ignores the time vector
-        lambda t: (np.stack([np.ones_like(t), 0 * t, 1 + t]), np.stack([0 * t, np.ones_like(t)])),
-    ], ids=["scalar-only", "transposed"])
+        lambda t: np.array([1.0, 0.0, 1.0, 0.0, 1.0]),  # ignores the time vector
+        lambda t: np.stack([np.ones_like(t), 0 * t, 1 + t, 0 * t, np.ones_like(t)]),
+        # an old-style (q_r, v_r) pair, which numpy cannot stack into one array
+        lambda t: (np.stack([np.ones_like(t), 0 * t, 1 + t], axis=-1),
+                   np.stack([0 * t, np.ones_like(t)], axis=-1)),
+    ], ids=["scalar-only", "transposed", "qv-pair"])
     def test_wrong_sample_shapes_rejected(self, sample):
         with pytest.raises(ContractError, match="reference sample of 21 times"):
-            TrackingProblem(ref=ReferenceTrajectory(sample), epsilon=7.0, T=4.0, s0=S0, N=10)
+            TrackingProblem(ref=sample, epsilon=7.0, T=4.0, s0=S0, N=10)
 
 
 # The reflection (x, y, v1) -> (-x, -y, -v1), with their costates
@@ -634,7 +639,7 @@ class TestShootingResidual:
         simplified residual, by definition."""
         omega = 2.7
         prob = benchmark_problem(N=4, omega=omega, full_transversality=False)
-        q_rT, v_rT = prob.ref.sample(prob.T)
+        q_rT, v_rT = split_qv(prob.ref(prob.T))
         qT = q_rT + np.array([0.3, -0.4, 0.1])
         zT = np.concatenate([qT, v_rT, -omega * (qT - q_rT), np.zeros(2)])
         times = prob.h * np.arange(prob.N + 1)
@@ -646,7 +651,7 @@ class TestShootingResidual:
         """lam(T) = 2w(q-q_r), mu(T) = 2w(v-v_r) zeroes the default rows."""
         omega = 1.3
         prob = benchmark_problem(N=4, omega=omega, full_transversality=True)
-        q_rT, v_rT = prob.ref.sample(prob.T)
+        q_rT, v_rT = split_qv(prob.ref(prob.T))
         qT = q_rT + np.array([0.3, -0.4, 0.1])
         vT = v_rT + np.array([0.2, -0.1])
         zT = np.concatenate([qT, vT, 2 * omega * (qT - q_rT), 2 * omega * (vT - v_rT)])
@@ -707,7 +712,7 @@ class TestTotalCost:
         times = prob.h * np.arange(prob.N + 1)
         states = np.empty((prob.N + 1, 10))
         for i, t in enumerate(times):
-            q_r, v_r = prob.ref.sample(float(t))
+            q_r, v_r = split_qv(prob.ref(float(t)))
             states[i] = np.concatenate([q_r, v_r, np.zeros(5)])
         traj = Trajectory(times=times, states=states)
         assert total_cost(traj, prob) == 0.0
@@ -721,12 +726,12 @@ class TestTotalCost:
         # independent recomputation
         vals = []
         for i, t in enumerate(traj.times):
-            q_r, v_r = prob.ref.sample(float(t))
+            q_r, v_r = split_qv(prob.ref(float(t)))
             e_q = traj.states[i, :3] - q_r
             e_v = traj.states[i, 3:5] - v_r
             u = -traj.states[i, 8:] / prob.epsilon
             vals.append(0.5 * (e_q @ e_q + e_v @ e_v + prob.epsilon * (u @ u)))
-        q_rT, v_rT = prob.ref.sample(prob.T)
+        q_rT, v_rT = split_qv(prob.ref(prob.T))
         e_q = traj.states[-1, :3] - q_rT
         e_v = traj.states[-1, 3:5] - v_rT
         expected = np.trapezoid(vals, traj.times) + prob.omega * (e_q @ e_q + e_v @ e_v)
@@ -738,7 +743,7 @@ class TestTotalCost:
         values = [
             running_cost(
                 AdaptedState(q=states[i, :3], v=states[i, 3:5]),
-                prob.ref.sample(float(t)),
+                prob.ref(float(t)),
                 u[i],
                 prob.epsilon,
             )
@@ -746,7 +751,7 @@ class TestTotalCost:
         ]
         sT = AdaptedState(q=states[-1, :3], v=states[-1, 3:5])
         return float(np.trapezoid(values, times)) + prob.omega * terminal_cost(
-            sT, prob.ref.sample(prob.T)
+            sT, prob.ref(prob.T)
         )
 
     @pytest.mark.parametrize("N", [400, 4000])
