@@ -4,22 +4,24 @@ one implementation of each invariant: the tests call these checks.
 Each check re-verifies one contract of the library on the bundled
 particle: frame algebra, conservation laws, oracle agreement between the
 reduced and unreduced dynamics, adjoint-gradient consistency, residual
-smoothness, and solver behavior. Everything is deterministic (fixed RNG
-seeds). The suite takes about 0.04 s on a 2-vCPU Xeon VM (the fastest
-of 15 runs in one process), and `nhtrack check` about 0.3 s with
-interpreter start-up (`BENCH_23.json`). The slowest check is the
-4000-step shooting solve of solver-behavior, with exact Newton Jacobians
-(about 0.026 s). oracle-equivalence integrates its two flows side by
-side as one paired C rollout of 40,000 steps, in blocks of 2000: about
-5 ms, against 8-10 ms for the two flows one after the other, and at its
+smoothness, and solver behavior. Everything is deterministic. The random
+points are numpy's PCG64 draws for fixed seeds, replayed in pure Python
+from hard-coded seeded states so that numpy.random (about 5 MB resident)
+is never imported; the five draws cost about 1.8 ms once per process.
+On a 2-vCPU Xeon VM (in-process medians, `BENCH_28.json`) the 17 checks
+but solver-behavior take about 9 ms, and `nhtrack check` about 0.17 s
+with interpreter start-up. The slowest check is the 4000-step shooting
+solve of solver-behavior, with exact Newton Jacobians (about 22 ms).
+oracle-equivalence integrates its two flows side by side as one paired C
+rollout of 40,000 steps, in blocks of 2000: about 3.5 ms, and at its
 peak it allocates 0.51 MiB (`BENCH_24.json`).
 cubic-exactness, 4000 steps of the coupled C kernel that every command
-runs, takes about 1 ms.
+runs, takes about 0.6 ms.
 A check that evaluates the geometry, the Hamiltonian or the adjoint at
 random points draws them as stacked rows and calls each library function
 once on all of them: adjoint-gradient, 100 points, their 1,000
 Hamiltonian probes and the kernel's coupled rows there in both adjoint
-modes, takes about 0.6 ms. grid-endpoint reads
+modes, takes about 0.4 ms. grid-endpoint reads
 `integrators.time_grid` directly and integrates nothing. The closed-form
 flow and the references are sampled on whole time grids, one call per
 grid.
@@ -27,6 +29,7 @@ grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -72,15 +75,43 @@ class CheckResult:
     detail: str
 
 
-def _uniform_rows(rng, count, *blocks):
-    """count rows of uniform draws from rng, each row the columns of the
-    blocks in order: a block (low, high, width) gives width columns in
-    [low, high). Bit for bit the values of drawing, row after row, each
-    block as rng.uniform(low, high, width): one draw of the unit interval
-    scaled per column takes the same stream and the same arithmetic."""
+# numpy's PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+# Statistically Good Algorithms for Random Number Generation", HMC-CS-2014-0905):
+# a 128-bit LCG with the XSL-RR output. Its multiplier, and the (state, inc)
+# that numpy's default_rng(seed) starts from for each seed the checks draw.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_SEEDED = {
+    11: (0x6B00D0FB170AD4F8A9BBFCF88690096E, 0x05F8AC07FFE071C3B00016928186734B),
+    12: (0xD8883E496D47DFAC6CC161E471A4E179, 0x6A860436549D788743AA67DD1E6EB5AB),
+    13: (0x2E398EEFA3F5CB22F45B8960EE5DBEC5, 0xEEF1E9B02330DA2FA1B4EFAB0CF5E63F),
+    14: (0x622F74B75CECABB7F1E40AEF25CAFB5A, 0x9E709FA6A5882D81C695F8FE19A6260D),
+    15: (0x2A78399ED97CC3F3894160692F30C126, 0x7EDDFE754E9151CFBADB498956BC61A5),
+}
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+@functools.cache
+def _uniform_rows(seed, count, *blocks):
+    """count rows of uniform draws from numpy's generator of seed, each row
+    the columns of the blocks in order: a block (low, high, width) gives
+    width columns in [low, high). Bit for bit the values of drawing, row
+    after row, each block as numpy's default_rng(seed).uniform(low, high,
+    width): one replayed PCG64 draw of the unit interval scaled per
+    column takes the same stream and the same arithmetic. The rows are
+    constants, computed once per process and read-only."""
     low = np.concatenate([np.full(w, lo, dtype=float) for lo, _, w in blocks])
     high = np.concatenate([np.full(w, hi, dtype=float) for _, hi, w in blocks])
-    return low + (high - low) * rng.uniform(size=(count, low.shape[0]))
+    state, inc = _PCG64_SEEDED[seed]
+    draws = []
+    for _ in range(count * low.shape[0]):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        word, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+        word = ((word >> rot) | (word << (-rot & 63))) & _MASK64
+        draws.append((word >> 11) * 2.0**-53)
+    rows = low + (high - low) * np.array(draws).reshape(count, low.shape[0])
+    rows.flags.writeable = False
+    return rows
 
 
 def _states(x) -> AdaptedState:
@@ -91,7 +122,7 @@ def _states(x) -> AdaptedState:
 
 def check_frame_annihilation() -> CheckResult:
     sys_ = particle_system()
-    s = _states(_uniform_rows(np.random.default_rng(11), 50, (-2.0, 2.0, 5)))
+    s = _states(_uniform_rows(11, 50, (-2.0, 2.0, 5)))
     qdot = admissible_velocity(sys_, s)
     worst = float(np.max(np.abs(constraint_residual(sys_, s.q, qdot))))
     return CheckResult("frame-annihilation", worst <= 1e-12, f"max residual {worst:.2e}")
@@ -99,7 +130,7 @@ def check_frame_annihilation() -> CheckResult:
 
 def check_drift_quadratic() -> CheckResult:
     sys_ = particle_system()
-    s = _states(_uniform_rows(np.random.default_rng(12), 50, (-2.0, 2.0, 5)))
+    s = _states(_uniform_rows(12, 50, (-2.0, 2.0, 5)))
     a1 = nh_acceleration(sys_, s)
     a2 = nh_acceleration(sys_, AdaptedState(q=s.q, v=2.0 * s.v))
     worst = float(np.max(np.abs(a2 - 4.0 * a1)))
@@ -110,7 +141,7 @@ def check_control_additivity() -> CheckResult:
     # exact form of the additive-control contract: controlled == drift + u
     # bitwise; the subtracted form (a+u)-a re-rounds, so it gets 1e-15
     sys_ = particle_system()
-    rows = _uniform_rows(np.random.default_rng(13), 50, (-2.0, 2.0, 5), (-3.0, 3.0, 2))
+    rows = _uniform_rows(13, 50, (-2.0, 2.0, 5), (-3.0, 3.0, 2))
     s = _states(rows)
     u = rows[:, 5:]
     drift = nh_acceleration(sys_, s)
@@ -251,7 +282,7 @@ def check_determinism() -> CheckResult:
 
 
 def check_stationarity() -> CheckResult:
-    rows = _uniform_rows(np.random.default_rng(14), 100, (-2.0, 2.0, 5), (0.5, 10.0, 1))
+    rows = _uniform_rows(14, 100, (-2.0, 2.0, 5), (0.5, 10.0, 1))
     p = Costate(lam=rows[:, :3], mu=rows[:, 3:5])
     eps = rows[:, 5:]
     u = stationary_control(p, eps)
@@ -265,7 +296,7 @@ def check_adjoint_gradient() -> CheckResult:
     # the C kernel's derived costate rows == -grad H by central differences;
     # its paper-literal rows fail the same test in exactly lam2, mu1 and mu2
     sys_ = particle_system()
-    rows = _uniform_rows(np.random.default_rng(15), 100, (-2.0, 2.0, 10), (-1.0, 1.0, 5))
+    rows = _uniform_rows(15, 100, (-2.0, 2.0, 10), (-1.0, 1.0, 5))
     p = Costate(lam=rows[:, 5:8], mu=rows[:, 8:10])
     r = rows[:, 10:15]
     eps = 7.0

@@ -5,6 +5,9 @@ check` prints the same results. A failing check reports its detail line.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +16,9 @@ import pytest
 
 from nhtrack import checks, integrators, kernels
 
-BENCHMARK_PATH = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK_PATH = ROOT / "BENCHMARK.json"
+SRC_PATH = ROOT / "src"
 
 
 @pytest.mark.parametrize("check", checks.ALL_CHECKS, ids=lambda fn: fn.__name__)
@@ -69,9 +74,9 @@ SAME_POINTS = {
 @pytest.mark.parametrize("name", sorted(SAME_POINTS))
 def test_stacked_rows_are_the_per_point_draws(name):
     """The row-drawing helper gives, bit for bit, the points that one
-    draw call per coordinate block per point gave."""
+    numpy draw call per coordinate block per point gave."""
     seed, count, blocks, one_point = SAME_POINTS[name]
-    rows = checks._uniform_rows(np.random.default_rng(seed), count, *blocks)
+    rows = checks._uniform_rows(seed, count, *blocks)
     rng = np.random.default_rng(seed)
     expected = np.array([np.concatenate(one_point(rng)) for _ in range(count)])
     assert rows.shape == expected.shape
@@ -80,14 +85,13 @@ def test_stacked_rows_are_the_per_point_draws(name):
 
 def test_checks_draw_the_pinned_rows(monkeypatch):
     """The checks that draw random points are the ones pinned above, and
-    each calls the helper once, on a fresh generator of its seed and with
-    its pinned layout."""
+    each calls the helper once, with its seed and its pinned layout."""
     calls = []
     draw = checks._uniform_rows
 
-    def recording(rng, count, *blocks):
-        calls.append((rng.bit_generator.state, count, list(blocks)))
-        return draw(rng, count, *blocks)
+    def recording(seed, count, *blocks):
+        calls.append((seed, count, list(blocks)))
+        return draw(seed, count, *blocks)
 
     monkeypatch.setattr(checks, "_uniform_rows", recording)
     recorded = {}
@@ -99,8 +103,38 @@ def test_checks_draw_the_pinned_rows(monkeypatch):
             recorded[result.name] = list(calls)
     assert sorted(recorded) == sorted(SAME_POINTS)
     for name, (seed, count, blocks, _) in SAME_POINTS.items():
-        fresh = np.random.default_rng(seed).bit_generator.state
-        assert recorded[name] == [(fresh, count, blocks)], name
+        assert recorded[name] == [(seed, count, blocks)], name
+
+
+@pytest.mark.parametrize("seed", sorted(checks._PCG64_SEEDED))
+def test_replayed_generator_starts_where_numpy_seeds_it(seed):
+    """The hard-coded (state, inc) of each seed is the one numpy's PCG64
+    derives from that seed."""
+    state, inc = checks._PCG64_SEEDED[seed]
+    assert {"state": state, "inc": inc} == np.random.PCG64(seed).state["state"]
+
+
+def test_drawn_rows_are_cached_read_only_constants():
+    seed, count, blocks, _ = SAME_POINTS["control-additivity"]
+    rows = checks._uniform_rows(seed, count, *blocks)
+    assert checks._uniform_rows(seed, count, *blocks) is rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
+
+
+def test_check_command_does_not_load_numpy_random():
+    """`nhtrack check` replays its draws in Python: a fresh interpreter
+    that runs it never imports numpy.random (about 5 MB resident)."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from nhtrack import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['check'])\n"
+        "print(status, sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_PATH))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "0 []\n"
 
 
 def test_adjoint_gradient_fails_on_a_kernel_mu2_row_off_by_1e_7(tmp_path, monkeypatch):
