@@ -29,7 +29,6 @@ from .tracking import (
     free_flow,
     hamiltonian,
     running_cost,
-    shooting_jacobian,
     shooting_residual,
     stationary_control,
     tabulated,

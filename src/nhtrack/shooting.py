@@ -3,17 +3,28 @@
 The unknown is the initial costate alpha; the residual is the terminal
 defect of one coupled integration. The Jacobian is the exact derivative of
 that discrete map, from the forward sensitivities the C kernel carries
-alongside the flow (`tracking.shooting_jacobian`); the central-difference
+alongside the flow (`tracking.shooting_maps`); the central-difference
 `fd_jacobian` is kept as its oracle. Steps are damped by simple
 backtracking, and the 5x5 linear solves use partial-pivot elimination with
 an explicit pivot check so a rank-deficient Jacobian ends the solve with a
 reason instead of garbage.
+
+The iteration runs on Python floats, not numpy arrays. Its vectors have 5
+entries, and a numpy call costs about a microsecond whatever its size,
+while a 400-step coupled rollout takes 33 us. So `solve_tracking` checks
+the kernel arguments once per solve, its maps return the residual and
+Jacobian rows as floats, and each trial, max-norm and elimination step is
+the IEEE operation numpy would perform on the arrays, in the same order:
+the iterates, the norms and alpha* equal those of the same loop on numpy
+arrays bit for bit. At N = 400 (2-vCPU Xeon VM, in-process medians) a
+solve takes 2.8 ms, 2.0 ms of it in the 37 kernel calls; on numpy arrays
+it took 3.2 ms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -24,8 +35,7 @@ from .tracking import (
     TrackingProblem,
     controls_along,
     integrate_coupled,
-    shooting_jacobian,
-    shooting_residual,
+    shooting_maps,
     total_cost,
 )
 
@@ -100,25 +110,33 @@ def fd_jacobian(res: Callable[[Array], Array], alpha: Array, step: float) -> Arr
     return J
 
 
-def solve_pivoted(A: Array, b: Array) -> Array:
-    """Solve A x = b by Gaussian elimination with partial pivoting.
+def solve_pivoted(A, b) -> List[float]:
+    """Solve A x = b by Gaussian elimination with partial pivoting; returns
+    x as a list of Python floats.
 
+    A is a square array or a list of rows of floats, b an array or a list.
     The pivot is the first row with the largest |entry| in its column.
     Raises SingularJacobianError when that pivot falls below PIVOT_TOL
     times the row scale of the original matrix. The elimination runs on
-    Python floats: for the 5x5 shooting systems that is several times
-    faster than on numpy rows.
+    lists of Python floats, each operation the IEEE one numpy would
+    perform: a 5x5 solve takes about 9 us, where numpy's per-call cost
+    alone would be several times that. Lists from the maps of
+    `tracking.shooting_maps` are copied, not converted.
     """
-    rows = np.asarray(A, dtype=float).tolist()
-    rhs = np.asarray(b, dtype=float).tolist()
+    rows = [list(row) for row in _floats(A)]
+    rhs = list(_floats(b))
     d = len(rows)
     scale = [max(map(abs, row)) or 1.0 for row in rows]
     for col in range(d):
-        pivot_row = max(range(col, d), key=lambda r: abs(rows[r][col]))
+        right = range(col + 1, d)
+        pivot_row, size = col, abs(rows[col][col])
+        for row in right:
+            if abs(rows[row][col]) > size:  # strictly: ties keep the first row
+                pivot_row, size = row, abs(rows[row][col])
         pivot = rows[pivot_row][col]
-        if abs(pivot) < PIVOT_TOL * scale[pivot_row]:
+        if size < PIVOT_TOL * scale[pivot_row]:
             raise SingularJacobianError(
-                f"negligible pivot in column {col} (|pivot| = {abs(pivot):.3e})"
+                f"negligible pivot in column {col} (|pivot| = {size:.3e})"
             )
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
@@ -126,11 +144,11 @@ def solve_pivoted(A: Array, b: Array) -> Array:
             scale[col], scale[pivot_row] = scale[pivot_row], scale[col]
         top = rows[col]
         inv_p = 1.0 / pivot
-        for row in range(col + 1, d):
+        for row in right:
             below = rows[row]
             m = below[col] * inv_p
             if m != 0.0:
-                for c in range(col + 1, d):
+                for c in right:
                     below[c] -= m * top[c]
                 rhs[row] -= m * rhs[col]
     x = [0.0] * d
@@ -140,7 +158,21 @@ def solve_pivoted(A: Array, b: Array) -> Array:
         for c in range(row + 1, d):
             acc -= r[c] * x[c]
         x[row] = acc / r[row]
-    return np.array(x)
+    return x
+
+
+def _floats(values) -> list:
+    """values as a (nested) list of Python floats; a list is taken to hold
+    them already."""
+    return values if type(values) is list else np.asarray(values, dtype=float).tolist()
+
+
+def _max_norm(r: List[float]) -> float:
+    """max |r_i|, as np.max(np.abs(r)) gives it: NaN when any entry is NaN
+    (Python's max keeps a NaN only when it comes first)."""
+    if any(map(math.isnan, r)):
+        return math.nan
+    return max(map(abs, r))
 
 
 def newton_solve(
@@ -153,52 +185,61 @@ def newton_solve(
     Jacobian jac, which is called once per iteration, at the accepted
     iterate.
 
+    res and jac are called with an array and may return arrays, or lists
+    of Python floats (a list of rows for jac), as the maps of
+    `tracking.shooting_maps` do. The iteration itself runs on Python
+    floats, because numpy's per-call cost on 5-vectors exceeds the
+    arithmetic: each trial a + s*d, the max-norm and the elimination are
+    the IEEE operations numpy would perform, in the same order, so the
+    iterates are those of a numpy loop bit for bit.
+
     Always returns a report; convergence is flagged, never raised. A step
     is accepted only when it strictly reduces the residual max-norm, so
-    the recorded norm history is monotone. A DomainError at the starting
+    the recorded norm history is monotone; a trial whose residual has a
+    NaN or an infinite entry is rejected. A DomainError at the starting
     guess or from jac, or a singular Jacobian, ends the iteration with a
     non-converged report whose message gives the reason and whose
     alpha_star is the iterate where it happened.
     """
-    alpha = np.asarray(alpha0, dtype=float).copy()
+    alpha = np.asarray(alpha0, dtype=float).tolist()
     try:
-        r = np.asarray(res(alpha), dtype=float)
+        r = _floats(res(np.array(alpha)))
     except DomainError as err:
         return ShootingReport(
-            alpha_star=alpha,
+            alpha_star=np.array(alpha),
             iterations=0,
             residual_norms=[],
             converged=False,
             message=f"residual at the starting guess left the domain: {err}",
         )
-    norm = float(np.max(np.abs(r)))
+    norm = _max_norm(r)
     norms = [norm]
     message = ""
     iterations = 0
     converged = norm <= cfg.tol_residual
     while not converged and iterations < cfg.max_iters:
         try:
-            J = jac(alpha)
+            J = jac(np.array(alpha))
         except DomainError as err:
             message = f"Jacobian left the domain: {err}"
             break
         try:
-            delta = solve_pivoted(J, -r)
+            delta = solve_pivoted(J, [-v for v in r])
         except SingularJacobianError as err:
             message = f"singular Jacobian: {err}"
             break
         s = 1.0
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
-            trial = alpha + s * delta
+            trial = [a + s * d for a, d in zip(alpha, delta)]
             try:
-                r_trial = np.asarray(res(trial), dtype=float)
+                r_trial = _floats(res(np.array(trial)))
             except DomainError:
                 # trial left the integrable region: treat as a rejected step
                 s *= 0.5
                 continue
-            norm_trial = float(np.max(np.abs(r_trial)))
-            if np.isfinite(norm_trial) and norm_trial < (1.0 - ARMIJO * s) * norm:
+            norm_trial = _max_norm(r_trial)
+            if math.isfinite(norm_trial) and norm_trial < (1.0 - ARMIJO * s) * norm:
                 alpha, r, norm = trial, r_trial, norm_trial
                 accepted = True
                 break
@@ -212,7 +253,7 @@ def newton_solve(
     if not converged and not message:
         message = f"no convergence within {cfg.max_iters} iterations"
     return ShootingReport(
-        alpha_star=alpha,
+        alpha_star=np.array(alpha),
         iterations=iterations,
         residual_norms=norms,
         converged=converged,
@@ -227,7 +268,10 @@ def solve_tracking(
 ) -> ShootingReport:
     """Shoot for the initial costate of a tracking problem.
 
-    Starts from alpha0 (default: zeros). After the iteration the coupled
+    Starts from alpha0 (default: zeros). The kernel arguments are checked
+    once, by `tracking.shooting_maps`, whose residual and Jacobian maps
+    `newton_solve` iterates on (ContractError when alpha0 does not have
+    n+k entries). After the iteration the coupled
     flow is integrated once more at the final iterate to attach the
     trajectory, the control samples, and the achieved cost to the report
     (also when not converged, so a failed run can still be inspected). When
@@ -237,8 +281,7 @@ def solve_tracking(
     if alpha0 is None:
         alpha0 = np.zeros(d)
 
-    res = partial(shooting_residual, prob=prob)
-    report = newton_solve(res, partial(shooting_jacobian, prob), alpha0, cfg)
+    report = newton_solve(*shooting_maps(prob, alpha0), alpha0, cfg)
     try:
         traj = integrate_coupled(prob, report.alpha_star)
     except DomainError:

@@ -22,6 +22,7 @@ derives it, and the kernel's Jacobian, with sympy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar, Union
@@ -345,46 +346,69 @@ def shooting_residual(alpha: Array, prob: TrackingProblem) -> Array:
     return residual_from_trajectory(traj, prob)
 
 
-def _terminal_rows(prob: TrackingProblem, z: Array, ref=0.0) -> Array:
+def _terminal_rows(prob: TrackingProblem, z: list, ref: list) -> list:
     """Transversality rows of the coupled state z = [q, v, lam, mu] at T
-    against the reference row ref = [q_r, v_r]: lam - 2*omega*(q - q_r) and
-    mu - 2*omega*(v - v_r) with full_transversality, else
-    lam + omega*(q - q_r) and mu. Given a block dz/dalpha and the default
-    zero reference, the same affine map gives the Jacobian rows
-    (subtracting 0.0 changes no value). Raises DomainError, with no
-    floating-point warning, when a row is not finite, as when a large
+    against the reference row ref = [q_r, v_r], both lists of Python
+    floats: lam - (2*omega)*(q - q_r) and mu - (2*omega)*(v - v_r) with
+    full_transversality, else lam + omega*(q - q_r) and mu.
+
+    z may also be a block dz/dalpha of m columns, flattened row by row,
+    with ref m zeros per row: the same map then gives the Jacobian rows,
+    flattened likewise (subtracting 0.0 changes no value). Each row takes
+    the IEEE operations numpy would take on the stacked arrays, in the
+    same order, so it equals numpy's bit for bit. Raises DomainError, with
+    no floating-point warning, when a row is not finite, as when a large
     omega overflows it."""
-    n, d = prob.sys.n, prob.sys.n + prob.sys.k
+    m = len(ref) // (prob.sys.n + prob.sys.k)
+    n, d = prob.sys.n * m, len(ref)
     w = prob.omega
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = z[:d] - ref
-        if prob.full_transversality:
-            rows = z[d:] - 2.0 * w * err
-        else:
-            rows = np.concatenate([z[d : d + n] + w * err[:n], z[d + n :]])
-    if not np.isfinite(rows).all():
+    if prob.full_transversality:
+        w2 = 2.0 * w
+        rows = [p - w2 * (x - r) for x, p, r in zip(z[:d], z[d:], ref)]
+    else:
+        rows = [p + w * (x - r) for x, p, r in zip(z[:n], z[d : d + n], ref)] + z[d + n :]
+    if not all(map(math.isfinite, rows)):
         raise DomainError(f"the transversality rows are not finite (omega = {w:g})")
     return rows
 
 
 def residual_from_trajectory(traj: Trajectory, prob: TrackingProblem) -> Array:
     """Assemble the shooting residual from an already-integrated flow."""
-    return _terminal_rows(prob, traj.final_state(), prob._ref_final)
+    return np.array(_terminal_rows(prob, traj.final_state().tolist(), prob._ref_final.tolist()))
 
 
-def shooting_jacobian(prob: TrackingProblem, alpha: Array) -> Array:
-    """Exact Jacobian dr/dalpha of the shooting residual of the discrete flow.
+def shooting_maps(prob: TrackingProblem, alpha0: Array) -> tuple:
+    """The shooting residual and its exact Jacobian as maps of alpha, for
+    `shooting.newton_solve`, with the kernel arguments checked once.
 
-    alpha is the last n+k entries of the kernel's start z0 (`_kernel_args`),
-    so the sensitivity S = dz/dalpha starts as [0; I]. One rollout advances
-    it to S_N = dz_N/dalpha (`kernels.rollout_coupled`), and
-    `_terminal_rows` maps it as it maps z_N in the residual. Raises
-    DomainError when the flow or the Jacobian rows are not finite.
+    alpha0's length is checked, and the start head s0, the adjoint flag
+    and the reference table are read, once here (`_kernel_args`), not per
+    call; each map takes an alpha of alpha0's length. Each map makes one
+    `kernels.rollout_coupled` call, looked up at call time, and returns
+    the rows of `_terminal_rows` as Python floats: the residual as a list,
+    the Jacobian as a list of rows. The Jacobian is that of the discrete
+    flow: alpha is the last n+k entries of the kernel's start z0, so the
+    sensitivity S = dz/dalpha starts as [0; I], the rollout advances it to
+    S_N = dz_N/dalpha, and `_terminal_rows` maps S_N as it maps z_N. Both
+    maps raise DomainError when the flow or their rows are not finite.
     """
+    z0, h, N, ref_half, eps, literal = _kernel_args(prob, alpha0)
     d = prob.sys.n + prob.sys.k
-    S = np.eye(2 * d, d, -d)
-    kernels.rollout_coupled(*_kernel_args(prob, alpha), sens=S)
-    return _terminal_rows(prob, S)
+    head = z0[:d]
+    ref_final = prob._ref_final.tolist()
+    zero = [0.0] * (d * d)
+
+    def residual(alpha: Array) -> list:
+        states = kernels.rollout_coupled(np.concatenate((head, alpha)), h, N, ref_half, eps, literal)
+        return _terminal_rows(prob, states[-1].tolist(), ref_final)
+
+    def jacobian(alpha: Array) -> list:
+        S = np.eye(2 * d, d, -d)
+        kernels.rollout_coupled(np.concatenate((head, alpha)), h, N, ref_half, eps, literal, sens=S)
+        flat = _terminal_rows(prob, S.ravel().tolist(), zero)
+        return [flat[i : i + d] for i in range(0, d * d, d)]
+
+    return residual, jacobian
 
 
 def controls_along(traj: Trajectory, prob: TrackingProblem) -> Array:

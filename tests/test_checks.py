@@ -213,7 +213,7 @@ def test_oracle_equivalence_rolls_out_40000_steps_in_restarted_blocks(monkeypatc
 
 
 def test_oracle_equivalence_holds_no_whole_flow_table():
-    """The check keeps running maxima over 4000-step blocks: a call
+    """The check keeps running maxima over 2000-step blocks: a call
     allocates under 1 MB at its peak, where the two 40,001-row tables of
     whole rollouts alone take 3.5 MB (numpy reports its buffers to
     tracemalloc). The first call, untraced, loads the kernel library."""

@@ -469,10 +469,19 @@ class TestCommands:
     def test_singular_jacobian_exits_two_with_report(self, tmp_path, monkeypatch):
         """A rank-deficient shooting Jacobian is a solver failure like any
         other: report.txt names the pivot, and the flow at the starting
-        guess is still written."""
-        from nhtrack import shooting
+        guess is still written. A kernel whose sensitivity block comes back
+        zero gives the all-zero Jacobian."""
+        from nhtrack import kernels
 
-        monkeypatch.setattr(shooting, "shooting_jacobian", lambda prob, alpha: np.zeros((5, 5)))
+        rollout = kernels.rollout_coupled
+
+        def zero_sensitivity(*args, sens=None):
+            states = rollout(*args, sens=sens)
+            if sens is not None:
+                sens[...] = 0.0
+            return states
+
+        monkeypatch.setattr(kernels, "rollout_coupled", zero_sensitivity)
         rc = main(["track", "--out", str(tmp_path), "--steps", "400"])
         assert rc == 2
         report = (tmp_path / "report.txt").read_text()

@@ -331,6 +331,64 @@ class TestBitExactOutputs:
         assert np.array_equal(report.alpha_star, SOLVE_ALPHA)
         assert report.cost == SOLVE_J
 
+    @pytest.mark.parametrize(
+        "mode, full_transversality, alpha, norms, message",
+        [
+            (
+                "derived",
+                False,
+                [0.024367706869238268, 4.243620305007816, -2.9593912935379287, 10.216639852171653,
+                 -1.8692942675292639],
+                [4.36464623694698, 4.137238340261731, 2.683984762526932, 0.9574414098854196,
+                 0.03697010357405464, 5.2412286098257876e-05, 1.3664960829551376e-10,
+                 2.733924198139448e-14],
+                "",
+            ),
+            (
+                "paper-literal",
+                True,
+                [-2.409968108871364, 8.071933268270811, -2.406901179189351, 9.49528972890647,
+                 -4.479318472409965],
+                [14.888912469994267, 11.613075221094444, 9.13636124618105, 7.343288701508869,
+                 6.729927033728954, 4.5470162496311275, 4.243637954367053, 4.028596982411856,
+                 0.1612783476997488, 0.0013257736577126228, 4.155934212324297e-07,
+                 4.8377968298041196e-14],
+                "",
+            ),
+            (
+                "paper-literal",
+                False,
+                [-2.511318952604941, 2.4097133938138864, -2.5220710117650547, 4.13895307992515,
+                 -3.1281241856804574],
+                [4.908216050395336, 3.2506692924923843, 3.099448167619989, 2.09326185508697,
+                 1.5725055138015762, 1.519680710222586, 1.063731529647359, 1.034308678356278,
+                 0.9889571137376505, 0.8810821951062026, 0.7368382043387252, 0.7367332409753191,
+                 0.736730530334116, 0.7367283153435451, 0.7367256424433314, 0.7367256389807572,
+                 0.7367256387422396],
+                "line search stalled: no damping factor reduced the residual max-norm 7.367e-01",
+            ),
+        ],
+        ids=["derived-as-printed", "paper-literal-full", "paper-literal-as-printed"],
+    )
+    def test_benchmark_variant_solves_n400(self, mode, full_transversality, alpha, norms, message):
+        """The other three adjoint-mode x transversality variants of the
+        N=400 benchmark solve, pinned bit for bit: alpha*, the iteration
+        count, every residual norm, the flag and the message. The
+        paper-literal as-printed solve stalls after 16 iterations: its line
+        searches reject 25 trials whose flow leaves the finite domain and
+        others for too small a decrease, and the last one rejects all 31."""
+        from nhtrack.shooting import solve_tracking
+        from nhtrack.tracking import benchmark_problem
+
+        report = solve_tracking(
+            benchmark_problem(N=400, adjoint_mode=mode, full_transversality=full_transversality)
+        )
+        assert report.alpha_star.tobytes() == np.array(alpha).tobytes()
+        assert report.iterations == len(norms) - 1
+        assert report.residual_norms == norms
+        assert report.converged == (message == "")
+        assert report.message == message
+
 
 def _paired_start():
     """[X0 | embed(X0)]: the starts of the reduced and unreduced digests."""
@@ -483,13 +541,14 @@ class TestSensitivity:
     @pytest.mark.parametrize("T, epsilon, N, alpha", POINTS)
     def test_shooting_jacobian_matches_fd_oracle(self, mode, full_transversality, T, epsilon, N, alpha):
         from nhtrack.shooting import fd_jacobian
-        from nhtrack.tracking import benchmark_problem, shooting_jacobian, shooting_residual
+        from nhtrack.tracking import benchmark_problem, shooting_maps, shooting_residual
 
         prob = benchmark_problem(
             epsilon=epsilon, T=T, N=N, adjoint_mode=mode, full_transversality=full_transversality
         )
         fd = fd_jacobian(lambda a: shooting_residual(a, prob), alpha, 1e-6)
-        exact = shooting_jacobian(prob, alpha)
+        _, jacobian = shooting_maps(prob, alpha)
+        exact = np.array(jacobian(alpha))
         assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 

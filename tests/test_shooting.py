@@ -85,6 +85,18 @@ class TestSolvePivoted:
             solve_pivoted(A, np.ones(2))
 
 
+    def test_tied_pivots_take_the_first_row(self):
+        """|4| ties |-4| in column 0, and the first of the two rows is the
+        pivot. The exact solution is (-0.15, 0.9, 2/3); each tie choice
+        rounds its own way, so the bits tell the two choices apart."""
+        A = np.array([[4.0, -5.0, 9.0], [-4.0, 0.0, 0.0], [2.0, 1.0, 0.0]])
+        b = np.array([0.9, 0.6, 0.6])
+        first = np.array([-0.1499999999999999, 0.8999999999999995, 0.6666666666666664])
+        assert np.array(solve_pivoted(A, b)).tobytes() == first.tobytes()
+        # with the tied rows swapped, the other row is first and the pivot
+        other = np.array([-0.15, 0.9, 0.6666666666666666])
+        assert np.array(solve_pivoted(A[[1, 0, 2]], b[[1, 0, 2]])).tobytes() == other.tobytes()
+
     def test_matches_numpy_on_well_conditioned_systems(self):
         """The Python-float elimination sums in its own order: it agrees with
         numpy.linalg.solve to 1e-12 relative when cond(A) < 100."""
@@ -146,6 +158,46 @@ class TestNewtonSolve:
         )
         assert not report.converged
         assert report.message
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_trial_with_a_nan_residual_rejected(self, position):
+        """res(x) = x - t, except that the full Newton step, which lands on
+        t exactly, has a NaN residual entry. Every full step is rejected,
+        wherever the NaN sits, and each iteration halves the distance to t."""
+        t = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+
+        def res(x):
+            r = x - t
+            if np.array_equal(x, t):
+                r[position] = np.nan
+            return r
+
+        report = newton_solve(res, lambda x: np.eye(5), np.zeros(5), NewtonConfig(max_iters=3))
+        assert report.iterations == 3 and not report.converged
+        assert report.residual_norms == [5.0, 2.5, 1.25, 0.625]
+        assert report.alpha_star.tobytes() == (0.875 * t).tobytes()
+
+    def test_nan_starting_residual_reported_alike_at_every_position(self):
+        """A NaN in any entry of the starting residual makes its max-norm
+        NaN, as np.max gives it, so no trial can reduce it: the same
+        stalled report for every position of the NaN."""
+        t = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        reports = []
+        for position in (0, 2, 4):
+
+            def res(x, position=position):
+                r = x - t
+                if not x.any():
+                    r[position] = np.nan
+                return r
+
+            rep = newton_solve(res, lambda x: np.eye(5), np.zeros(5), NewtonConfig())
+            assert len(rep.residual_norms) == 1 and np.isnan(rep.residual_norms[0])
+            reports.append((rep.iterations, rep.converged, rep.message, rep.alpha_star.tobytes()))
+        assert reports == [
+            (0, False, "line search stalled: no damping factor reduced the residual max-norm nan",
+             np.zeros(5).tobytes())
+        ] * 3
 
     def test_domain_error_at_start_reported_not_raised(self):
         def res(x):
@@ -278,6 +330,30 @@ class TestSolveTracking:
         assert "Jacobian left the domain" in report.message and "not finite" in report.message
         np.testing.assert_array_equal(report.alpha_star, np.zeros(5))
         assert report.trajectory is not None
+
+    def test_benchmark_solve_makes_37_rollouts(self, monkeypatch):
+        """The N = 400 benchmark solve calls kernels.rollout_coupled 37 times:
+        1 initial residual, 11 Jacobians (with sens), 24 line-search trials
+        and 1 final flow at alpha*. Every call passes (z0, h, N, ref, eps,
+        literal) positionally and sens by keyword, as perfbench/spans.py
+        reads them."""
+        calls = []
+        rollout = kernels.rollout_coupled
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return rollout(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "rollout_coupled", counting)
+        report = solve_tracking(benchmark_problem(N=400))
+        assert report.converged and report.iterations == 11
+        assert len(calls) == 37
+        assert all(len(args) == 6 and args[2] == 400 and args[3].shape == (801, 5) for args, _ in calls)
+        keywords = [sorted(kwargs) for _, kwargs in calls]
+        assert keywords.count(["sens"]) == 11 and keywords.count([]) == 1 + 24 + 1
+        plain = [args for args, kwargs in calls if not kwargs]
+        assert plain[0][0][5:].tobytes() == np.zeros(5).tobytes()
+        assert not calls[-1][1] and calls[-1][0][0][5:].tobytes() == report.alpha_star.tobytes()
 
     def test_singular_problem_rejected_before_solving(self):
         with pytest.raises(SingularProblemError):
