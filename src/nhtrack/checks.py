@@ -56,7 +56,7 @@ from .particle import (
 )
 from .shooting import NewtonConfig, fd_jacobian, solve_tracking
 from .tracking import (
-    Costate,
+    BENCHMARK_START,
     TrackingProblem,
     benchmark_problem,
     free_flow,
@@ -130,9 +130,10 @@ def check_frame_annihilation() -> CheckResult:
 
 def check_drift_quadratic() -> CheckResult:
     sys_ = particle_system()
-    s = _states(_uniform_rows(12, 50, (-2.0, 2.0, 5)))
-    a1 = nh_acceleration(sys_, s)
-    a2 = nh_acceleration(sys_, AdaptedState(q=s.q, v=2.0 * s.v))
+    x = _uniform_rows(12, 50, (-2.0, 2.0, 5))
+    a1 = nh_acceleration(sys_, _states(x))
+    # the same points with v doubled
+    a2 = nh_acceleration(sys_, _states(np.array([1.0, 1.0, 1.0, 2.0, 2.0]) * x))
     worst = float(np.max(np.abs(a2 - 4.0 * a1)))
     return CheckResult("drift-quadratic-in-v", worst <= 1e-13, f"max defect {worst:.2e}")
 
@@ -163,13 +164,12 @@ def check_structure_zero() -> CheckResult:
 
 
 def _reduced_rollout_default():
-    x0 = np.array([0.5, 0.2, 0.7, 0.5, 0.4])
-    return kernels.rollout_reduced(x0, 4.0 / 4000, 4000)
+    return kernels.rollout_reduced(np.array(BENCHMARK_START), 4.0 / 4000, 4000)
 
 
 def check_energy_conservation() -> CheckResult:
     states = _reduced_rollout_default()
-    e = restricted_energy(_states(states))
+    e = restricted_energy(states)
     drift = float(np.max(np.abs(e - e[0])) / abs(e[0]))
     return CheckResult("energy-conservation", drift <= 1e-10, f"relative drift {drift:.2e}")
 
@@ -186,10 +186,10 @@ def check_oracle_equivalence() -> CheckResult:
     # its half-grid index, so the rows are those of one 40,000-step rollout
     # of each flow bit for bit, and the running maxima are exact, without
     # holding a whole 40,001-row table
-    s0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
+    x0 = np.array(BENCHMARK_START)
     n, block = 40000, 2000
     h = 4.0 / n
-    states = np.concatenate([s0.q, s0.v, embed(s0)])[None]
+    states = np.concatenate([x0, embed(_states(x0))])[None]
     gap = ambient_drift = 0.0
     for _ in range(n // block):
         states = kernels.rollout_paired(states[-1], h, block)
@@ -216,7 +216,7 @@ def check_branch_continuity() -> CheckResult:
 
 def check_flow_ode_residual() -> CheckResult:
     sys_ = particle_system()
-    p = analytic_constants(AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4]))
+    p = analytic_constants(_states(np.array(BENCHMARK_START)))
     fd = 1e-6
     times = np.linspace(0.05, 3.95, 25)
     sm = analytic_flow(p, times - fd)
@@ -282,12 +282,12 @@ def check_determinism() -> CheckResult:
 
 
 def check_stationarity() -> CheckResult:
+    # rows [l1, l2, l3, m1, m2, eps]: the control reads only m1, m2
     rows = _uniform_rows(14, 100, (-2.0, 2.0, 5), (0.5, 10.0, 1))
-    p = Costate(lam=rows[:, :3], mu=rows[:, 3:5])
-    eps = rows[:, 5:]
-    u = stationary_control(p, eps)
-    g = hamiltonian_control_gradient(p, u, eps)
-    scale = np.maximum(1.0, np.max(np.abs(p.mu), axis=1))
+    mu, eps = rows[:, 3:5], rows[:, 5:]
+    u = stationary_control(mu, eps)
+    g = hamiltonian_control_gradient(mu, u, eps)
+    scale = np.maximum(1.0, np.max(np.abs(mu), axis=1))
     worst = float(np.max(np.max(np.abs(g), axis=1) / scale))
     return CheckResult("stationarity", worst <= 1e-15, f"max |dH/du| {worst:.2e}")
 
@@ -297,24 +297,21 @@ def check_adjoint_gradient() -> CheckResult:
     # its paper-literal rows fail the same test in exactly lam2, mu1 and mu2
     sys_ = particle_system()
     rows = _uniform_rows(15, 100, (-2.0, 2.0, 10), (-1.0, 1.0, 5))
-    p = Costate(lam=rows[:, 5:8], mu=rows[:, 8:10])
-    r = rows[:, 10:15]
+    z, r = rows[:, :10], rows[:, 10:15]
     eps = 7.0
     step = 1e-6
-    u = stationary_control(p, eps)
+    u = stationary_control(z[:, 8:], eps)
     # all 5 +- probes of every point in one call per sign: axis 1 is the
-    # probed coordinate, and u takes the probes' shape, as v's
-    e = step * np.eye(5)
-    x = rows[:, None, :5]
-    p_probe = Costate(lam=p.lam[:, None], mu=p.mu[:, None])
+    # probed state coordinate, and u takes the probes' shape, as v's
+    e = step * np.eye(5, 10)
     u_probe = np.repeat(u[:, None], 5, axis=1)
-    h_plus = hamiltonian(sys_, _states(x + e), p_probe, u_probe, r[:, None], eps)
-    h_minus = hamiltonian(sys_, _states(x - e), p_probe, u_probe, r[:, None], eps)
+    h_plus = hamiltonian(sys_, z[:, None] + e, u_probe, r[:, None], eps)
+    h_minus = hamiltonian(sys_, z[:, None] - e, u_probe, r[:, None], eps)
     grad = (h_plus - h_minus) / (2 * step)
     scale = np.maximum(1.0, np.abs(grad))
 
     def gap(literal):
-        pdot = kernels.coupled_rhs(rows[:, :10], r, eps, literal)[:, 5:]
+        pdot = kernels.coupled_rhs(z, r, eps, literal)[:, 5:]
         return np.abs(pdot + grad) / scale
 
     worst = float(np.max(gap(False)))
@@ -353,7 +350,7 @@ def check_residual_smoothness() -> CheckResult:
 
 
 def check_zero_fixed_point() -> CheckResult:
-    s0 = AdaptedState(q=np.array([0.5, 0.2, 0.7]), v=np.array([0.5, 0.4]))
+    s0 = _states(np.array(BENCHMARK_START))
     prob = TrackingProblem(ref=free_flow(s0), epsilon=7.0, T=4.0, s0=s0)
     r = shooting_residual(np.zeros(5), prob)
     worst = float(np.max(np.abs(r)))

@@ -39,6 +39,7 @@ from .particle import PARTICLE_NAME, analytic_constants, analytic_flow
 from .shooting import NewtonConfig, solve_tracking
 from .tracking import (
     ADJOINT_MODES,
+    BENCHMARK_START,
     Reference,
     TrackingProblem,
     constant_z_line,
@@ -75,12 +76,12 @@ class ExperimentConfig:
     """Validated experiment description with documented defaults.
 
     Omitted keys fall back to the bundled benchmark experiment: the
-    particle started at (0.5, 0.2, 0.7; 0.5, 0.4) tracking the reference
+    particle started at `tracking.BENCHMARK_START` tracking the reference
     (1, 0, t+1; 0, 1) over T=4 with epsilon=7 and omega=1.
     """
 
     system: str = PARTICLE_NAME
-    initial_state: tuple = (0.5, 0.2, 0.7, 0.5, 0.4)
+    initial_state: tuple = BENCHMARK_START
     reference: str = KIND_LINE
     ref_x_r: float = 1.0
     ref_z_offset: float = 1.0

@@ -18,6 +18,15 @@ rollouts run the particle's C RK4 kernel. The kernel's coupled
 right-hand side is the one copy of the costate equations;
 `kernels.coupled_rhs` evaluates it at stacked rows. `tests/oracles.py`
 derives it, and the kernel's Jacobian, with sympy.
+
+The costs, the Hamiltonian and the stationary control read the kernels'
+row layout, stacked along leading axes: the coupled rows
+z = [x, y, z, v1, v2, l1, l2, l3, m1, m2] of `hamiltonian`, the state
+rows [x, y, z, v1, v2] of the costs (the layout of the references too),
+and the fiber-costate rows [m1, m2] of the control. So a trajectory's
+rows go in as slices, with no wrapping. An `AdaptedState` (q, v) is a
+start point, and the split the frame geometry reads, which `hamiltonian`
+builds for it.
 """
 
 from __future__ import annotations
@@ -50,17 +59,10 @@ Reference = Callable[[Union[float, Array]], Array]
 
 ADJOINT_MODES = ("derived", "paper-literal")
 
-
-@dataclass(frozen=True)
-class Costate:
-    """Multipliers conjugate to the base point (lam, n) and fiber (mu, k)."""
-
-    lam: Array
-    mu: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
+# The start [x, y, z, v1, v2] of the bundled benchmark, the paper's: the
+# default of `benchmark_problem`, of the CLI's initial_state and of the
+# checks that integrate from it.
+BENCHMARK_START = (0.5, 0.2, 0.7, 0.5, 0.4)
 
 
 def reference_rows(ref: Reference, times: Array) -> Array:
@@ -251,10 +253,11 @@ def _positive_weight(eps) -> Array:
     return eps
 
 
-def running_cost(s: AdaptedState, r: Array, u: Array, eps) -> Union[float, Array]:
-    """Instantaneous cost (|q-q_r|^2 + |v-v_r|^2 + eps |u|^2) / 2 against the
-    reference rows r = [q_r, v_r], summed over the last axis: rows of
-    points give one cost per row, bit for bit the cost of that row alone.
+def running_cost(x: Array, r: Array, u: Array, eps) -> Union[float, Array]:
+    """Instantaneous cost (|q-q_r|^2 + |v-v_r|^2 + eps |u|^2) / 2 of the
+    state rows x = [q, v] against the reference rows r = [q_r, v_r], both
+    [x, y, z, v1, v2], summed over the last axis: stacked rows give one
+    cost per row, bit for bit the cost of that row alone.
 
     eps is a scalar or one weight per point, of u's leading shape
     u.shape[:-1]. Any other shape, which would change the result's shape
@@ -266,54 +269,56 @@ def running_cost(s: AdaptedState, r: Array, u: Array, eps) -> Union[float, Array
             f"eps of shape {eps.shape} is neither a scalar nor one weight per "
             f"point of the controls {u.shape}"
         )
+    e = x - r
     return 0.5 * (
-        np.sum((s.q - r[..., :3]) ** 2, axis=-1)
-        + np.sum((s.v - r[..., 3:]) ** 2, axis=-1)
+        np.sum(e[..., :3] ** 2, axis=-1)
+        + np.sum(e[..., 3:] ** 2, axis=-1)
         + eps * np.sum(u**2, axis=-1)
     )
 
 
-def terminal_cost(sT: AdaptedState, rT: Array) -> float:
-    """Terminal penalty |q(T)-q_r|^2 + |v(T)-v_r|^2 (no 1/2 factor) against
-    the reference row rT = [q_r, v_r]."""
-    return float(np.sum((sT.q - rT[:3]) ** 2)) + float(np.sum((sT.v - rT[3:]) ** 2))
+def terminal_cost(xT: Array, rT: Array) -> float:
+    """Terminal penalty |q(T)-q_r|^2 + |v(T)-v_r|^2 (no 1/2 factor) of the
+    state row xT = [q, v] against the reference row rT = [q_r, v_r]."""
+    e = xT - rT
+    return float(np.sum(e[:3] ** 2)) + float(np.sum(e[3:] ** 2))
 
 
 def hamiltonian(
-    sys: NonholonomicSystem,
-    s: AdaptedState,
-    p: Costate,
-    u: Array,
-    r: Array,
-    eps: float,
+    sys: NonholonomicSystem, z: Array, u: Array, r: Array, eps: float
 ) -> Union[float, Array]:
     """Pointwise Hamiltonian: running cost plus costates paired with dynamics.
 
-    r holds the reference rows [q_r, v_r]. Points may be stacked along
-    leading axes (u of the shape of s.v; p and r broadcast against s): one
-    value per point, bit for bit the value of that point alone."""
+    z holds the coupled rows [q, v, lam, mu] of the kernels, (..., 10), and
+    r the reference rows [q_r, v_r]. Rows may be stacked along leading
+    axes (u of shape (..., k); r broadcasts against z): one value per
+    point, bit for bit the value of that point alone."""
+    n, d = sys.n, sys.n + sys.k
+    s = AdaptedState(q=z[..., :n], v=z[..., n:d])
     qdot = admissible_velocity(sys, s)
     vdot = controlled_acceleration(sys, s, u)
     return (
-        running_cost(s, r, u, eps)
-        + np.einsum("...i,...i->...", p.lam, qdot)
-        + np.einsum("...a,...a->...", p.mu, vdot)
+        running_cost(z[..., :d], r, u, eps)
+        + np.einsum("...i,...i->...", z[..., d : d + n], qdot)
+        + np.einsum("...a,...a->...", z[..., d + n :], vdot)
     )
 
 
-def stationary_control(p: Costate, eps) -> Array:
-    """Control minimizing the Hamiltonian: u = -mu/eps (exact quadratic).
+def stationary_control(mu: Array, eps) -> Array:
+    """Control minimizing the Hamiltonian: u = -mu/eps (exact quadratic), for
+    fiber-costate rows mu = [m1, m2].
 
     eps is a scalar or an array broadcastable against mu, such as one
     weight per row of stacked costates; every entry must be finite and
     positive."""
-    return -p.mu / _positive_weight(eps)
+    return -mu / _positive_weight(eps)
 
 
-def hamiltonian_control_gradient(p: Costate, u: Array, eps) -> Array:
-    """Gradient of the Hamiltonian in the control: eps*u + mu, with eps a
-    scalar or an array broadcastable against mu."""
-    return eps * np.asarray(u, dtype=float) + p.mu
+def hamiltonian_control_gradient(mu: Array, u: Array, eps) -> Array:
+    """Gradient of the Hamiltonian in the control: eps*u + mu, for
+    fiber-costate rows mu = [m1, m2], with eps a scalar or an array
+    broadcastable against mu."""
+    return eps * np.asarray(u, dtype=float) + mu
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +418,20 @@ def shooting_maps(prob: TrackingProblem, alpha0: Array) -> tuple:
 
 def controls_along(traj: Trajectory, prob: TrackingProblem) -> Array:
     """Stationary control -mu/eps recovered at every grid point."""
-    n, k = prob.sys.n, prob.sys.k
-    p = Costate(lam=traj.states[:, n + k : 2 * n + k], mu=traj.states[:, 2 * n + k :])
-    return stationary_control(p, prob.epsilon)
+    return stationary_control(traj.states[:, 2 * prob.sys.n + prob.sys.k :], prob.epsilon)
 
 
 def _cost(prob: TrackingProblem, body: Array, u: Array) -> float:
-    """Composite-trapezoid running cost of the rows body = [q, v] with
-    controls u on the problem grid `prob.times`, plus the omega-weighted
-    terminal cost.
+    """Composite-trapezoid running cost of the state rows body = [q, v]
+    with controls u on the problem grid `prob.times`, plus the
+    omega-weighted terminal cost.
 
     `running_cost` evaluates all rows at once; the reference is read from
     the half-grid table, whose even rows are the grid times.
     """
-    n = prob.sys.n
-    s = AdaptedState(q=body[:, :n], v=body[:, n:])
-    values = running_cost(s, prob._ref_table[::2], u, prob.epsilon)
+    values = running_cost(body, prob._ref_table[::2], u, prob.epsilon)
     integral = float(np.trapezoid(values, prob.times))
-    sT = AdaptedState(q=body[-1, :n], v=body[-1, n:])
-    return integral + prob.omega * terminal_cost(sT, prob._ref_final)
+    return integral + prob.omega * terminal_cost(body[-1], prob._ref_final)
 
 
 def total_cost(traj: Trajectory, prob: TrackingProblem) -> float:
@@ -465,14 +465,14 @@ def benchmark_problem(
     adjoint_mode: str = "derived",
     full_transversality: bool = True,
 ) -> TrackingProblem:
-    """The bundled benchmark: particle from ((0.5, 0.2, 0.7), (0.5, 0.4))
-    tracking the constant-z-line reference (1, 0, t+1, 0, 1)."""
+    """The bundled benchmark: particle from BENCHMARK_START tracking the
+    constant-z-line reference (1, 0, t+1, 0, 1)."""
     return TrackingProblem(
         ref=constant_z_line(x_r=1.0, z_offset=1.0, speed=1.0),
         epsilon=epsilon,
         omega=omega,
         T=T,
-        s0=AdaptedState(q=np.array([0.5, 0.2, 0.7]), v=np.array([0.5, 0.4])),
+        s0=AdaptedState(q=np.array(BENCHMARK_START[:3]), v=np.array(BENCHMARK_START[3:])),
         N=N,
         adjoint_mode=adjoint_mode,
         full_transversality=full_transversality,

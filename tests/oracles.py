@@ -1,6 +1,6 @@
 """Reference models the tests compare the package against.
 
-Three oracles for the bundled particle, none of which the package runs:
+Four oracles for the bundled particle, none of which the package runs:
 
 * `particle_oracle`, a symbolic derivation (below);
 * the unreduced Lagrange-multiplier dynamics in ambient coordinates
@@ -9,7 +9,9 @@ Three oracles for the bundled particle, none of which the package runs:
   written term for term like it. `nhtrack.particle.embed` ties it to the
   reduced picture;
 * `convergence_order`, the least-squares order of
-  `nhtrack.integrators.integrate` against a closed form.
+  `nhtrack.integrators.integrate` against a closed form;
+* `hamiltonian_balance_defect`, Pontryagin's balance of the Hamiltonian
+  along a solved extremal.
 
 `particle_oracle` derives, with sympy, everything the package writes by
 hand for the particle: the Hamiltonian, the costate equations in both
@@ -41,7 +43,7 @@ import numpy as np
 
 from nhtrack.errors import ContractError, NhtrackError
 from nhtrack.integrators import VectorField, integrate
-from nhtrack.tracking import ADJOINT_MODES
+from nhtrack.tracking import ADJOINT_MODES, hamiltonian
 
 Array = np.ndarray
 
@@ -222,3 +224,28 @@ def convergence_order(
         steps.append(T / N)
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     return float(slope)
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonian balance along an extremal
+# ---------------------------------------------------------------------------
+
+
+def hamiltonian_balance_defect(prob, report) -> float:
+    """|H(T) - H(0) - integral of dH/dt| along the solved trajectory of a
+    problem that tracks a line moving along z at unit speed, such as the
+    benchmark's constant_z_line(x_r, z_offset, 1).
+
+    Along an extremal dH/dt equals the explicit time derivative
+    -(q - q_r) . qdot_r - (v - v_r) . vdot_r, which for that line is
+    -(z - z_r). H comes from one `hamiltonian` call on the trajectory's
+    coupled rows, with the report's controls and the reference rows of the
+    grid; the integral is composite Simpson on the grid, so N must be even.
+    """
+    if prob.N % 2:
+        raise ContractError("composite Simpson needs an even step count")
+    z, ref = report.trajectory.states, prob._ref_table[::2]
+    H = hamiltonian(prob.sys, z, report.controls, ref, prob.epsilon)
+    f = -(z[:, 2] - ref[:, 2])
+    integral = prob.h / 3.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-1:2]))
+    return float(abs(H[-1] - H[0] - integral))

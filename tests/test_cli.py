@@ -35,6 +35,18 @@ class TestParseConfig:
         assert cfg.adjoint_mode == "derived"
         assert cfg.full_transversality is True
 
+    def test_default_config_builds_the_benchmark_problem(self):
+        """The CLI's defaults and `benchmark_problem` read one start and give
+        one problem, reference table bytes included."""
+        from nhtrack.tracking import benchmark_problem
+
+        built, bench = cli._build_problem(ExperimentConfig()), benchmark_problem()
+        assert built.s0.q.tobytes() == bench.s0.q.tobytes()
+        assert built.s0.v.tobytes() == bench.s0.v.tobytes()
+        for name in ("T", "N", "epsilon", "omega", "adjoint_mode", "full_transversality"):
+            assert getattr(built, name) == getattr(bench, name), name
+        assert built._ref_table.tobytes() == bench._ref_table.tobytes()
+
     def test_zero_epsilon_rejected_naming_singularity(self):
         with pytest.raises(ConfigError) as err:
             parse_config("epsilon = 0\n")

@@ -332,7 +332,7 @@ class TestBitExactOutputs:
         assert report.cost == SOLVE_J
 
     @pytest.mark.parametrize(
-        "mode, full_transversality, alpha, norms, message",
+        "mode, full_transversality, alpha, norms, message, cost, controls_digest, drift_cost",
         [
             (
                 "derived",
@@ -343,6 +343,9 @@ class TestBitExactOutputs:
                  0.03697010357405464, 5.2412286098257876e-05, 1.3664960829551376e-10,
                  2.733924198139448e-14],
                 "",
+                "114.3943387199583",
+                "0f2b622cbe3e944c00b9cc949c380951c2bc06ff3f8b7013e617fba4d131e898",
+                "33.130440013771626",
             ),
             (
                 "paper-literal",
@@ -354,6 +357,9 @@ class TestBitExactOutputs:
                  0.1612783476997488, 0.0013257736577126228, 4.155934212324297e-07,
                  4.8377968298041196e-14],
                 "",
+                "5.5310935218831805",
+                "561e85f828b8eef45fc7432a7a361513edaac8d556cebefcd0bad24283b0a971",
+                "33.130440013771626",
             ),
             (
                 "paper-literal",
@@ -366,28 +372,37 @@ class TestBitExactOutputs:
                  0.736730530334116, 0.7367283153435451, 0.7367256424433314, 0.7367256389807572,
                  0.7367256387422396],
                 "line search stalled: no damping factor reduced the residual max-norm 7.367e-01",
+                "14.491176457845807",
+                "f029a52347ff666eb73fd7686aa4f1e8ded429d0f196acc6171260515f694cb2",
+                "33.130440013771626",
             ),
         ],
         ids=["derived-as-printed", "paper-literal-full", "paper-literal-as-printed"],
     )
-    def test_benchmark_variant_solves_n400(self, mode, full_transversality, alpha, norms, message):
+    def test_benchmark_variant_solves_n400(
+        self, mode, full_transversality, alpha, norms, message, cost, controls_digest, drift_cost
+    ):
         """The other three adjoint-mode x transversality variants of the
         N=400 benchmark solve, pinned bit for bit: alpha*, the iteration
-        count, every residual norm, the flag and the message. The
+        count, every residual norm, the flag and the message, and the
+        outputs computed from the solved flow: J, a SHA-256 of the
+        controls and the cost of the u = 0 rollout. The
         paper-literal as-printed solve stalls after 16 iterations: its line
         searches reject 25 trials whose flow leaves the finite domain and
         others for too small a decrease, and the last one rejects all 31."""
         from nhtrack.shooting import solve_tracking
-        from nhtrack.tracking import benchmark_problem
+        from nhtrack.tracking import benchmark_problem, uncontrolled_cost
 
-        report = solve_tracking(
-            benchmark_problem(N=400, adjoint_mode=mode, full_transversality=full_transversality)
-        )
+        prob = benchmark_problem(N=400, adjoint_mode=mode, full_transversality=full_transversality)
+        report = solve_tracking(prob)
         assert report.alpha_star.tobytes() == np.array(alpha).tobytes()
         assert report.iterations == len(norms) - 1
         assert report.residual_norms == norms
         assert report.converged == (message == "")
         assert report.message == message
+        assert repr(report.cost) == cost
+        assert hashlib.sha256(report.controls.tobytes()).hexdigest() == controls_digest
+        assert repr(uncontrolled_cost(prob)) == drift_cost
 
 
 def _paired_start():

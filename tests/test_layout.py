@@ -2,18 +2,21 @@
 
 Every top-level function and class of a `src/nhtrack` module must be
 named in the package's code outside its own definition, or in the text
-of `perfbench/`. The re-exports of `__init__.py` do not count, nor do
-docstrings and comments: a name that only the tests call belongs in the
-tests (`tests/oracles.py` holds such models).
+of `perfbench/`. Docstrings and comments do not count: a name that only
+the tests call belongs in the tests (`tests/oracles.py` holds such
+models).
 
-Every name that a `src/nhtrack` module other than `__init__.py` imports
-must be used by a code token of that module, outside its import
-statements.
+Every name that a `src/nhtrack` module imports must be used by a code
+token of that module, outside its import statements.
+
+The modules are the API: `import nhtrack` loads none of them.
 """
 
 import ast
 import io
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -27,7 +30,7 @@ REBOUND_IMPORTS = {"tracking.integrate", "checks.integrate"}
 
 
 def _modules():
-    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    return sorted(PACKAGE.glob("*.py"))
 
 
 def _definitions(tree):
@@ -92,3 +95,20 @@ def _unused_imports():
 
 def test_every_import_is_used_by_its_module():
     assert [name for name in _unused_imports() if name not in REBOUND_IMPORTS] == []
+
+
+def test_importing_the_package_loads_no_module_and_no_numpy():
+    """A fresh interpreter's `import nhtrack` leaves no nhtrack.* submodule
+    and no numpy in sys.modules."""
+    code = (
+        "import sys, nhtrack; "
+        "print(sorted(m for m in sys.modules if m.startswith(('nhtrack.', 'numpy'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"

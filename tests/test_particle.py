@@ -137,10 +137,11 @@ class TestEmbed:
 
 class TestConservation:
     def test_energy_rows_equal_scalar_values(self):
-        """Rows of states give one energy each, equal to the scalar call."""
-        q, v = RNG.uniform(-2, 2, (7, 3)), RNG.uniform(-2, 2, (7, 2))
-        rows = restricted_energy(AdaptedState(q=q, v=v))
+        """Stacked state rows give one energy each, equal to the call on
+        that row alone."""
+        x = np.concatenate([RNG.uniform(-2, 2, (7, 3)), RNG.uniform(-2, 2, (7, 2))], axis=1)
+        rows = restricted_energy(x)
         assert rows.shape == (7,)
         for j in range(7):
-            assert rows[j] == restricted_energy(AdaptedState(q=q[j], v=v[j]))
-        assert restricted_energy(S0) == 0.5 * (0.5**2 + 1.04 * 0.4**2)
+            assert rows[j] == restricted_energy(x[j])
+        assert restricted_energy(flat(S0)) == 0.5 * (0.5**2 + 1.04 * 0.4**2)

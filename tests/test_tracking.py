@@ -16,7 +16,6 @@ from nhtrack.particle import analytic_constants, analytic_flow, particle_system
 from nhtrack.shooting import fd_jacobian, solve_tracking
 from nhtrack.tracking import (
     ADJOINT_MODES,
-    Costate,
     TrackingProblem,
     _terminal_rows,
     benchmark_problem,
@@ -35,6 +34,7 @@ from nhtrack.tracking import (
     total_cost,
     uncontrolled_cost,
 )
+from oracles import hamiltonian_balance_defect
 from stacked_points import assert_rows_are_single_calls, stacked
 
 RNG = np.random.default_rng(2)
@@ -57,7 +57,8 @@ RESIDUAL_AT_ZERO = {
 
 
 def random_costate():
-    return Costate(lam=RNG.uniform(-2, 2, 3), mu=RNG.uniform(-2, 2, 2))
+    """Costate rows [l1, l2, l3, m1, m2]."""
+    return RNG.uniform(-2, 2, 5)
 
 
 def random_sample():
@@ -77,108 +78,97 @@ def kernel_rows(z, ref, eps, mode):
 
 class TestRunningCost:
     def test_zero_on_reference(self):
-        q_r, v_r = RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 2)
-        s = AdaptedState(q=q_r, v=v_r)
-        assert running_cost(s, np.concatenate([q_r, v_r]), np.zeros(2), 7.0) == 0.0
+        r = random_sample()
+        assert running_cost(r, r, np.zeros(2), 7.0) == 0.0
 
     def test_single_position_error(self):
-        s = AdaptedState(q=[1.0, 0.0, 0.0], v=[0.0, 0.0])
-        assert running_cost(s, np.zeros(5), np.zeros(2), 1.0) == 0.5
+        x = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        assert running_cost(x, np.zeros(5), np.zeros(2), 1.0) == 0.5
 
     def test_control_effort_term(self):
         """eps=7 with u=(1,-2): cost is 7*5/2."""
-        q_r, v_r = np.zeros(3), np.zeros(2)
-        s = AdaptedState(q=q_r, v=v_r)
-        assert running_cost(s, np.zeros(5), np.array([1.0, -2.0]), 7.0) == 17.5
+        assert running_cost(np.zeros(5), np.zeros(5), np.array([1.0, -2.0]), 7.0) == 17.5
 
     def test_rejects_nonpositive_eps(self):
-        s = AdaptedState(q=np.zeros(3), v=np.zeros(2))
         with pytest.raises(SingularProblemError):
-            running_cost(s, np.zeros(5), np.zeros(2), 0.0)
+            running_cost(np.zeros(5), np.zeros(5), np.zeros(2), 0.0)
 
     @pytest.mark.parametrize("eps", [np.inf, np.nan])
     def test_rejects_non_finite_eps(self, eps):
-        s = AdaptedState(q=np.zeros(3), v=np.zeros(2))
         with pytest.raises(SingularProblemError, match="finite"):
-            running_cost(s, np.zeros(5), np.zeros(2), eps)
+            running_cost(np.zeros(5), np.zeros(5), np.zeros(2), eps)
 
     @staticmethod
     def _points(lead=(4,)):
         rng = np.random.default_rng(5)
-        s = AdaptedState(q=rng.uniform(-1, 1, lead + (3,)), v=rng.uniform(-1, 1, lead + (2,)))
-        r = np.concatenate(
-            [rng.uniform(-1, 1, lead + (3,)), rng.uniform(-1, 1, lead + (2,))], axis=-1
+        x, r = (
+            np.concatenate([rng.uniform(-1, 1, lead + (3,)), rng.uniform(-1, 1, lead + (2,))], axis=-1)
+            for _ in range(2)
         )
-        return s, r, rng.uniform(-1, 1, lead + (2,))
+        return x, r, rng.uniform(-1, 1, lead + (2,))
 
     def test_row_weights_equal_single_point_calls(self):
-        s, r, u = self._points()
+        x, r, u = self._points()
         eps = np.array([0.5, 7.0, 2.0, 1e3])
-        rows = running_cost(s, r, u, eps)
+        rows = running_cost(x, r, u, eps)
         assert rows.shape == (4,)
         for j in range(4):
-            one = running_cost(AdaptedState(q=s.q[j], v=s.v[j]), r[j], u[j], eps[j])
+            one = running_cost(x[j], r[j], u[j], eps[j])
             assert rows[j].tobytes() == np.float64(one).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
     def test_one_bad_row_weight_rejected(self, bad):
-        s, r, u = self._points()
+        x, r, u = self._points()
         with pytest.raises(SingularProblemError, match="finite and positive"):
-            running_cost(s, r, u, np.array([1.0, bad, 2.0, 3.0]))
+            running_cost(x, r, u, np.array([1.0, bad, 2.0, 3.0]))
 
     @pytest.mark.parametrize("lead, shape", [((4,), (4, 1)), ((4,), (1,)), ((), (2,))],
                              ids=["column-of-four", "one-for-four", "two-for-one-point"])
     def test_weight_that_would_reshape_the_result_rejected(self, lead, shape):
         """eps of shape (M, 1) would broadcast the M costs to (M, M)."""
-        s, r, u = self._points(lead)
+        x, r, u = self._points(lead)
         with pytest.raises(ContractError, match="one weight per point"):
-            running_cost(s, r, u, np.ones(shape))
+            running_cost(x, r, u, np.ones(shape))
 
 
 class TestTerminalCost:
     def test_zero_on_reference(self):
-        q_r, v_r = RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 2)
-        assert terminal_cost(AdaptedState(q=q_r, v=v_r), np.concatenate([q_r, v_r])) == 0.0
+        rT = random_sample()
+        assert terminal_cost(rT, rT) == 0.0
 
     def test_unit_error_single_coordinate(self):
         """No 1/2 factor on the terminal penalty."""
-        sT = AdaptedState(q=[0.0, 0.0, 1.0], v=[0.0, 0.0])
-        assert terminal_cost(sT, np.zeros(5)) == 1.0
+        xT = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        assert terminal_cost(xT, np.zeros(5)) == 1.0
 
     def test_uniform_small_errors(self):
-        sT = AdaptedState(q=[0.1, 0.1, 0.1], v=[0.1, 0.1])
-        np.testing.assert_allclose(
-            terminal_cost(sT, np.zeros(5)), 0.05, rtol=1e-14
-        )
+        np.testing.assert_allclose(terminal_cost(np.full(5, 0.1), np.zeros(5)), 0.05, rtol=1e-14)
 
     def test_omega_weighting(self):
         """Terminal error of squared norm 0.05 contributes 0.1 at omega=2."""
-        sT = AdaptedState(q=[0.1, 0.1, 0.1], v=[0.1, 0.1])
         np.testing.assert_allclose(
-            2.0 * terminal_cost(sT, np.zeros(5)), 0.1, rtol=1e-14
+            2.0 * terminal_cost(np.full(5, 0.1), np.zeros(5)), 0.1, rtol=1e-14
         )
 
 
 class TestHamiltonian:
     def test_zero_on_reference_with_zero_costate(self):
         r = random_sample()
-        s = AdaptedState(*split_qv(r))
-        p = Costate(lam=np.zeros(3), mu=np.zeros(2))
-        assert hamiltonian(SYS, s, p, np.zeros(2), r, 7.0) == 0.0
+        z = np.concatenate([r, np.zeros(5)])
+        assert hamiltonian(SYS, z, np.zeros(2), r, 7.0) == 0.0
 
     def test_reduces_to_running_cost_without_costate(self):
-        s = AdaptedState(q=RNG.uniform(-1, 1, 3), v=RNG.uniform(-1, 1, 2))
+        x = random_sample()
         r = random_sample()
         u = RNG.uniform(-1, 1, 2)
-        p = Costate(lam=np.zeros(3), mu=np.zeros(2))
-        assert hamiltonian(SYS, s, p, u, r, 7.0) == running_cost(s, r, u, 7.0)
+        z = np.concatenate([x, np.zeros(5)])
+        assert hamiltonian(SYS, z, u, r, 7.0) == running_cost(x, r, u, 7.0)
 
     def test_term_by_term_arithmetic(self):
         """Every term of H summed independently for a concrete point."""
-        s = AdaptedState(q=[0.3, 0.2, -0.1], v=[0.5, 0.4])
-        p = Costate(lam=[1.0, 1.0, 1.0], mu=[0.0, 1.0])
+        z = np.array([0.3, 0.2, -0.1, 0.5, 0.4, 1.0, 1.0, 1.0, 0.0, 1.0])
         r = np.array([0.3, 0.2, -0.1, 0.0, 1.0])  # on-reference positions
-        got = hamiltonian(SYS, s, p, np.zeros(2), r, 7.0)
+        got = hamiltonian(SYS, z, np.zeros(2), r, 7.0)
         expected = (
             0.5 * (0.5**2 + (0.4 - 1.0) ** 2)  # velocity error
             + (-0.2 * 0.4 + 0.5 + 0.4)  # lam . qdot
@@ -189,73 +179,69 @@ class TestHamiltonian:
 
 class TestStationaryControl:
     def test_exact_fixture(self):
-        p = Costate(lam=np.zeros(3), mu=[-7.0, 14.0])
-        np.testing.assert_array_equal(stationary_control(p, 7.0), [1.0, -2.0])
+        mu = np.array([-7.0, 14.0])
+        np.testing.assert_array_equal(stationary_control(mu, 7.0), [1.0, -2.0])
         np.testing.assert_array_equal(
-            hamiltonian_control_gradient(p, np.array([1.0, -2.0]), 7.0), [0.0, 0.0]
+            hamiltonian_control_gradient(mu, np.array([1.0, -2.0]), 7.0), [0.0, 0.0]
         )
 
     def test_zero_costate(self):
-        p = Costate(lam=np.zeros(3), mu=np.zeros(2))
-        np.testing.assert_array_equal(stationary_control(p, 3.0), [0.0, 0.0])
+        np.testing.assert_array_equal(stationary_control(np.zeros(2), 3.0), [0.0, 0.0])
 
     def test_rejects_singular_weight(self):
-        p = random_costate()
+        mu = random_costate()[3:]
         with pytest.raises(SingularProblemError):
-            stationary_control(p, 0.0)
+            stationary_control(mu, 0.0)
         with pytest.raises(SingularProblemError):
-            stationary_control(p, -1.0)
+            stationary_control(mu, -1.0)
 
     @pytest.mark.parametrize("eps", [np.inf, np.nan])
     def test_rejects_non_finite_weight(self, eps):
         with pytest.raises(SingularProblemError, match="finite"):
-            stationary_control(random_costate(), eps)
+            stationary_control(random_costate()[3:], eps)
 
     def test_global_minimizer_quadratic_expansion(self):
         """H(u* + d) - H(u*) == eps |d|^2 / 2 for every perturbation."""
-        s = AdaptedState(q=RNG.uniform(-1, 1, 3), v=RNG.uniform(-1, 1, 2))
+        x = random_sample()
         r = random_sample()
         for _ in range(20):
-            p = random_costate()
+            z = np.concatenate([x, random_costate()])
             eps = float(RNG.uniform(0.5, 10))
-            u = stationary_control(p, eps)
+            u = stationary_control(z[8:], eps)
             d = RNG.uniform(-2, 2, 2)
-            gap = hamiltonian(SYS, s, p, u + d, r, eps) - hamiltonian(SYS, s, p, u, r, eps)
+            gap = hamiltonian(SYS, z, u + d, r, eps) - hamiltonian(SYS, z, u, r, eps)
             np.testing.assert_allclose(gap, 0.5 * eps * (d @ d), rtol=1e-9, atol=1e-12)
 
 
 class TestStackedPoints:
-    """States, costates, references and per-row weights stacked along
-    leading axes: one value or one row per point."""
+    """Coupled rows, references and per-row weights stacked along leading
+    axes: one value or one row per point."""
 
     @settings(max_examples=60, deadline=None)
-    @given(stacked(3, 2, 3, 2, 3, 2, 1), st.floats(0.1, 50.0))
+    @given(stacked(10, 5, 1), st.floats(0.1, 50.0))
     def test_rows_equal_single_point_calls(self, arrays_, eps):
-        def evaluate(q, v, lam, mu, q_r, v_r, w):
-            s, p = AdaptedState(q=q, v=v), Costate(lam=lam, mu=mu)
-            r = np.concatenate([q_r, v_r], axis=-1)
-            u = stationary_control(p, 0.5 + w * w)  # one positive weight per row
+        def evaluate(z, r, w):
+            u = stationary_control(z[..., 8:], 0.5 + w * w)  # one positive weight per row
             return {
                 "stationary_control": u,
-                "hamiltonian": hamiltonian(SYS, s, p, u, r, eps),
+                "hamiltonian": hamiltonian(SYS, z, u, r, eps),
             }
 
         assert_rows_are_single_calls(evaluate, *arrays_)
 
     @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
     def test_one_bad_row_weight_rejected(self, bad):
-        p = Costate(lam=np.zeros((3, 3)), mu=np.ones((3, 2)))
         eps = np.array([[1.0], [bad], [2.0]])
         with pytest.raises(SingularProblemError, match="stationary condition degenerates"):
-            stationary_control(p, eps)
+            stationary_control(np.ones((3, 2)), eps)
 
     def test_row_weights_give_row_controls(self):
-        p = Costate(lam=np.zeros((2, 3)), mu=[[-7.0, 14.0], [3.0, -6.0]])
+        mu = np.array([[-7.0, 14.0], [3.0, -6.0]])
         np.testing.assert_array_equal(
-            stationary_control(p, np.array([[7.0], [3.0]])), [[1.0, -2.0], [-1.0, 2.0]]
+            stationary_control(mu, np.array([[7.0], [3.0]])), [[1.0, -2.0], [-1.0, 2.0]]
         )
         np.testing.assert_array_equal(
-            hamiltonian_control_gradient(p, [[1.0, -2.0], [-1.0, 2.0]], np.array([[7.0], [3.0]])),
+            hamiltonian_control_gradient(mu, [[1.0, -2.0], [-1.0, 2.0]], np.array([[7.0], [3.0]])),
             np.zeros((2, 2)),
         )
 
@@ -309,10 +295,7 @@ class TestSymbolicOracle:
 
     @pytest.mark.parametrize("eps", [0.5, 7.0])
     def test_hamiltonian(self, oracle, eps):
-        z, r = self.Z, self.R
-        s = AdaptedState(q=z[:, :3], v=z[:, 3:5])
-        p = Costate(lam=z[:, 5:8], mu=z[:, 8:])
-        got = hamiltonian(SYS, s, p, self.U, r, eps)
+        got = hamiltonian(SYS, self.Z, self.U, self.R, eps)
         assert _gap(got[:, None], oracle.hamiltonian(self.Z, self.U, self.R, eps)[:, None]) <= 1e-14
 
     @pytest.mark.parametrize("eps", [0.5, 7.0])
@@ -746,17 +729,11 @@ class TestTotalCost:
     def _loop_cost(prob, times, states, u):
         """Reference: running_cost summed row by row, as a Python loop."""
         values = [
-            running_cost(
-                AdaptedState(q=states[i, :3], v=states[i, 3:5]),
-                prob.ref(float(t)),
-                u[i],
-                prob.epsilon,
-            )
+            running_cost(states[i, :5], prob.ref(float(t)), u[i], prob.epsilon)
             for i, t in enumerate(times)
         ]
-        sT = AdaptedState(q=states[-1, :3], v=states[-1, 3:5])
         return float(np.trapezoid(values, times)) + prob.omega * terminal_cost(
-            sT, prob.ref(prob.T)
+            states[-1, :5], prob.ref(prob.T)
         )
 
     @pytest.mark.parametrize("N", [400, 4000])
@@ -790,3 +767,28 @@ class TestTotalCost:
         report = solve_tracking(prob)
         assert report.converged
         assert report.cost < uncontrolled_cost(prob)
+
+
+class TestHamiltonianBalance:
+    """Pontryagin's balance H(T) - H(0) = integral of dH/dt holds along the
+    derived extremal, to the order of the RK4 flow and Simpson's rule, and
+    fails at the paper-literal root, which is no extremal of the cost."""
+
+    @staticmethod
+    def _defects(mode):
+        defects = []
+        for N in (200, 400, 800):
+            prob = benchmark_problem(N=N, adjoint_mode=mode)
+            report = solve_tracking(prob)
+            assert report.converged
+            defects.append(hamiltonian_balance_defect(prob, report))
+        return defects
+
+    def test_derived_extremal_balances_to_fourth_order(self):
+        defects = self._defects("derived")
+        assert defects[1] < 3e-10
+        for coarse, fine in zip(defects, defects[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
+
+    def test_paper_literal_root_does_not_balance(self):
+        assert min(self._defects("paper-literal")) > 1.0
