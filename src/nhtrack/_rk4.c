@@ -2,11 +2,13 @@
  *
  * The coupled right-hand side below is the package's one copy of the
  * particle's state-costate equations; nh_coupled_rhs evaluates it at
- * stacked rows for the adjoint-gradient check and the tests. The reduced
- * right-hand side is written term for term like the Python expressions of
- * nhtrack.geometry, and the unreduced one like the multiplier model of
- * tests/oracles.py, in the same evaluation order, so that IEEE double
- * results match bit for bit (tests/test_kernels.py requires it of both).
+ * stacked rows for the checks, the Python Hamiltonian and the tests. The
+ * reduced right-hand side, and the state columns of the coupled one at
+ * zero costate, give the slopes of the numpy frame model of
+ * tests/oracles.py (frame_slopes) value for value; the unreduced one is
+ * written term for term like the multiplier model there, in the same
+ * evaluation order, so that IEEE double results match bit for bit
+ * (tests/test_kernels.py and tests/test_geometry.py require it).
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reassociation changes the last bits.
  *

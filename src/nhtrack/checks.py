@@ -17,11 +17,15 @@ rollout of 40,000 steps, in blocks of 2000: about 3.5 ms, and at its
 peak it allocates 0.51 MiB (`BENCH_24.json`).
 cubic-exactness, 4000 steps of the coupled C kernel that every command
 runs, takes about 0.6 ms.
-A check that evaluates the geometry, the Hamiltonian or the adjoint at
-random points draws them as stacked rows and calls each library function
-once on all of them: adjoint-gradient, 100 points, their 1,000
-Hamiltonian probes and the kernel's coupled rows there in both adjoint
-modes, takes about 0.4 ms. grid-endpoint reads
+The frame algebra, the flow and the Hamiltonian are tested on the C
+kernel's own slope rows (`tracking.particle_slopes`), the one copy of
+the particle's equations; the constraint x' + y z' = 0 they must meet is
+written here, once (`_constraint_defect`). A check that evaluates the
+slopes, the Hamiltonian or the adjoint at random points draws them as
+stacked rows and calls each library function once on all of them:
+adjoint-gradient, 100 points, their 1,000 Hamiltonian probes and the
+kernel's coupled rows there in both adjoint modes, takes about 0.4 ms.
+grid-endpoint reads
 `integrators.time_grid` directly and integrates nothing. The closed-form
 flow and the references are sampled on whole time grids, one call per
 grid.
@@ -36,14 +40,7 @@ from typing import Callable, List
 import numpy as np
 
 from . import kernels
-from .geometry import (
-    AdaptedState,
-    admissible_velocity,
-    christoffel_from_structure,
-    constraint_residual,
-    controlled_acceleration,
-    nh_acceleration,
-)
+from .geometry import AdaptedState, christoffel_from_structure
 from .integrators import integrate  # noqa: F401 - perfbench/spans.py rebinds checks.integrate
 from .integrators import time_grid
 from .particle import (
@@ -51,7 +48,6 @@ from .particle import (
     analytic_constants,
     analytic_flow,
     embed,
-    particle_system,
     restricted_energy,
 )
 from .shooting import NewtonConfig, fd_jacobian, solve_tracking
@@ -63,6 +59,7 @@ from .tracking import (
     hamiltonian,
     hamiltonian_control_gradient,
     integrate_coupled,
+    particle_slopes,
     shooting_residual,
     stationary_control,
 )
@@ -90,6 +87,10 @@ _PCG64_SEEDED = {
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
+# BENCHMARK_START as the (q, v) start point that the closed form, `embed`
+# and a TrackingProblem take
+_START = AdaptedState(q=BENCHMARK_START[:3], v=BENCHMARK_START[3:])
+
 
 @functools.cache
 def _uniform_rows(seed, count, *blocks):
@@ -114,41 +115,39 @@ def _uniform_rows(seed, count, *blocks):
     return rows
 
 
-def _states(x) -> AdaptedState:
-    """The particle states in the first five entries of the last axis of
-    x: q, then v."""
-    return AdaptedState(q=x[..., :3], v=x[..., 3:5])
+def _constraint_defect(x, slopes):
+    """x' + y z' of the slope rows [x', y', z', ...] at the state rows x =
+    [x, y, z, v1, v2]: the particle's one constraint, zero exactly when the
+    velocity (x', y', z') is admissible at x. This is the spec that the
+    kernel's velocity rows must meet."""
+    return slopes[..., 0] + x[..., 1] * slopes[..., 2]
 
 
 def check_frame_annihilation() -> CheckResult:
-    sys_ = particle_system()
-    s = _states(_uniform_rows(11, 50, (-2.0, 2.0, 5)))
-    qdot = admissible_velocity(sys_, s)
-    worst = float(np.max(np.abs(constraint_residual(sys_, s.q, qdot))))
+    x = _uniform_rows(11, 50, (-2.0, 2.0, 5))
+    worst = float(np.max(np.abs(_constraint_defect(x, particle_slopes(x)))))
     return CheckResult("frame-annihilation", worst <= 1e-12, f"max residual {worst:.2e}")
 
 
 def check_drift_quadratic() -> CheckResult:
-    sys_ = particle_system()
     x = _uniform_rows(12, 50, (-2.0, 2.0, 5))
-    a1 = nh_acceleration(sys_, _states(x))
+    a1 = particle_slopes(x)[:, 3:]
     # the same points with v doubled
-    a2 = nh_acceleration(sys_, _states(np.array([1.0, 1.0, 1.0, 2.0, 2.0]) * x))
+    a2 = particle_slopes(np.array([1.0, 1.0, 1.0, 2.0, 2.0]) * x)[:, 3:]
     worst = float(np.max(np.abs(a2 - 4.0 * a1)))
     return CheckResult("drift-quadratic-in-v", worst <= 1e-13, f"max defect {worst:.2e}")
 
 
 def check_control_additivity() -> CheckResult:
-    # exact form of the additive-control contract: controlled == drift + u
-    # bitwise; the subtracted form (a+u)-a re-rounds, so it gets 1e-15
-    sys_ = particle_system()
+    # exact form of the additive-control contract: the kernel's controlled
+    # slopes (mu = -u at eps = 1) == drift + u bitwise; the subtracted form
+    # (a+u)-a re-rounds, so it gets 1e-15
     rows = _uniform_rows(13, 50, (-2.0, 2.0, 5), (-3.0, 3.0, 2))
-    s = _states(rows)
-    u = rows[:, 5:]
-    drift = nh_acceleration(sys_, s)
-    lhs = controlled_acceleration(sys_, s, u)
+    x, u = rows[:, :5], rows[:, 5:]
+    drift = particle_slopes(x)[:, 3:]
+    lhs = particle_slopes(x, u)[:, 3:]
     ok = bool(np.all(lhs == drift + u))
-    ok = ok and bool(np.all(controlled_acceleration(sys_, s, np.zeros_like(u)) == drift))
+    ok = ok and bool(np.all(particle_slopes(x, np.zeros_like(u))[:, 3:] == drift))
     worst = float(np.max(np.abs(lhs - drift - u)))
     return CheckResult(
         "control-additivity",
@@ -189,7 +188,7 @@ def check_oracle_equivalence() -> CheckResult:
     x0 = np.array(BENCHMARK_START)
     n, block = 40000, 2000
     h = 4.0 / n
-    states = np.concatenate([x0, embed(_states(x0))])[None]
+    states = np.concatenate([x0, embed(_START)])[None]
     gap = ambient_drift = 0.0
     for _ in range(n // block):
         states = kernels.rollout_paired(states[-1], h, block)
@@ -215,16 +214,13 @@ def check_branch_continuity() -> CheckResult:
 
 
 def check_flow_ode_residual() -> CheckResult:
-    sys_ = particle_system()
-    p = analytic_constants(_states(np.array(BENCHMARK_START)))
+    p = analytic_constants(_START)
     fd = 1e-6
     times = np.linspace(0.05, 3.95, 25)
     sm = analytic_flow(p, times - fd)
     sp = analytic_flow(p, times + fd)
     ds = (sp - sm) / (2.0 * fd)
-    flow = _states(analytic_flow(p, times))
-    rhs = np.concatenate([admissible_velocity(sys_, flow), nh_acceleration(sys_, flow)], axis=1)
-    worst = float(np.max(np.abs(ds - rhs)))
+    worst = float(np.max(np.abs(ds - particle_slopes(analytic_flow(p, times)))))
     return CheckResult("flow-ode-residual", worst <= 1e-6, f"max residual {worst:.2e}")
 
 
@@ -294,44 +290,53 @@ def check_stationarity() -> CheckResult:
 
 def check_adjoint_gradient() -> CheckResult:
     # the C kernel's derived costate rows == -grad H by central differences;
-    # its paper-literal rows fail the same test in exactly lam2, mu1 and mu2
-    sys_ = particle_system()
+    # its paper-literal rows fail the same test in exactly lam2, mu1 and mu2,
+    # and differ from the derived rows there by the printed terms: with
+    # w = 1 + y^2 and f = y/w, m2 v1 v2 (y^2 - 1)(eps + 1)/w^2 in lam2,
+    # -2 m2 f v2 in mu1 and -2 m2 f v1 in mu2; by exactly 0 elsewhere
     rows = _uniform_rows(15, 100, (-2.0, 2.0, 10), (-1.0, 1.0, 5))
     z, r = rows[:, :10], rows[:, 10:15]
     eps = 7.0
     step = 1e-6
     u = stationary_control(z[:, 8:], eps)
     # all 5 +- probes of every point in one call per sign: axis 1 is the
-    # probed state coordinate, and u takes the probes' shape, as v's
+    # probed state coordinate, and u broadcasts over it
     e = step * np.eye(5, 10)
-    u_probe = np.repeat(u[:, None], 5, axis=1)
-    h_plus = hamiltonian(sys_, z[:, None] + e, u_probe, r[:, None], eps)
-    h_minus = hamiltonian(sys_, z[:, None] - e, u_probe, r[:, None], eps)
+    h_plus = hamiltonian(z[:, None] + e, u[:, None], r[:, None], eps)
+    h_minus = hamiltonian(z[:, None] - e, u[:, None], r[:, None], eps)
     grad = (h_plus - h_minus) / (2 * step)
     scale = np.maximum(1.0, np.abs(grad))
+    derived = kernels.coupled_rhs(z, r, eps, False)
+    literal = kernels.coupled_rhs(z, r, eps, True)
 
-    def gap(literal):
-        pdot = kernels.coupled_rhs(z, r, eps, literal)[:, 5:]
-        return np.abs(pdot + grad) / scale
+    def gap(rhs):
+        return np.abs(rhs[:, 5:] + grad) / scale
 
-    worst = float(np.max(gap(False)))
-    literal_bad = np.any(gap(True) > 1e-5, axis=0)
+    worst = float(np.max(gap(derived)))
+    literal_bad = np.any(gap(literal) > 1e-5, axis=0)
     names = ("lam1", "lam2", "lam3", "mu1", "mu2")
     bad_rows = [name for name, bad in zip(names, literal_bad) if bad]
+    y, v1, v2, m2 = z[:, 1], z[:, 3], z[:, 4], z[:, 9]
+    w = 1.0 + y * y
+    f = y / w
+    printed = np.zeros_like(derived)
+    printed[:, 6] = m2 * v1 * v2 * (y * y - 1.0) * (eps + 1.0) / (w * w)
+    printed[:, 8] = -2.0 * m2 * f * v2
+    printed[:, 9] = -2.0 * m2 * f * v1
+    off = np.abs(literal - derived - printed) / np.maximum(1.0, np.abs(printed))
+    printed_ok = bool(np.all(off[:, [6, 8, 9]] <= 1e-12) and np.all(np.delete(off, [6, 8, 9], axis=1) == 0.0))
     return CheckResult(
         "adjoint-gradient",
-        worst <= 1e-8 and bad_rows == ["lam2", "mu1", "mu2"],
+        worst <= 1e-8 and bad_rows == ["lam2", "mu1", "mu2"] and printed_ok,
         f"max relative gap {worst:.2e}, paper-literal fails rows {','.join(bad_rows) or 'none'}",
     )
 
 
 def check_constraint_invariance() -> CheckResult:
-    sys_ = particle_system()
     prob = benchmark_problem(N=2000)
     traj = integrate_coupled(prob, np.array([0.1, -0.2, 0.3, 0.05, -0.4]))
-    s = _states(traj.states[::50])
-    qdot = admissible_velocity(sys_, s)
-    defect = float(np.max(np.abs(constraint_residual(sys_, s.q, qdot))))
+    x = traj.states[::50, :5]
+    defect = float(np.max(np.abs(_constraint_defect(x, particle_slopes(x)))))
     return CheckResult("constraint-invariance", defect <= 1e-12, f"max |vx + y vz| {defect:.2e}")
 
 
@@ -350,8 +355,7 @@ def check_residual_smoothness() -> CheckResult:
 
 
 def check_zero_fixed_point() -> CheckResult:
-    s0 = _states(np.array(BENCHMARK_START))
-    prob = TrackingProblem(ref=free_flow(s0), epsilon=7.0, T=4.0, s0=s0)
+    prob = TrackingProblem(ref=free_flow(_START), epsilon=7.0, T=4.0, s0=_START)
     r = shooting_residual(np.zeros(5), prob)
     worst = float(np.max(np.abs(r)))
     return CheckResult("zero-fixed-point", worst <= 1e-9, f"residual at 0: {worst:.2e}")

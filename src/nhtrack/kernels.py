@@ -7,7 +7,7 @@ paper-literal adjoint) live in the C file `_rk4.c` next to this module,
 which is compiled without floating-point contraction. The coupled rhs is
 the package's one copy of the particle's state-costate equations; the
 reduced and unreduced ones give, bit for bit, the IEEE double slopes of
-their Python expressions.
+the Python models in `tests/oracles.py`.
 
 `rollout_paired` integrates the product flow [reduced | unreduced], whose
 rhs in `_rk4.c` calls the reduced rhs on the first 5 entries and the
@@ -25,8 +25,9 @@ dz/dalpha = [0; I] for the initial costate, the same loop advances it in
 place as the forward sensitivity of the coupled flow, from the
 hand-written Jacobian of the coupled rhs in `_rk4.c`; the states it
 writes are those of a plain rollout, bit for bit. `coupled_rhs`
-evaluates the rhs itself at stacked rows, as the adjoint-gradient check
-and the symbolic oracle tests read it.
+evaluates the rhs itself at stacked rows, as the checks, the Python
+Hamiltonian (through `tracking.particle_slopes`) and the symbolic oracle
+tests read it.
 
 The reduced, unreduced and paired rollouts restart exactly: neither rhs
 reads the half-grid index, so a rollout of m steps from the last row of

@@ -5,15 +5,17 @@ induced coordinates (x, y, z, v1, v2). In this frame the only nonzero
 connection coefficient is Gamma^2_12 = y / (1 + y^2) and the restricted
 metric is diag(1, 1 + y^2); there is no potential.
 
-Two independent oracles accompany the reduced dynamics:
+This module writes no frame, connection or annihilator: the particle's
+equations are those of the C kernel (`_rk4.c`), and the frame model they
+come from lives with the tests (`tests/oracles.py`). What is here is the
+name, the energy, and two independent oracles of the reduced dynamics:
 
 * the closed-form flow of the uncontrolled equations (with its separate
   zero-v1 branch, where the generic antiderivatives degenerate), and
 * the unreduced Lagrange-multiplier dynamics in ambient coordinates
   (x, y, z, vx, vy, vz), which the C kernel integrates (`kernels`); embed
   gives its start for a reduced state. Its Python model, written term for
-  term like the C right-hand side, lives with the tests
-  (`tests/oracles.py`).
+  term like the C right-hand side, lives with the tests too.
 
 In the closed form, x(t) and z(t) come from direct quadrature of
 xdot = -y v2 and zdot = v2; a finite-difference residual test pins down
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AdaptedState, NonholonomicSystem
+from .geometry import AdaptedState
 
 Array = np.ndarray
 
@@ -34,40 +36,6 @@ PARTICLE_NAME = "nonholonomic-particle"
 
 # |v1(0)| at or below this uses the constant-y branch of the closed form.
 C1_SWITCH = 1e-10
-
-
-def _rho(q: Array) -> Array:
-    y = q[..., 1]
-    r = np.zeros(q.shape[:-1] + (2, 3))
-    r[..., 0, 1] = 1.0
-    r[..., 1, 0] = -y
-    r[..., 1, 2] = 1.0
-    return r
-
-
-def _gamma(q: Array) -> Array:
-    y = q[..., 1]
-    g = np.zeros(q.shape[:-1] + (2, 2, 2))
-    g[..., 1, 0, 1] = y / (1.0 + y * y)
-    return g
-
-
-def _annihilator(q: Array) -> Array:
-    a = np.zeros(q.shape[:-1] + (1, 3))
-    a[..., 0, 0] = 1.0
-    a[..., 0, 2] = q[..., 1]
-    return a
-
-
-def particle_system() -> NonholonomicSystem:
-    """Construct the constrained-particle system (n=3, k=2)."""
-    return NonholonomicSystem(
-        n=3,
-        k=2,
-        rho=_rho,
-        gamma=_gamma,
-        constraint_annihilator=_annihilator,
-    )
 
 
 def restricted_energy(x: Array):

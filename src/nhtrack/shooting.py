@@ -271,15 +271,14 @@ def solve_tracking(
     Starts from alpha0 (default: zeros). The kernel arguments are checked
     once, by `tracking.shooting_maps`, whose residual and Jacobian maps
     `newton_solve` iterates on (ContractError when alpha0 does not have
-    n+k entries). After the iteration the coupled
-    flow is integrated once more at the final iterate to attach the
-    trajectory, the control samples, and the achieved cost to the report
-    (also when not converged, so a failed run can still be inspected). When
-    that flow leaves the finite domain too, the report carries no trajectory.
+    5 entries). After the iteration the coupled flow is integrated once
+    more at the final iterate to attach the trajectory, the control
+    samples, and the achieved cost to the report (also when not converged,
+    so a failed run can still be inspected). When that flow leaves the
+    finite domain too, the report carries no trajectory.
     """
-    d = prob.sys.n + prob.sys.k
     if alpha0 is None:
-        alpha0 = np.zeros(d)
+        alpha0 = np.zeros(5)
 
     report = newton_solve(*shooting_maps(prob, alpha0), alpha0, cfg)
     try:

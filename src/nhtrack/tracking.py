@@ -24,9 +24,9 @@ row layout, stacked along leading axes: the coupled rows
 z = [x, y, z, v1, v2, l1, l2, l3, m1, m2] of `hamiltonian`, the state
 rows [x, y, z, v1, v2] of the costs (the layout of the references too),
 and the fiber-costate rows [m1, m2] of the control. So a trajectory's
-rows go in as slices, with no wrapping. An `AdaptedState` (q, v) is a
-start point, and the split the frame geometry reads, which `hamiltonian`
-builds for it.
+rows go in as slices, with no wrapping. An `AdaptedState` (q, v) is only
+a start point. The Hamiltonian pairs the costates with the C kernel's own
+slopes (`particle_slopes`): no Python copy of the equations is kept.
 """
 
 from __future__ import annotations
@@ -34,21 +34,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import kernels
 from .errors import ContractError, DomainError, SingularProblemError
-from .geometry import (
-    AdaptedState,
-    NonholonomicSystem,
-    admissible_velocity,
-    controlled_acceleration,
-)
+from .geometry import AdaptedState
 from .integrators import Trajectory, time_grid
 from .integrators import integrate  # noqa: F401 - perfbench/spans.py rebinds tracking.integrate
-from .particle import analytic_constants, analytic_flow, particle_system
+from .particle import analytic_constants, analytic_flow
 
 Array = np.ndarray
 # A reference: time t -> rows [x_r, y_r, z_r, v1_r, v2_r], the layout of the
@@ -154,8 +149,8 @@ def tabulated(times: Array, samples: Array) -> Reference:
 @dataclass(frozen=True)
 class TrackingProblem:
     """A complete tracking instance over a fixed horizon for the bundled
-    particle: the rollouts run the particle's C RK4 kernel, so the system is
-    the class constant `sys = particle_system()`, not a field.
+    particle: the rollouts run the particle's C RK4 kernel, whose row
+    layout fixes the dimensions, 3 positions and 5 state entries.
 
     epsilon > 0 weights the control effort (zero is rejected: the
     stationary condition would no longer determine the control), omega > 0
@@ -177,7 +172,6 @@ class TrackingProblem:
     comparison.
     """
 
-    sys: ClassVar[NonholonomicSystem] = particle_system()
     ref: Reference
     epsilon: float
     T: float
@@ -203,7 +197,7 @@ class TrackingProblem:
             raise ContractError("step count N must be at least 1")
         if self.adjoint_mode not in ADJOINT_MODES:
             raise ContractError(f"adjoint_mode must be one of {ADJOINT_MODES}")
-        if self.s0.q.shape != (self.sys.n,) or self.s0.v.shape != (self.sys.k,):
+        if self.s0.q.shape != (3,) or self.s0.v.shape != (2,):
             raise ContractError("initial state dimensions do not match system")
         if not (np.all(np.isfinite(self.s0.q)) and np.all(np.isfinite(self.s0.v))):
             raise ContractError("initial state s0 must be finite")
@@ -284,23 +278,36 @@ def terminal_cost(xT: Array, rT: Array) -> float:
     return float(np.sum(e[:3] ** 2)) + float(np.sum(e[3:] ** 2))
 
 
-def hamiltonian(
-    sys: NonholonomicSystem, z: Array, u: Array, r: Array, eps: float
-) -> Union[float, Array]:
-    """Pointwise Hamiltonian: running cost plus costates paired with dynamics.
+def particle_slopes(x: Array, u: Optional[Array] = None) -> Array:
+    """Slopes [qdot, vdot] of the particle at the state rows x = [q, v],
+    (..., 5), stacked along leading axes: the first five columns of the C
+    kernel's coupled right-hand side at lam = 0. With no u, mu = 0 and they
+    are the free flow [qdot, drift]; with controls u, which broadcast
+    against x[..., 3:], mu = -u at eps = 1, so the kernel's control
+    -mu/eps is u exactly and they are [qdot, drift + u]."""
+    x = np.asarray(x, dtype=float)
+    z = np.zeros(x.shape[:-1] + (10,))
+    z[..., :5] = x
+    if u is not None:
+        z[..., 8:] = -np.asarray(u, dtype=float)
+    z = z.reshape(-1, 10)
+    slopes = kernels.coupled_rhs(z, np.zeros((z.shape[0], 5)), 1.0, False)[:, :5]
+    return slopes.reshape(x.shape)
+
+
+def hamiltonian(z: Array, u: Array, r: Array, eps) -> Union[float, Array]:
+    """Pointwise Hamiltonian: running cost + lam . qdot + mu . (drift + u),
+    with [qdot, drift] the kernel's free slopes (`particle_slopes`).
 
     z holds the coupled rows [q, v, lam, mu] of the kernels, (..., 10), and
     r the reference rows [q_r, v_r]. Rows may be stacked along leading
-    axes (u of shape (..., k); r broadcasts against z): one value per
-    point, bit for bit the value of that point alone."""
-    n, d = sys.n, sys.n + sys.k
-    s = AdaptedState(q=z[..., :n], v=z[..., n:d])
-    qdot = admissible_velocity(sys, s)
-    vdot = controlled_acceleration(sys, s, u)
+    axes, and u (..., 2) and r broadcast against z: one value per point,
+    bit for bit the value of that point alone."""
+    slopes = particle_slopes(z[..., :5])
     return (
-        running_cost(z[..., :d], r, u, eps)
-        + np.einsum("...i,...i->...", z[..., d : d + n], qdot)
-        + np.einsum("...a,...a->...", z[..., d + n :], vdot)
+        running_cost(z[..., :5], r, u, eps)
+        + np.einsum("...i,...i->...", z[..., 5:8], slopes[..., :3])
+        + np.einsum("...a,...a->...", z[..., 8:], slopes[..., 3:] + u)
     )
 
 
@@ -329,9 +336,8 @@ def hamiltonian_control_gradient(mu: Array, u: Array, eps) -> Array:
 def _kernel_args(prob: TrackingProblem, alpha: Array) -> tuple:
     """Arguments of the coupled C kernels for the flow from (s0, alpha)."""
     alpha = np.asarray(alpha, dtype=float)
-    n, k = prob.sys.n, prob.sys.k
-    if alpha.shape != (n + k,):
-        raise ContractError(f"alpha must have length {n + k}")
+    if alpha.shape != (5,):
+        raise ContractError("alpha must have length 5")
     z0 = np.concatenate([prob.s0.q, prob.s0.v, alpha])
     literal = prob.adjoint_mode == "paper-literal"
     return z0, prob.h, prob.N, prob._ref_table, prob.epsilon, literal
@@ -364,8 +370,8 @@ def _terminal_rows(prob: TrackingProblem, z: list, ref: list) -> list:
     same order, so it equals numpy's bit for bit. Raises DomainError, with
     no floating-point warning, when a row is not finite, as when a large
     omega overflows it."""
-    m = len(ref) // (prob.sys.n + prob.sys.k)
-    n, d = prob.sys.n * m, len(ref)
+    m = len(ref) // 5
+    n, d = 3 * m, len(ref)
     w = prob.omega
     if prob.full_transversality:
         w2 = 2.0 * w
@@ -392,13 +398,13 @@ def shooting_maps(prob: TrackingProblem, alpha0: Array) -> tuple:
     `kernels.rollout_coupled` call, looked up at call time, and returns
     the rows of `_terminal_rows` as Python floats: the residual as a list,
     the Jacobian as a list of rows. The Jacobian is that of the discrete
-    flow: alpha is the last n+k entries of the kernel's start z0, so the
+    flow: alpha is the last 5 entries of the kernel's start z0, so the
     sensitivity S = dz/dalpha starts as [0; I], the rollout advances it to
     S_N = dz_N/dalpha, and `_terminal_rows` maps S_N as it maps z_N. Both
     maps raise DomainError when the flow or their rows are not finite.
     """
     z0, h, N, ref_half, eps, literal = _kernel_args(prob, alpha0)
-    d = prob.sys.n + prob.sys.k
+    d = 5  # entries of a state row, and of alpha
     head = z0[:d]
     ref_final = prob._ref_final.tolist()
     zero = [0.0] * (d * d)
@@ -418,7 +424,7 @@ def shooting_maps(prob: TrackingProblem, alpha0: Array) -> tuple:
 
 def controls_along(traj: Trajectory, prob: TrackingProblem) -> Array:
     """Stationary control -mu/eps recovered at every grid point."""
-    return stationary_control(traj.states[:, 2 * prob.sys.n + prob.sys.k :], prob.epsilon)
+    return stationary_control(traj.states[:, 8:], prob.epsilon)
 
 
 def _cost(prob: TrackingProblem, body: Array, u: Array) -> float:
@@ -438,10 +444,9 @@ def total_cost(traj: Trajectory, prob: TrackingProblem) -> float:
     """Composite-trapezoid running cost along a coupled trajectory plus
     the omega-weighted terminal cost. The trajectory must lie on the
     problem grid."""
-    n, k = prob.sys.n, prob.sys.k
     if traj.times is not prob.times and not np.array_equal(traj.times, prob.times):
         raise ContractError("cost is evaluated on the problem's time grid only")
-    return _cost(prob, traj.states[:, : n + k], controls_along(traj, prob))
+    return _cost(prob, traj.states[:, :5], controls_along(traj, prob))
 
 
 def uncontrolled_trajectory(prob: TrackingProblem) -> Trajectory:
@@ -454,7 +459,7 @@ def uncontrolled_trajectory(prob: TrackingProblem) -> Trajectory:
 def uncontrolled_cost(prob: TrackingProblem) -> float:
     """Cost of simply letting the system drift (u = 0) from s0."""
     traj = uncontrolled_trajectory(prob)
-    return _cost(prob, traj.states, np.zeros((prob.N + 1, prob.sys.k)))
+    return _cost(prob, traj.states, np.zeros((prob.N + 1, 2)))
 
 
 def benchmark_problem(

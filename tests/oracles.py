@@ -1,8 +1,13 @@
 """Reference models the tests compare the package against.
 
-Four oracles for the bundled particle, none of which the package runs:
+Five oracles for the bundled particle, none of which the package runs:
 
 * `particle_oracle`, a symbolic derivation (below);
+* `frame_slopes`, the numpy frame model of the free particle: the frame
+  rho and the connection Gamma contracted with v. The package has no
+  Python copy of these equations; the C kernel's reduced rhs and the
+  state columns of its coupled rhs equal this model value for value (a
+  zero's sign aside);
 * the unreduced Lagrange-multiplier dynamics in ambient coordinates
   (x, y, z, vx, vy, vz): `AmbientState`, `multiplier` and
   `unreduced_field`, the Python model of the C unreduced right-hand side,
@@ -148,6 +153,32 @@ def particle_oracle() -> ParticleOracle:
 
 
 # ---------------------------------------------------------------------------
+# The frame model of the free particle
+# ---------------------------------------------------------------------------
+
+
+def frame_slopes(x: Array) -> Array:
+    """Slopes [qdot, vdot] of the free particle at the state rows x =
+    [x, y, z, v1, v2], (..., 5), stacked along leading axes, from the
+    frame and the connection alone:
+
+        qdot = rho^T v,    rho = [[0, 1, 0], [-y, 0, 1]],
+        vdot^C = -Gamma^C_AB v^A v^B,    Gamma^2_12 = y / (1 + y^2),
+
+    every other connection coefficient zero, Gamma indexed [C, A, B]."""
+    y, v = x[..., 1], x[..., 3:]
+    rho = np.zeros(x.shape[:-1] + (2, 3))
+    rho[..., 0, 1] = 1.0
+    rho[..., 1, 0] = -y
+    rho[..., 1, 2] = 1.0
+    gamma = np.zeros(x.shape[:-1] + (2, 2, 2))
+    gamma[..., 1, 0, 1] = y / (1.0 + y * y)
+    qdot = np.einsum("...ai,...a->...i", rho, v)
+    vdot = -np.einsum("...cab,...a,...b->...c", gamma, v, v)
+    return np.concatenate([qdot, vdot], axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # Unreduced Lagrange-multiplier dynamics
 # ---------------------------------------------------------------------------
 
@@ -245,7 +276,7 @@ def hamiltonian_balance_defect(prob, report) -> float:
     if prob.N % 2:
         raise ContractError("composite Simpson needs an even step count")
     z, ref = report.trajectory.states, prob._ref_table[::2]
-    H = hamiltonian(prob.sys, z, report.controls, ref, prob.epsilon)
+    H = hamiltonian(z, report.controls, ref, prob.epsilon)
     f = -(z[:, 2] - ref[:, 2])
     integral = prob.h / 3.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-1:2]))
     return float(abs(H[-1] - H[0] - integral))

@@ -158,6 +158,40 @@ def test_adjoint_gradient_fails_on_a_kernel_mu2_row_off_by_1e_7(tmp_path, monkey
     assert 1e-8 < float(r.detail.split()[3].rstrip(",")) < 1e-6
 
 
+def _literal_mutant(z, r, eps, row):
+    """Column and values of the paper-literal row `row` of a one-token
+    mutant of `_rk4.c`, evaluated as the C expression is."""
+    y, v1, v2, l1, l2, l3, m2 = (z[:, i] for i in (1, 3, 4, 5, 6, 7, 9))
+    w = 1.0 + y * y
+    f = y / w
+    if row == "lam2":  # (y*y + 1.0) in place of (y*y - 1.0)
+        return 6, l1 * v2 - (y - r[:, 1]) + eps * v1 * v2 * m2 * (y * y + 1.0) / (w * w)
+    if row == "mu1":  # v1 in place of v2
+        return 8, -l2 - (v1 - r[:, 3]) - m2 * f * v1
+    return 9, -l3 + l1 * y - (v2 - r[:, 4]) - m2 * f * v2  # mu2: v2 in place of v1
+
+
+@pytest.mark.parametrize("row", ["lam2", "mu1", "mu2"])
+def test_adjoint_gradient_fails_on_a_wrong_paper_literal_row(monkeypatch, row):
+    """A kernel whose paper-literal row is a one-token mutant still fails
+    the gradient test in exactly lam2, mu1 and mu2, so the failing rows do
+    not show it. The check also pins literal - derived to the printed
+    difference in closed form, and that fails it."""
+    coupled_rhs = kernels.coupled_rhs
+
+    def mutant(z, ref, eps, literal):
+        out = coupled_rhs(z, ref, eps, literal)
+        if literal:
+            col, values = _literal_mutant(np.asarray(z), np.asarray(ref), eps, row)
+            out[:, col] = values
+        return out
+
+    monkeypatch.setattr(kernels, "coupled_rhs", mutant)
+    r = checks.check_adjoint_gradient()
+    assert not r.passed
+    assert r.detail.endswith("paper-literal fails rows lam2,mu1,mu2")
+
+
 def test_cubic_exactness_runs_the_kernel_not_the_generic_integrator(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("integrators.integrate called")

@@ -1,147 +1,120 @@
-"""Tests for the frame-based system description and its operations."""
-
-import dataclasses
+"""Tests for the particle's slopes, which the package reads from the C
+kernel's coupled right-hand side (`tracking.particle_slopes`), against
+hand-computed values, the frame model of `tests/oracles.py` and the
+checks' constraint spec; and for the structure-constant helper."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from nhtrack.checks import _constraint_defect
 from nhtrack.errors import ContractError
-from nhtrack.geometry import (
-    AdaptedState,
-    NonholonomicSystem,
-    admissible_velocity,
-    christoffel_from_structure,
-    constraint_residual,
-    controlled_acceleration,
-    nh_acceleration,
-)
-from nhtrack.particle import particle_system
+from nhtrack.geometry import christoffel_from_structure
+from nhtrack.tracking import particle_slopes
+from oracles import frame_slopes
 from stacked_points import assert_rows_are_single_calls, stacked
 
 RNG = np.random.default_rng(0)
 
 
-def random_state():
-    return AdaptedState(q=RNG.uniform(-2, 2, 3), v=RNG.uniform(-2, 2, 2))
+def random_row():
+    """A state row [x, y, z, v1, v2]."""
+    return np.concatenate([RNG.uniform(-2, 2, 3), RNG.uniform(-2, 2, 2)])
 
 
 class TestAdmissibleVelocity:
+    """The velocity columns [x', y', z'] of the kernel's slopes."""
+
     def test_hand_checked_value(self):
         """qdot = (-y v2, v1, v2) for the particle, by direct arithmetic."""
-        sys_ = particle_system()
-        s = AdaptedState(q=[0.0, 0.2, 0.0], v=[0.5, 0.4])
-        np.testing.assert_allclose(
-            admissible_velocity(sys_, s), [-0.2 * 0.4, 0.5, 0.4], rtol=0, atol=0
-        )
+        qdot = particle_slopes(np.array([0.0, 0.2, 0.0, 0.5, 0.4]))[:3]
+        np.testing.assert_allclose(qdot, [-0.2 * 0.4, 0.5, 0.4], rtol=0, atol=0)
 
     def test_zero_velocity(self):
         """Linear in v: v = 0 gives qdot = 0."""
-        sys_ = particle_system()
-        s = AdaptedState(q=RNG.uniform(-1, 1, 3), v=[0.0, 0.0])
-        assert np.all(admissible_velocity(sys_, s) == 0.0)
+        x = np.concatenate([RNG.uniform(-1, 1, 3), [0.0, 0.0]])
+        assert np.all(particle_slopes(x)[:3] == 0.0)
 
     def test_coupling_vanishes_at_y_zero(self):
         """y = 0 kills the x-z coupling term."""
-        sys_ = particle_system()
-        s = AdaptedState(q=[1.0, 0.0, 2.0], v=[0.0, 1.0])
-        np.testing.assert_array_equal(admissible_velocity(sys_, s), [0.0, 0.0, 1.0])
+        qdot = particle_slopes(np.array([1.0, 0.0, 2.0, 0.0, 1.0]))[:3]
+        np.testing.assert_array_equal(qdot, [0.0, 0.0, 1.0])
 
     def test_dimension_mismatch(self):
-        sys_ = particle_system()
-        with pytest.raises(ContractError):
-            admissible_velocity(sys_, AdaptedState(q=[0.0, 0.0], v=[1.0, 1.0]))
-        with pytest.raises(ContractError):
-            admissible_velocity(sys_, AdaptedState(q=[0.0, 0.0, 0.0], v=[1.0]))
+        """Rows that are not [x, y, z, v1, v2] do not fit the kernel's rows."""
+        with pytest.raises(ValueError):
+            particle_slopes(np.zeros(4))
+        with pytest.raises(ValueError):
+            particle_slopes(np.zeros((3, 6)))
 
 
 class TestNhAcceleration:
+    """The drift columns [v1', v2'] of the kernel's slopes at mu = 0."""
+
     def test_hand_checked_value(self):
         """vdot2 = -(y/(1+y^2)) v1 v2, no potential."""
-        sys_ = particle_system()
-        s = AdaptedState(q=[0.0, 0.2, 0.0], v=[0.5, 0.4])
+        drift = particle_slopes(np.array([0.0, 0.2, 0.0, 0.5, 0.4]))[3:]
         expected = np.array([0.0, -(0.2 / 1.04) * 0.5 * 0.4])
-        np.testing.assert_allclose(nh_acceleration(sys_, s), expected, rtol=1e-15)
+        np.testing.assert_allclose(drift, expected, rtol=1e-15)
 
     def test_single_velocity_component(self):
         """v = (c, 0) makes both terms vanish (V = 0)."""
-        sys_ = particle_system()
         for c in (-3.0, 0.7, 12.0):
-            s = AdaptedState(q=RNG.uniform(-1, 1, 3), v=[c, 0.0])
-            np.testing.assert_array_equal(nh_acceleration(sys_, s), [0.0, 0.0])
+            x = np.concatenate([RNG.uniform(-1, 1, 3), [c, 0.0]])
+            np.testing.assert_array_equal(particle_slopes(x)[3:], [0.0, 0.0])
 
     def test_vanishes_at_y_zero(self):
         """The connection coefficient is odd in y."""
-        sys_ = particle_system()
-        s = AdaptedState(q=[0.3, 0.0, -0.7], v=[1.2, -0.4])
-        np.testing.assert_array_equal(nh_acceleration(sys_, s), [0.0, 0.0])
-
+        drift = particle_slopes(np.array([0.3, 0.0, -0.7, 1.2, -0.4]))[3:]
+        np.testing.assert_array_equal(drift, [0.0, 0.0])
 
 
 class TestControlledAcceleration:
+    """The kernel's slopes at mu = -u with eps = 1: the drift plus u."""
+
     def test_zero_control_is_drift(self):
-        sys_ = particle_system()
-        s = random_state()
-        np.testing.assert_array_equal(
-            controlled_acceleration(sys_, s, np.zeros(2)), nh_acceleration(sys_, s)
-        )
+        x = random_row()
+        np.testing.assert_array_equal(particle_slopes(x, np.zeros(2)), particle_slopes(x))
 
     def test_pure_control_at_y_zero(self):
         """Drift vanishes at y = 0, so vdot = u."""
-        sys_ = particle_system()
-        s = AdaptedState(q=[0.0, 0.0, 0.0], v=[0.0, 1.0])
-        np.testing.assert_array_equal(
-            controlled_acceleration(sys_, s, np.array([1.0, -2.0])), [1.0, -2.0]
-        )
+        x = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(particle_slopes(x, np.array([1.0, -2.0]))[3:], [1.0, -2.0])
 
     def test_sum_of_drift_and_control(self):
-        sys_ = particle_system()
-        s = AdaptedState(q=[0.0, 0.2, 0.0], v=[0.5, 0.4])
-        got = controlled_acceleration(sys_, s, np.array([0.1, 0.1]))
+        x = np.array([0.0, 0.2, 0.0, 0.5, 0.4])
+        got = particle_slopes(x, np.array([0.1, 0.1]))[3:]
         np.testing.assert_allclose(got, [0.1, 0.1 - (0.2 / 1.04) * 0.5 * 0.4], rtol=1e-15)
 
     def test_control_dimension_checked(self):
-        sys_ = particle_system()
-        with pytest.raises(ContractError):
-            controlled_acceleration(sys_, random_state(), np.zeros(3))
+        """A control is [u1, u2], the width of the fiber costate."""
+        with pytest.raises(ValueError):
+            particle_slopes(random_row(), np.zeros(3))
 
 
 class TestStackedPoints:
-    """q of shape (..., n) and v of shape (..., k): one result per point."""
+    """State rows x of shape (..., 5) and controls u of shape (..., 2): one
+    row of slopes per point."""
 
     @settings(max_examples=60, deadline=None)
-    @given(stacked(3, 2, 2))
-    def test_rows_equal_single_point_calls(self, qvu):
-        sys_ = particle_system()
+    @given(stacked(5, 2))
+    def test_rows_equal_single_point_calls(self, xu):
+        def evaluate(x, u):
+            return {"free": particle_slopes(x), "controlled": particle_slopes(x, u)}
 
-        def evaluate(q, v, u):
-            s = AdaptedState(q=q, v=v)
-            qdot = admissible_velocity(sys_, s)
-            return {
-                "rho": sys_.rho(q),
-                "gamma": sys_.gamma(q),
-                "constraint_annihilator": sys_.constraint_annihilator(q),
-                "admissible_velocity": qdot,
-                "nh_acceleration": nh_acceleration(sys_, s),
-                "controlled_acceleration": controlled_acceleration(sys_, s, u),
-                "constraint_residual": constraint_residual(sys_, q, qdot),
-            }
+        assert_rows_are_single_calls(evaluate, *xu)
 
-        assert_rows_are_single_calls(evaluate, *qvu)
-
-    def test_mismatched_leading_shapes_rejected(self):
-        sys_ = particle_system()
-        mismatched = AdaptedState(q=np.zeros((4, 3)), v=np.zeros((5, 2)))
-        with pytest.raises(ContractError, match="one leading shape"):
-            admissible_velocity(sys_, mismatched)
-        with pytest.raises(ContractError, match="one leading shape"):
-            nh_acceleration(sys_, mismatched)
-        s = AdaptedState(q=np.zeros((4, 3)), v=np.zeros((4, 2)))
-        for u in (np.zeros((5, 2)), np.zeros(2), np.zeros((1, 2)), np.zeros((4, 1, 2))):
-            with pytest.raises(ContractError, match="velocity shape"):
-                controlled_acceleration(sys_, s, u)
-        with pytest.raises(ContractError, match="one leading shape"):
-            constraint_residual(sys_, np.zeros((4, 3)), np.zeros((5, 3)))
+    @settings(max_examples=60, deadline=None)
+    @given(stacked(5, 2))
+    def test_kernel_slopes_are_the_frame_model(self, xu):
+        """At lam = mu = 0 the kernel's slopes are the frame model's
+        [rho^T v, -Gamma v v], and at mu = -u with eps = 1 the same with u
+        added to the drift: value for value (a zero may differ in sign)."""
+        x, u = xu
+        want = frame_slopes(x)
+        np.testing.assert_array_equal(particle_slopes(x), want)
+        want[..., 3:] += u
+        np.testing.assert_array_equal(particle_slopes(x, u), want)
 
 
 class TestChristoffelFromStructure:
@@ -173,37 +146,30 @@ class TestChristoffelFromStructure:
 
 
 class TestConstraintResidual:
+    """The checks' spec of the constraint, x' + y z' = 0."""
+
     def test_admissible_velocity_is_in_kernel(self):
-        sys_ = particle_system()
-        res = constraint_residual(sys_, np.array([5.0, 0.2, -3.0]), np.array([-0.08, 0.5, 0.4]))
-        np.testing.assert_allclose(res, [0.0], atol=1e-16)
+        x = np.array([5.0, 0.2, -3.0, 0.5, 0.4])
+        res = _constraint_defect(x, np.array([-0.08, 0.5, 0.4]))
+        np.testing.assert_allclose(res, 0.0, atol=1e-16)
+        assert _constraint_defect(x, particle_slopes(x)) == 0.0
 
     def test_unit_x_velocity(self):
-        sys_ = particle_system()
-        res = constraint_residual(sys_, RNG.uniform(-1, 1, 3), np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(res, [1.0])
+        res = _constraint_defect(random_row(), np.array([1.0, 0.0, 0.0]))
+        assert res == 1.0
 
     def test_balanced_velocity_at_y_one(self):
-        sys_ = particle_system()
-        res = constraint_residual(sys_, np.array([0.0, 1.0, 0.0]), np.array([-1.0, 0.0, 1.0]))
-        np.testing.assert_array_equal(res, [0.0])
+        res = _constraint_defect(np.array([0.0, 1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 0.0, 1.0]))
+        assert res == 0.0
 
 
 class TestSystemConsistency:
     def test_frame_rows_independent(self):
-        sys_ = particle_system()
+        """The kernel's velocity rows at the unit fiber velocities are the
+        frame fields Y1 = d/dy and Y2 = d/dz - y d/dx: independent at every
+        point."""
         for _ in range(20):
             q = RNG.uniform(-3, 3, 3)
-            assert np.linalg.matrix_rank(sys_.rho(q)) == sys_.k
-
-    def test_rank_above_dimension_rejected(self):
-        with pytest.raises(ContractError, match="1 <= k <= n"):
-            dataclasses.replace(particle_system(), k=4)
-
-    def test_fields_are_the_ones_a_path_reads(self):
-        """The dimensions, the frame, the connection and the annihilator;
-        every one is required."""
-        fields = dataclasses.fields(NonholonomicSystem)
-        assert [f.name for f in fields] == ["n", "k", "rho", "gamma", "constraint_annihilator"]
-        assert all(f.default is dataclasses.MISSING for f in fields)
-        assert all(f.default_factory is dataclasses.MISSING for f in fields)
+            rho = particle_slopes(np.stack([np.concatenate([q, e]) for e in np.eye(2)]))[:, :3]
+            np.testing.assert_array_equal(rho, [[0.0, 1.0, 0.0], [-q[1], 0.0, 1.0]])
+            assert np.linalg.matrix_rank(rho) == 2

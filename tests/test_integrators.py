@@ -8,27 +8,21 @@ import pytest
 
 from nhtrack import cli, kernels
 from nhtrack.errors import ContractError, DomainError
-from nhtrack.geometry import AdaptedState, admissible_velocity, nh_acceleration
+from nhtrack.geometry import AdaptedState
 from nhtrack.integrators import Trajectory, VectorField, integrate, time_grid
-from nhtrack.particle import analytic_constants, analytic_flow, particle_system
+from nhtrack.particle import analytic_constants, analytic_flow
 from nhtrack.tracking import (
     benchmark_problem,
     integrate_coupled,
     uncontrolled_trajectory,
 )
-from oracles import DegenerateFitError, convergence_order
+from oracles import DegenerateFitError, convergence_order, frame_slopes
 
 S0 = np.array([0.5, 0.2, 0.7, 0.5, 0.4])
 
 
 def reduced_field():
-    sys_ = particle_system()
-
-    def f(t, x):
-        s = AdaptedState(q=x[:3], v=x[3:])
-        return np.concatenate([admissible_velocity(sys_, s), nh_acceleration(sys_, s)])
-
-    return VectorField(dim=5, f=f)
+    return VectorField(dim=5, f=lambda t, x: frame_slopes(x))
 
 
 def analytic_oracle():

@@ -10,7 +10,6 @@ from nhtrack.particle import (
     analytic_constants,
     analytic_flow,
     embed,
-    particle_system,
     restricted_energy,
 )
 from oracles import AmbientState, multiplier, unreduced_field
@@ -22,12 +21,6 @@ S0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
 
 def flat(s: AdaptedState) -> np.ndarray:
     return np.concatenate([s.q, s.v])
-
-
-class TestParticleSystem:
-    def test_connection_odd_in_y(self):
-        sys_ = particle_system()
-        assert sys_.gamma(np.array([1.0, 0.0, 2.0]))[1, 0, 1] == 0.0
 
 
 class TestAnalyticConstants:

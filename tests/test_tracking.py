@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from nhtrack import kernels
 from nhtrack.errors import ContractError, DomainError, SingularProblemError
-from nhtrack.geometry import AdaptedState, admissible_velocity
+from nhtrack.geometry import AdaptedState
 from nhtrack.integrators import Trajectory, VectorField, integrate
-from nhtrack.particle import analytic_constants, analytic_flow, particle_system
+from nhtrack.particle import analytic_constants, analytic_flow
 from nhtrack.shooting import fd_jacobian, solve_tracking
 from nhtrack.tracking import (
     ADJOINT_MODES,
@@ -24,6 +24,7 @@ from nhtrack.tracking import (
     hamiltonian,
     hamiltonian_control_gradient,
     integrate_coupled,
+    particle_slopes,
     residual_from_trajectory,
     running_cost,
     shooting_maps,
@@ -39,7 +40,6 @@ from stacked_points import assert_rows_are_single_calls, stacked
 
 RNG = np.random.default_rng(2)
 
-SYS = particle_system()
 S0 = AdaptedState(q=[0.5, 0.2, 0.7], v=[0.5, 0.4])
 
 # shooting residual at alpha = 0 for the benchmark problem, frozen after
@@ -155,20 +155,20 @@ class TestHamiltonian:
     def test_zero_on_reference_with_zero_costate(self):
         r = random_sample()
         z = np.concatenate([r, np.zeros(5)])
-        assert hamiltonian(SYS, z, np.zeros(2), r, 7.0) == 0.0
+        assert hamiltonian(z, np.zeros(2), r, 7.0) == 0.0
 
     def test_reduces_to_running_cost_without_costate(self):
         x = random_sample()
         r = random_sample()
         u = RNG.uniform(-1, 1, 2)
         z = np.concatenate([x, np.zeros(5)])
-        assert hamiltonian(SYS, z, u, r, 7.0) == running_cost(x, r, u, 7.0)
+        assert hamiltonian(z, u, r, 7.0) == running_cost(x, r, u, 7.0)
 
     def test_term_by_term_arithmetic(self):
         """Every term of H summed independently for a concrete point."""
         z = np.array([0.3, 0.2, -0.1, 0.5, 0.4, 1.0, 1.0, 1.0, 0.0, 1.0])
         r = np.array([0.3, 0.2, -0.1, 0.0, 1.0])  # on-reference positions
-        got = hamiltonian(SYS, z, np.zeros(2), r, 7.0)
+        got = hamiltonian(z, np.zeros(2), r, 7.0)
         expected = (
             0.5 * (0.5**2 + (0.4 - 1.0) ** 2)  # velocity error
             + (-0.2 * 0.4 + 0.5 + 0.4)  # lam . qdot
@@ -209,7 +209,7 @@ class TestStationaryControl:
             eps = float(RNG.uniform(0.5, 10))
             u = stationary_control(z[8:], eps)
             d = RNG.uniform(-2, 2, 2)
-            gap = hamiltonian(SYS, z, u + d, r, eps) - hamiltonian(SYS, z, u, r, eps)
+            gap = hamiltonian(z, u + d, r, eps) - hamiltonian(z, u, r, eps)
             np.testing.assert_allclose(gap, 0.5 * eps * (d @ d), rtol=1e-9, atol=1e-12)
 
 
@@ -224,10 +224,17 @@ class TestStackedPoints:
             u = stationary_control(z[..., 8:], 0.5 + w * w)  # one positive weight per row
             return {
                 "stationary_control": u,
-                "hamiltonian": hamiltonian(SYS, z, u, r, eps),
+                "hamiltonian": hamiltonian(z, u, r, eps),
             }
 
         assert_rows_are_single_calls(evaluate, *arrays_)
+        # one control row per point of axis 0, (M, 1, 2), against rows z of
+        # shape (M, P, 10) gives the values of that control repeated P times
+        z, r, _ = arrays_
+        if z.ndim == 3:
+            u = stationary_control(z[:, :1, 8:], eps)
+            repeated = np.repeat(u, z.shape[1], axis=1)
+            assert hamiltonian(z, u, r, eps).tobytes() == hamiltonian(z, repeated, r, eps).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
     def test_one_bad_row_weight_rejected(self, bad):
@@ -295,7 +302,7 @@ class TestSymbolicOracle:
 
     @pytest.mark.parametrize("eps", [0.5, 7.0])
     def test_hamiltonian(self, oracle, eps):
-        got = hamiltonian(SYS, self.Z, self.U, self.R, eps)
+        got = hamiltonian(self.Z, self.U, self.R, eps)
         assert _gap(got[:, None], oracle.hamiltonian(self.Z, self.U, self.R, eps)[:, None]) <= 1e-14
 
     @pytest.mark.parametrize("eps", [0.5, 7.0])
@@ -410,12 +417,13 @@ class TestReferenceKinds:
 
     @pytest.mark.parametrize("z_offset", [-0.5, 1.0, 3e6, 1e9])
     def test_line_lies_on_the_distribution_exactly(self, z_offset):
-        """At y = 0 the constraint coupling vanishes: rho(q_r)^T v_r is
-        (0, 0, speed), the line's own velocity, with no rounding at all."""
+        """At y = 0 the constraint coupling vanishes: the kernel's velocity
+        rows at the line's rows are (0, 0, speed), the line's own velocity,
+        with no rounding at all."""
         speed = 2.5
         ref = constant_z_line(x_r=0.3, z_offset=z_offset, speed=speed)
         times = np.concatenate([np.linspace(0.0, 4.0, 9), [1e7, 1e9]])
-        q_dot = admissible_velocity(SYS, AdaptedState(*split_qv(ref(times))))
+        q_dot = particle_slopes(ref(times))[:, :3]
         np.testing.assert_array_equal(q_dot, np.tile([0.0, 0.0, speed], (len(times), 1)))
 
     @pytest.mark.parametrize("make, T", [
@@ -465,6 +473,15 @@ class TestTrackingProblem:
         with pytest.raises(ContractError, match="horizon T must be finite"):
             TrackingProblem(ref=constant_z_line(), epsilon=7.0, T=T, s0=S0, N=10)
 
+    def test_dimensions_are_the_row_layout(self):
+        """A start has 3 positions and 2 fiber velocities, and alpha the 5
+        entries of a costate row."""
+        for q, v in (([0.5, 0.2], [0.5, 0.4]), ([0.5, 0.2, 0.7], [0.5, 0.4, 0.1])):
+            with pytest.raises(ContractError, match="initial state dimensions"):
+                TrackingProblem(ref=constant_z_line(), epsilon=7.0, T=4.0, s0=AdaptedState(q, v), N=10)
+        with pytest.raises(ContractError, match="alpha must have length 5"):
+            shooting_residual(np.zeros(4), benchmark_problem(N=10))
+
     @pytest.mark.parametrize("q, v", [
         ([np.nan, 0.2, 0.7], [0.5, 0.4]),
         ([0.5, 0.2, 0.7], [0.5, np.inf]),
@@ -486,10 +503,6 @@ class TestTrackingProblem:
         same = TrackingProblem(ref=constant_z_line(), epsilon=7.0, T=4.0, s0=S0, N=10)
         alpha = np.full(5, 0.1)
         np.testing.assert_array_equal(shooting_residual(alpha, prob), shooting_residual(alpha, same))
-
-    def test_system_is_the_particle_and_not_a_field(self):
-        assert TrackingProblem.sys == particle_system()
-        assert "sys" not in {f.name for f in dataclasses.fields(TrackingProblem)}
 
     def test_reference_table_matches_samples(self):
         prob = benchmark_problem(N=8)
